@@ -47,8 +47,11 @@ def _parse_scalars(text):
     if not text:
         return out
     for item in text.split(","):
-        name, value = item.split("=", 1)
-        out[name.strip()] = Fraction(value.strip())
+        try:
+            name, value = item.split("=", 1)
+            out[name.strip()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError("bad scalar %r (%s)" % (item, exc)) from exc
     return out
 
 

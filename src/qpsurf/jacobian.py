@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .algebra import (
-    AlgebraElement,
     Path,
     cyclic_derivative,
     least_rotation,
@@ -48,39 +48,41 @@ def jacobian_generators(qp):
     return [cyclic_derivative(qp.potential, a.name) for a in qp.quiver.arrows]
 
 
-def _ideal_rows(qp, order):
-    """Spanning rows of the two-sided ideal of the derivatives, within degree `order`."""
-    from .algebra import truncate
+def _ideal_echelon(qp, order):
+    """Echelon form of the derivative ideal within degree `order`.
 
+    Columns are the paths of length <= order numbered in the order of
+    `paths_by_length`, shortest first.  The spanning rows u * d_a W * s, for
+    paths u and s, are built straight from arrow words: every term of d_a W
+    runs from h(a) to t(a), so u ranges over the paths with tail t(a) and s
+    over the paths with head h(a); both lists are shortest first, so each loop
+    stops at the first path too long for a term to fit.  Returns the
+    eliminator, the path levels and the column index of each positive-length
+    path's arrow word.
+    """
     quiver = qp.quiver
     levels = paths_by_length(quiver, order)
-    rows = []
-    for gen in jacobian_generators(qp):
-        gen = truncate(gen, order)
+    paths = [p for level in levels for p in level]
+    index = {p.arrows: i for i, p in enumerate(paths) if len(p)}
+    by_tail, by_head = {}, {}
+    for p in paths:
+        by_tail.setdefault(path_tail(quiver, p), []).append(p.arrows)
+        by_head.setdefault(path_head(quiver, p), []).append(p.arrows)
+    elim = SparseEliminator()
+    for a, gen in zip(quiver.arrows, jacobian_generators(qp)):
         if gen.is_zero():
             continue
         gmin = gen.min_degree()
-        heads = {path_head(quiver, p) for p in gen.terms}
-        tails = {path_tail(quiver, p) for p in gen.terms}
-        for lp in range(0, order - gmin + 1):
-            for p in levels[lp]:
-                if path_tail(quiver, p) not in heads:
-                    continue
-                left = AlgebraElement.from_path(quiver, order, p) * gen
-                if left.is_zero():
-                    continue
-                for ls in range(0, order - gmin - lp + 1):
-                    for s in levels[ls]:
-                        if path_head(quiver, s) not in tails:
-                            continue
-                        row = left * AlgebraElement.from_path(quiver, order, s)
-                        if not row.is_zero():
-                            rows.append(dict(row.terms))
-    return rows, levels
-
-
-def _truncate_row(row, degree):
-    return {p: c for p, c in row.items() if len(p) <= degree}
+        terms = [(p.arrows, c) for p, c in gen.terms.items()]
+        for u in by_tail[a.tail]:
+            if len(u) + gmin > order:
+                break
+            for s in by_head[a.head]:
+                room = order - len(u) - len(s)
+                if room < gmin:
+                    break
+                elim.add_row({index[u + t + s]: c for t, c in terms if len(t) <= room})
+    return elim, levels, index
 
 
 @dataclass
@@ -114,33 +116,33 @@ def truncated_quotient_dim(qp, order):
     and all longer paths.  The certificate fires at the first d whose paths
     of length d and d+1 all lie in the span; from there on every longer path
     does too, so the quotient dimension has stabilised.
+
+    One echelon pass over the ideal rows at `order` serves every degree.
+    Columns run through the paths shortest first, so the paths of length
+    <= d are an initial segment of the columns, and cutting the ideal down to
+    degree d projects its span onto that segment.  The echelon basis rows
+    with least column in the segment project to a basis of that projection
+    and the others project to zero, so rank_d is the number of pivots of
+    length <= d.  The paths of length d lie in the degree-d span exactly when
+    the span grows by their number from degree d - 1 to d, that is when
+    every path of length d is a pivot column; that is `absorbed[d]`.
     """
     if order < 1:
         raise JacobianError("order must be >= 1")
     if order > qp.order:
         raise JacobianError(
             "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
-    rows, levels = _ideal_rows(qp, order)
+    elim, levels, _ = _ideal_echelon(qp, order)
+    level_of = [d for d, level in enumerate(levels) for _ in level]
+    pivots = [0] * (order + 1)
+    for col in elim.basis:
+        pivots[level_of[col]] += 1
 
-    dims = []
-    path_counts = []
-    ranks = []
-    absorbed = []
-    total = 0
-    for d in range(order + 1):
-        total += len(levels[d])
-        path_counts.append(total)
-        elim = SparseEliminator()
-        for row in rows:
-            tr = _truncate_row(row, d)
-            if tr:
-                elim.add_row(tr)
-        ranks.append(elim.rank)
-        dims.append(total - elim.rank)
-        if d >= 1:
-            absorbed.append(all(elim.contains({p: Fraction(1)}) for p in levels[d]))
-        else:
-            absorbed.append(False)
+    counts = [len(level) for level in levels]
+    path_counts = list(accumulate(counts))
+    ranks = list(accumulate(pivots))
+    dims = [n - r for n, r in zip(path_counts, ranks)]
+    absorbed = [False] + [pivots[d] == counts[d] for d in range(1, order + 1)]
 
     certified = False
     certified_order = None
@@ -178,10 +180,7 @@ def is_rigid_up_to(qp, order):
         raise JacobianError(
             "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
     quiver = qp.quiver
-    rows, levels = _ideal_rows(qp, order)
-    elim = SparseEliminator()
-    for row in rows:
-        elim.add_row(row)
+    elim, levels, index = _ideal_echelon(qp, order)
 
     reps = []
     seen = set()
@@ -196,10 +195,11 @@ def is_rigid_up_to(qp, order):
             reps.append(rep)
             for _, rot in rotations(rep):
                 if rot != rep:
-                    elim.add_row({rep: Fraction(1), rot: Fraction(-1)})
+                    elim.add_row({index[rep.arrows]: Fraction(1),
+                                  index[rot.arrows]: Fraction(-1)})
 
     for rep in sorted(reps, key=lambda p: (len(p), p.arrows)):
-        if not elim.contains({rep: Fraction(1)}):
+        if not elim.contains({index[rep.arrows]: Fraction(1)}):
             return RigidityReport(max_order=order, rigid=False, witness=rep)
     return RigidityReport(max_order=order, rigid=True, witness=None)
 

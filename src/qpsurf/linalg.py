@@ -108,31 +108,50 @@ def diagonalize_pairing(m):
 
 
 class SparseEliminator:
-    """Row space over the rationals with incremental reduction.
+    """Row space over the rationals in row echelon form, built incrementally.
 
-    Rows are dicts column-key -> Fraction.  Basis rows are kept fully reduced
-    with pivot coefficient 1; column keys must be orderable.
+    Rows are dicts column-key -> Fraction; column keys must be orderable.
+    Each basis row is stored under its least column, where its coefficient
+    is 1, so no two basis rows share a least column.  That echelon invariant
+    is all `contains` needs: reducing a row cancels its least column against
+    the basis row stored there, which only touches larger columns, until the
+    row vanishes (it lies in the span) or its least column has no basis row
+    (it does not).  Basis rows are not reduced against each other.
+
+    Because the basis is in echelon form, its rows with least column in an
+    initial segment of the column order project onto that segment as a basis
+    of the projected span; the other rows project to zero.  So the rank of
+    the span cut down to the first n columns is the number of basis keys
+    among those columns.
     """
 
     def __init__(self):
         self.basis = {}
 
     def _reduce(self, row):
-        row = dict(row)
+        """Cancel least columns against the basis while it has a row there.
+
+        Returns (least column, reduced row) at the first least column with no
+        basis row, or (None, {}) when the row reduces to zero, i.e. lies in
+        the span.
+        """
+        basis = self.basis
+        row = {c: v for c, v in row.items() if v}
         while row:
             col = min(row)
-            if row[col] == 0:
-                del row[col]
-                continue
-            piv = self.basis.get(col)
+            piv = basis.get(col)
             if piv is None:
                 return col, row
-            f = row[col]
+            f = row.pop(col)
             for c, v in piv.items():
-                row[c] = row.get(c, Fraction(0)) - f * v
-                if row[c] == 0:
+                if c == col:
+                    continue
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                else:
                     del row[c]
-        return None, {}
+        return None, row
 
     def add_row(self, row):
         """Insert a row; returns True if it enlarged the span."""
@@ -140,15 +159,7 @@ class SparseEliminator:
         if col is None:
             return False
         inv = 1 / red[col]
-        red = {c: v * inv for c, v in red.items()}
-        for bcol, brow in self.basis.items():
-            f = brow.get(col)
-            if f:
-                for c, v in red.items():
-                    brow[c] = brow.get(c, Fraction(0)) - f * v
-                    if brow[c] == 0:
-                        del brow[c]
-        self.basis[col] = red
+        self.basis[col] = {c: v * inv for c, v in red.items()}
         return True
 
     def contains(self, row):

@@ -164,37 +164,43 @@ class Triangulation:
         explicit = {}
         sides = []
         triangles = []
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
             kind = parts[0]
-            if kind == "surface":
-                opts = dict(p.split("=", 1) for p in parts[1:])
-                genus = int(opts["genus"])
-                boundary = int(opts["boundary"])
-            elif kind == "marked":
-                name = parts[1]
-                if parts[2] == "puncture":
-                    locations[name] = None
-                    for opt in parts[3:]:
-                        key, val = opt.split("=", 1)
-                        if key == "scalar":
-                            explicit[name] = Fraction(val)
-                elif parts[2].startswith("boundary="):
-                    locations[name] = int(parts[2].split("=", 1)[1])
+            try:
+                if kind == "surface":
+                    opts = dict(p.split("=", 1) for p in parts[1:])
+                    genus = int(opts["genus"])
+                    boundary = int(opts["boundary"])
+                elif kind == "marked":
+                    name = parts[1]
+                    if parts[2] == "puncture":
+                        locations[name] = None
+                        for opt in parts[3:]:
+                            key, val = opt.split("=", 1)
+                            if key == "scalar":
+                                explicit[name] = Fraction(val)
+                    elif parts[2].startswith("boundary="):
+                        locations[name] = int(parts[2].split("=", 1)[1])
+                    else:
+                        raise SurfaceError("bad marked line: %r" % raw)
+                elif kind == "bseg":
+                    opts = dict(p.split("=", 1) for p in parts[4:])
+                    sides.append(Side(parts[1], "bseg", (parts[2], parts[3]), int(opts["on"])))
+                elif kind == "arc":
+                    sides.append(Side(parts[1], "arc", (parts[2], parts[3])))
+                elif kind == "tri":
+                    triangles.append(tuple(parts[1:4]))
                 else:
-                    raise SurfaceError("bad marked line: %r" % raw)
-            elif kind == "bseg":
-                opts = dict(p.split("=", 1) for p in parts[4:])
-                sides.append(Side(parts[1], "bseg", (parts[2], parts[3]), int(opts["on"])))
-            elif kind == "arc":
-                sides.append(Side(parts[1], "arc", (parts[2], parts[3])))
-            elif kind == "tri":
-                triangles.append(tuple(parts[1:4]))
-            else:
-                raise SurfaceError("bad triangulation line: %r" % raw)
+                    raise SurfaceError("bad triangulation line: %r" % raw)
+            except SurfaceError:
+                raise
+            except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
+                raise SurfaceError("bad %s line %d: %r (%s: %s)"
+                                   % (kind, lineno, raw, type(exc).__name__, exc)) from exc
         if genus is None:
             raise SurfaceError("missing surface header")
         explicit.update(scalars)

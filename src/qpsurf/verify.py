@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 from .algebra import apply_substitution, cyclically_equivalent
@@ -203,11 +204,11 @@ def explore_mutation_class(qp, depth, order):
         return dig
 
     start = node_digest(qp)
-    frontier = [(qp, start, 0)]
+    frontier = deque([(qp, start, 0)])
     seen = {start}
     seen_edges = set()
     while frontier:
-        current, cur_dig, dist = frontier.pop(0)
+        current, cur_dig, dist = frontier.popleft()
         if not is_two_acyclic(current.quiver):
             failures.append(cur_dig)
             continue

@@ -1,4 +1,9 @@
 import io
+import os
+import subprocess
+import sys
+
+import pytest
 
 from qpsurf import cli
 from qpsurf.examples_data import example_text
@@ -74,6 +79,13 @@ def test_potential_scalar_override(tmp_path):
     assert "-1/7" in text
 
 
+def test_bad_scalar_override_exits_two(tmp_path):
+    path = write_example(tmp_path, "punctured-square-2")
+    for bad in ("p=1/0", "p", "p=x"):
+        code, _ = run(["potential", path, "--scalars", bad])
+        assert code == 2, bad
+
+
 def test_flip_and_pipe_roundtrip(tmp_path, monkeypatch):
     path = write_example(tmp_path, "torus")
     code, flipped = run(["flip", path, "1"])
@@ -137,6 +149,25 @@ def test_explore(tmp_path, monkeypatch):
                      stdin_text=qp_text, monkeypatch=monkeypatch)
     assert code == 0
     assert "--1-->" in text or "--2-->" in text or "--3-->" in text
+
+
+@pytest.mark.parametrize("text, bad_line", [
+    ("surface genus=0 boundary=1\nmarked p\n", "line 2"),
+    ("surface genus=0\n", "line 1"),
+    ("surface genus=0 boundary=1\nmarked p puncture scalar=1/0\n", "line 2"),
+    ("surface genus=0 boundary=1\nmarked A boundary=0\nbseg AB A\n", "line 3"),
+], ids=["marked-without-kind", "surface-without-boundary", "zero-denominator-scalar",
+        "short-bseg"])
+def test_malformed_triangulation_exits_two_without_traceback(tmp_path, text, bad_line):
+    path = tmp_path / "bad.tri"
+    path.write_text(text, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli", "validate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert bad_line in proc.stderr
 
 
 def test_unknown_subcommand_exits_two():

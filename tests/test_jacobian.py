@@ -13,7 +13,7 @@ from qpsurf.jacobian import (
     truncated_quotient_dim,
 )
 from qpsurf.potential import qp_of_triangulation
-from qpsurf.qp import QP
+from qpsurf.qp import QP, mutate_qp
 from qpsurf.quiver import Arrow, Quiver
 from qpsurf.surface import Triangulation
 
@@ -92,6 +92,23 @@ def test_torus_dims_match_oracle_smaller_order():
     qp = load_qp("torus")
     rep = truncated_quotient_dim(qp, 4)
     assert rep.dims == oracle_dims(qp, 4)
+
+
+def test_dims_match_oracle_on_one_step_mutations():
+    # the graded pass counts pivots by path length; the oracle re-eliminates
+    # densely at every degree, here on QPs that are not hand-written.  A degree
+    # is absorbed exactly when it adds nothing to the quotient.
+    for name in CORPUS:
+        qp = load_qp(name)
+        reports = [(None, truncated_quotient_dim(qp, 5))]
+        for k in qp.quiver.vertices:
+            mutated = mutate_qp(qp, k)
+            rep = truncated_quotient_dim(mutated, 5)
+            assert rep.dims == oracle_dims(mutated, 5), (name, k)
+            reports.append((k, rep))
+        for k, rep in reports:
+            for d in range(1, 6):
+                assert rep.absorbed[d] == (rep.dims[d] == rep.dims[d - 1]), (name, k, d)
 
 
 def test_dim_zero_counts_vertices():

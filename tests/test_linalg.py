@@ -37,3 +37,27 @@ def test_sparse_eliminator_membership():
     assert elim.contains({"x": Fraction(2), "y": Fraction(4)})
     assert not elim.contains({"z": Fraction(1)})
     assert elim.contains({})
+
+
+def test_sparse_eliminator_matches_dense_rank_random():
+    rng = random.Random(2008)
+    for _ in range(100):
+        nr = rng.randrange(1, 7)
+        nc = rng.randrange(1, 7)
+        m = [[Fraction(rng.choice([0, 0, 0, 1, -1, 2, rng.randrange(-5, 6)]),
+                       rng.randrange(1, 4)) for _ in range(nc)] for _ in range(nr)]
+        elim = SparseEliminator()
+        for i, row in enumerate(m):
+            enlarged = elim.add_row(dict(enumerate(row)))
+            assert enlarged == (rank(m[:i + 1]) > rank(m[:i]))
+        assert elim.rank == rank(m)
+        for col, brow in elim.basis.items():
+            assert min(brow) == col and brow[col] == 1
+            assert all(v != 0 for v in brow.values())
+        for _ in range(4):
+            probe = [Fraction(rng.randrange(-2, 3)) for _ in range(nc)]
+            if rng.random() < 0.5:  # a combination of the rows, so inside the span
+                coeffs = [rng.randrange(-2, 3) for _ in range(nr)]
+                probe = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(nc)]
+            inside = rank(m + [probe]) == rank(m)
+            assert elim.contains(dict(enumerate(probe))) == inside
