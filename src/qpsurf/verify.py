@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,12 +38,15 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
+DIGEST_CHARS = 12
+
+
 def _digest(*chunks):
     h = hashlib.sha256()
     for c in chunks:
         h.update(c.encode() if isinstance(c, str) else c)
         h.update(b"\x00")
-    return h.hexdigest()[:12]
+    return h.hexdigest()[:DIGEST_CHARS]
 
 
 def _net_matrix(quiver, relabel=None):
@@ -58,15 +61,6 @@ def _net_matrix(quiver, relabel=None):
         rows[i][j] += 1
         rows[j][i] -= 1
     return IntegerMatrix(verts, rows)
-
-
-def _multiplicities(quiver, relabel=None):
-    relabel = relabel or {}
-    out = {}
-    for a in quiver.arrows:
-        key = (relabel.get(a.tail, a.tail), relabel.get(a.head, a.head))
-        out[key] = out.get(key, 0) + 1
-    return out
 
 
 def _compare_dims(left, right, order):
@@ -108,8 +102,9 @@ def check_flip_compatibility(tri, arc, order, witness=None):
     lm = _net_matrix(left.quiver)
     rm = _net_matrix(right.quiver, relabel)
     subs.append(("matrices", lm == rm, "%r vs %r" % (lm.rows, rm.rows)))
-    lmul = _multiplicities(left.quiver)
-    rmul = _multiplicities(right.quiver, relabel)
+    lmul = left.quiver.multiplicities()
+    rmul = {(relabel.get(t, t), relabel.get(h, h)): m
+            for (t, h), m in right.quiver.multiplicities().items()}
     subs.append(("arrow-multiplicities", lmul == rmul, "%r vs %r" % (lmul, rmul)))
     ld, rd = _compare_dims(left, right, order)
     subs.append(("jacobian-dims-1..%d" % order, ld == rd, "%r vs %r" % (ld, rd)))
@@ -128,7 +123,7 @@ def check_involution(qp, k, order):
     subs = []
     lm, rm = _net_matrix(qp.quiver), _net_matrix(twice.quiver)
     subs.append(("matrices", lm == rm, "%r vs %r" % (lm.rows, rm.rows)))
-    lmul, rmul = _multiplicities(qp.quiver), _multiplicities(twice.quiver)
+    lmul, rmul = qp.quiver.multiplicities(), twice.quiver.multiplicities()
     subs.append(("arrow-multiplicities", lmul == rmul, "%r vs %r" % (lmul, rmul)))
     ld, rd = _compare_dims(qp, twice, order)
     subs.append(("jacobian-dims-1..%d" % order, ld == rd, "%r vs %r" % (ld, rd)))
@@ -156,23 +151,143 @@ def check_restriction_commutes(qp, keep, k, order):
 
 
 def canonical_matrix_form(matrix):
-    """Entry table minimised over vertex permutations (fingerprint beyond 8)."""
-    n = len(matrix.vertices)
+    """The least entry table of the matrix over all orders of its vertices.
+
+    For a vertex order p the table is the tuple of rows (M[p_i][p_j] for j),
+    i = 0..n-1; the form is the least table in row-major lexicographic
+    order.  Two matrices get the same form exactly when one is the other
+    with its vertices renamed.  The minimum is found by a search that places
+    vertices position by position and drops only orders that cannot reach it:
+
+    - Refinement.  The unplaced vertices lie in an ordered partition of
+      cells: the vertices of one cell have equal entries in the row of every
+      placed vertex, and the cells are ordered by those entries, read in
+      placement order.  An order keeps the placed rows least only if it
+      fills the free positions cell by cell, so the vertex at position i
+      comes from the first cell, and its least possible row i is its entries
+      against the placed vertices, its diagonal entry, then its entries into
+      each cell sorted ascending.  Only the candidates with the least such
+      row are kept; placing one splits every cell by its entries, ascending,
+      which makes that row the table's row i.
+    - Prefix pruning.  Rows 0..i are fixed once position i is filled, so a
+      branch whose rows 0..i exceed the best table's rows 0..i is dropped.
+    - Orbit pruning.  Two leaves with equal tables give an automorphism of
+      the matrix.  An automorphism that fixes the placed vertices maps the
+      branch of a candidate onto the branch of its image, table for table.
+      So a candidate in the orbit of a tried one, under the automorphisms
+      found so far that fix the placed vertices, is skipped, and the search
+      leaves a branch as soon as one of its leaves is the image of a leaf
+      already seen.
+    """
     rows = matrix.rows
-    if n > 8:
-        return tuple(sorted(tuple(sorted(row)) for row in rows))
-    best = None
-    for perm in itertools.permutations(range(n)):
-        cand = tuple(tuple(rows[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-        if best is None or cand < best:
-            best = cand
-    return best
+    n = len(rows)
+    perm, table = [], []
+    best, best_perm, autos = [], [], []
+
+    def refine(cells, v):
+        rv = rows[v]
+        out = []
+        for cell in cells:
+            parts = {}
+            for u in cell:
+                if u != v:
+                    parts.setdefault(rv[u], []).append(u)
+            out += [parts[x] for x in sorted(parts)]
+        return out
+
+    def in_orbit(v, tried):
+        fixing = [g for g in autos if all(g[p] == p for p in perm)]
+        orbit, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for g in fixing:
+                if g[u] not in orbit:
+                    orbit.add(g[u])
+                    todo.append(g[u])
+        return not orbit.isdisjoint(tried)
+
+    def search(cells, fresh):
+        # `fresh`: the rows placed so far are below the best table's, or no
+        # table is known yet.  Returns the level whose candidate loop goes on.
+        i = len(perm)
+        if i == n:
+            if fresh:
+                best[:], best_perm[:] = table, perm
+                return i - 1
+            auto = [0] * n
+            for a, b in zip(best_perm, perm):
+                auto[a] = b
+            autos.append(auto)
+            return next(j for j in range(n) if perm[j] != best_perm[j])
+        least, kept = None, []
+        for v in cells[0]:
+            rv = rows[v]
+            row = [rv[p] for p in perm]
+            row.append(rv[v])
+            for cell in cells:
+                row += sorted(rv[u] for u in cell if u != v)
+            row = tuple(row)
+            if least is None or row < least:
+                least, kept = row, [v]
+            elif row == least:
+                kept.append(v)
+        if not fresh:
+            if least > best[i]:
+                return i - 1
+            fresh = least < best[i]
+        table.append(least)
+        tried = []
+        for v in kept:
+            if autos and tried and in_orbit(v, tried):
+                continue
+            tried.append(v)
+            perm.append(v)
+            back = search(refine(cells, v), fresh)
+            perm.pop()
+            fresh = False  # the first branch left its leaf as the best table
+            if back < i:
+                break
+        table.pop()
+        return min(back, i - 1)
+
+    search([list(range(n))], True)
+    return tuple(best)
 
 
 @dataclass
 class ClassGraph:
-    nodes: dict
-    edges: list
+    """The nodes and edges found by `explore_mutation_class`, stored flat.
+
+    With n vertices, node i has the digest `digests[12*i:12*i+12]`, and the
+    rows of its canonical table are the rows numbered `tables[n*i:n*i+n]`,
+    row r being `rows[n*r:n*r+n]`; equal rows of different nodes are stored
+    once.  Every node in `expanded` has one edge per vertex, in vertex order,
+    and their targets are the next n entries of `targets`.  `nodes` (digest
+    -> canonical table) and `edges` ((source, vertex, target) triples) are
+    built from these on each access.
+    """
+    vertices: tuple
+    digests: str
+    rows: tuple
+    tables: array
+    expanded: array
+    targets: array
+
+    def _digest_list(self):
+        d = self.digests
+        return [d[i:i + DIGEST_CHARS] for i in range(0, len(d), DIGEST_CHARS)]
+
+    @property
+    def nodes(self):
+        n, rows, tables = len(self.vertices), self.rows, self.tables
+        return {dig: tuple(rows[n * r:n * r + n] for r in tables[n * i:n * i + n])
+                for i, dig in enumerate(self._digest_list())}
+
+    @property
+    def edges(self):
+        digs, targets, n = self._digest_list(), self.targets, len(self.vertices)
+        return [(digs[src], k, digs[targets[n * j + m]])
+                for j, src in enumerate(self.expanded) for m, k in enumerate(self.vertices)]
 
     def to_text(self):
         lines = []
@@ -188,45 +303,52 @@ def explore_mutation_class(qp, depth, order):
 
     Asserts 2-acyclicity of every visited quiver; a failure is reported, not
     raised, since it would disprove the non-degeneracy being probed.
+    Mutation keeps the vertex set, and each node is expanded once, at every
+    vertex in order.
     """
     name = "explore"
     digest = _digest(qp.to_text(), str(depth), str(order))
-    subs = []
-    nodes = {}
-    edges = []
+    vertices = qp.quiver.vertices
+    digests = []
+    index = {}
+    row_number = {}
+    rows = []
+    tables, expanded, targets = array("i"), array("i"), array("i")
     failures = []
 
-    def node_digest(q):
+    def visit(q):
+        """The number of q's node, and whether the node is new."""
         canon = canonical_matrix_form(_net_matrix(q.quiver))
         dig = _digest(repr(canon))
-        if dig not in nodes:
-            nodes[dig] = canon
-        return dig
+        if dig in index:
+            return index[dig], False
+        index[dig] = len(digests)
+        digests.append(dig)
+        for row in canon:
+            if row not in row_number:
+                row_number[row] = len(row_number)
+                rows.extend(row)
+            tables.append(row_number[row])
+        return index[dig], True
 
-    start = node_digest(qp)
-    frontier = deque([(qp, start, 0)])
-    seen = {start}
-    seen_edges = set()
+    frontier = deque([(qp, visit(qp)[0], 0)])
     while frontier:
-        current, cur_dig, dist = frontier.popleft()
+        current, cur, dist = frontier.popleft()
         if not is_two_acyclic(current.quiver):
-            failures.append(cur_dig)
+            failures.append(digests[cur])
             continue
         if dist >= depth:
             continue
-        for k in current.quiver.vertices:
+        expanded.append(cur)
+        for k in vertices:
             child = mutate_qp(current, k)
-            child_dig = node_digest(child)
-            ekey = (cur_dig, k, child_dig)
-            if ekey not in seen_edges:
-                seen_edges.add(ekey)
-                edges.append(ekey)
-            if child_dig not in seen:
-                seen.add(child_dig)
-                frontier.append((child, child_dig, dist + 1))
+            dst, new = visit(child)
+            targets.append(dst)
+            if new:
+                frontier.append((child, dst, dist + 1))
 
-    subs.append(("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures))
-    subs.append(("nodes", True, str(len(nodes))))
-    subs.append(("edges", True, str(len(edges))))
+    subs = [("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures),
+            ("nodes", True, str(len(digests))),
+            ("edges", True, str(len(targets)))]
     report = CheckReport(name, digest, not failures, subs)
-    return report, ClassGraph(nodes=nodes, edges=edges)
+    return report, ClassGraph(vertices, "".join(digests), tuple(rows), tables, expanded, targets)

@@ -1,12 +1,13 @@
 """Brute-force oracles used by the tests.
 
 Everything here recomputes from first principles: raw enumeration of arrow
-words, the rotation formula for derivatives, and dense rational elimination.
+words, the rotation formula for derivatives, dense rational elimination, and
+the least entry table over every vertex order.
 None of it shares code with the library's sparse machinery.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 
 def oracle_paths(quiver, length):
@@ -104,3 +105,9 @@ def oracle_dims(qp, max_order):
             npaths += len(paths[ln])
         dims.append(npaths - oracle_rank(rows, columns))
     return dims
+
+
+def oracle_canonical_form(rows):
+    """Row-major least table (rows[p_i][p_j]) over all n! vertex orders p."""
+    return min(tuple(tuple(map(rows[i].__getitem__, p)) for i in p)
+               for p in permutations(range(len(rows))))

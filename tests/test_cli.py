@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -149,6 +150,24 @@ def test_explore(tmp_path, monkeypatch):
                      stdin_text=qp_text, monkeypatch=monkeypatch)
     assert code == 0
     assert "--1-->" in text or "--2-->" in text or "--3-->" in text
+
+
+# sha256 of `explore --depth 3 --order 6` on `qp --order 6`, recorded with
+# the n! brute-force canonical form that the search replaced
+EXPLORE_DEPTH_3 = {
+    "torus": "413be998ed7377bd05d47ca7c950eff95a2a17616a6769c618cb4af88da2e3c7",
+    "hexagon-central": "dff6b4321762f3ce19693f0fd5a6f80e7f30843007b2e9ccab3a6979b726df2c",
+    "punctured-square-4": "59a433f06c9de18f81571f14983d5c80002a96d9a96ea1f8237a2cd177329510",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLORE_DEPTH_3))
+def test_explore_text_is_pinned(tmp_path, monkeypatch, name):
+    _, qp_text = run(["qp", write_example(tmp_path, name), "--order", "6"])
+    code, text = run(["explore", "-", "--depth", "3", "--order", "6"],
+                     stdin_text=qp_text, monkeypatch=monkeypatch)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_DEPTH_3[name]
 
 
 @pytest.mark.parametrize("text, bad_line", [

@@ -1,8 +1,14 @@
+import itertools
+import random
+import time
+
+from oracles import oracle_canonical_form
+
 from qpsurf.algebra import AlgebraElement
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.potential import qp_of_triangulation
 from qpsurf.qp import QP
-from qpsurf.quiver import Arrow, Quiver
+from qpsurf.quiver import Arrow, IntegerMatrix, Quiver, matrix_from_quiver
 from qpsurf.surface import Triangulation
 from qpsurf.verify import (
     canonical_matrix_form,
@@ -153,11 +159,127 @@ def test_explore_hexagon_depth_six():
 
 
 def test_canonical_form_permutation_invariant():
-    from qpsurf.quiver import IntegerMatrix
-
     m = IntegerMatrix(["1", "2", "3"], [[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     p = IntegerMatrix(["1", "2", "3"], [[0, -2, 2], [2, 0, -2], [-2, 2, 0]])
     assert canonical_matrix_form(m) == canonical_matrix_form(p)
+
+
+def _matrix(rows):
+    return IntegerMatrix([str(i) for i in range(len(rows))], rows)
+
+
+def _random_skew(rng, n, density):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < density:
+                rows[i][j] = rng.randint(-2, 2)
+                rows[j][i] = -rows[i][j]
+    return rows
+
+
+def _relabelled(rows, rng):
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return [[rows[a][b] for b in order] for a in order]
+
+
+def _net(n, arrows):
+    """Net matrix of the arrows (tail, head) on vertices 0..n-1."""
+    rows = [[0] * n for _ in range(n)]
+    for a, b in arrows:
+        rows[a][b] += 1
+        rows[b][a] -= 1
+    return rows
+
+
+def _oriented_cycles(count, length):
+    return _net(count * length, [(c * length + i, c * length + (i + 1) % length)
+                                 for c in range(count) for i in range(length)])
+
+
+def _disjoint_union(blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[offset + i][offset:offset + len(row)] = row
+        offset += len(block)
+    return rows
+
+
+def test_canonical_form_equals_brute_force_minimum():
+    rng = random.Random(3)
+    cases = [_random_skew(rng, n, d) for n in range(7) for d in (0.15, 0.4, 0.7, 1.0)
+             for _ in range(10)]
+    cases += [_random_skew(rng, 7, d) for d in (0.15, 0.3, 0.5, 1.0) for _ in range(5)]
+    # repeated blocks give automorphisms, which the search prunes by
+    for _ in range(30):
+        block = _random_skew(rng, rng.randint(1, 3), 0.8)
+        blocks = [block] * (6 // len(block)) + [_random_skew(rng, 6 % len(block), 0.5)]
+        cases.append(_relabelled(_disjoint_union(blocks), rng))
+    for rows in cases:
+        assert canonical_matrix_form(_matrix(rows)) == oracle_canonical_form(rows), rows
+
+
+def test_canonical_form_equals_brute_force_on_any_integer_matrix():
+    # the search never uses skew-symmetry or a zero diagonal
+    rng = random.Random(4)
+    for n in range(1, 6):
+        for _ in range(20):
+            rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+            assert canonical_matrix_form(_matrix(rows)) == oracle_canonical_form(rows), rows
+
+
+def test_canonical_form_tries_tied_candidates_outside_an_orbit():
+    # arrows 2->0, 2->1 and 3->4: the twins 0 and 1 tie with 4 for the first
+    # position, and the automorphism swapping the twins does not reach 4
+    rows = _net(5, [(2, 0), (2, 1), (3, 4)])
+    want = oracle_canonical_form(rows)
+    for order in itertools.permutations(range(5)):
+        relabelled = [[rows[a][b] for b in order] for a in order]
+        assert canonical_matrix_form(_matrix(relabelled)) == want, order
+
+
+def test_canonical_form_separates_nine_cycle_from_three_triangles():
+    # every row of both has one 1, one -1 and seven 0s
+    nine = canonical_matrix_form(_matrix(_oriented_cycles(1, 9)))
+    triangles = canonical_matrix_form(_matrix(_oriented_cycles(3, 3)))
+    assert nine != triangles
+
+
+def test_canonical_form_invariant_under_relabelling_above_rank_eight():
+    rng = random.Random(5)
+    for n in range(9, 16):
+        for density in (0.1, 0.25, 0.5):
+            rows = _random_skew(rng, n, density)
+            form = canonical_matrix_form(_matrix(rows))
+            assert canonical_matrix_form(_matrix(form)) == form
+            for _ in range(2):
+                assert canonical_matrix_form(_matrix(_relabelled(rows, rng))) == form, rows
+
+
+def test_canonical_form_fast_on_symmetric_matrices():
+    rng = random.Random(6)
+    for rows in ([[0] * 12 for _ in range(12)], _oriented_cycles(5, 3), _oriented_cycles(4, 4)):
+        start = time.perf_counter()
+        form = canonical_matrix_form(_matrix(rows))
+        assert time.perf_counter() - start < 0.5
+        assert canonical_matrix_form(_matrix(_relabelled(rows, rng))) == form
+
+
+def test_explore_graph_shapes():
+    qp = load_qp("hexagon-central")
+    _rep, graph = explore_mutation_class(qp, 2, 6)
+    edges = graph.edges
+    assert isinstance(edges, list) and edges
+    for edge in edges:
+        assert type(edge) is tuple and len(edge) == 3
+        src, k, dst = edge
+        assert src in graph.nodes and dst in graph.nodes and k in qp.quiver.vertices
+    assert isinstance(graph.nodes, dict)
+    assert canonical_matrix_form(matrix_from_quiver(qp.quiver)) in graph.nodes.values()
 
 
 def test_twice_punctured_hexagon_checks():
