@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+_ONE = Fraction(1)
+
+
 class AlgebraError(ValueError):
     pass
 
@@ -72,9 +75,9 @@ def rotations(p):
 
 
 def least_rotation(p):
-    """Lexicographically least rotation; ties broken by rotation index."""
-    best = min(rotations(p), key=lambda kr: (kr[1].arrows, kr[0]))
-    return best[1]
+    """Lexicographically least rotation of a cyclic word."""
+    a = p.arrows
+    return Path(min(a[k:] + a[:k] for k in range(len(a))))
 
 
 def term_sort_key(p):
@@ -95,7 +98,8 @@ class AlgebraElement:
         self.order = int(order)
         clean = {}
         for p, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             if check:
@@ -109,8 +113,8 @@ class AlgebraElement:
                         quiver.arrow(name)
                     if not path_is_composable(quiver, p):
                         raise AlgebraError("non-composable path %r" % (p.arrows,))
-            clean[p] = clean.get(p, Fraction(0)) + c
-        self.terms = {p: c for p, c in clean.items() if c != 0}
+            clean[p] = c
+        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -230,19 +234,25 @@ class AlgebraElement:
 
     @staticmethod
     def from_text(quiver, order, text):
+        """Parse `to_text` output; a bad term raises AlgebraError naming its line."""
         terms = {}
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#") or line == "0":
                 continue
             parts = line.split()
-            coeff = Fraction(parts[0])
-            if len(parts) == 2 and parts[1].startswith("e:"):
-                p = vertex_path(parts[1][2:])
-            else:
-                p = arrow_path(*parts[1:])
+            try:
+                coeff = Fraction(parts[0])
+                if len(parts) == 2 and parts[1].startswith("e:"):
+                    p = vertex_path(parts[1][2:])
+                else:
+                    p = arrow_path(*parts[1:])
+                AlgebraElement(quiver, order, {p: coeff})  # checks the term alone
+            except (ValueError, ZeroDivisionError) as exc:
+                raise AlgebraError("bad term line %d: %r (%s: %s)"
+                                   % (lineno, raw, type(exc).__name__, exc)) from exc
             terms[p] = terms.get(p, Fraction(0)) + coeff
-        return AlgebraElement(quiver, order, terms)
+        return AlgebraElement(quiver, order, terms, check=False)
 
 
 def multiply(x, y):
@@ -326,7 +336,12 @@ class Substitution:
             if img is None:
                 if not target.has_arrow(a.name):
                     raise AlgebraError("no image for arrow %r and no identity candidate" % a.name)
-                img = AlgebraElement.from_word(target, order, [a.name])
+                t = target.arrow(a.name)
+                if t.tail != a.tail or t.head != a.head:
+                    raise AlgebraError("image term of %r has wrong endpoints" % a.name)
+                full[a.name] = AlgebraElement(target, self.order, {Path((a.name,)): _ONE},
+                                              check=False)
+                continue
             if img.quiver != target or img.order != self.order:
                 raise AlgebraError("image of %r lives in the wrong algebra" % a.name)
             for p in img.terms:
@@ -352,21 +367,41 @@ class Substitution:
 
 
 def apply_substitution(f, x):
-    """Extend the arrow images multiplicatively and linearly, truncating at D."""
+    """Extend the arrow images multiplicatively and linearly, truncating at D.
+
+    Each image is read once as (arrow tuple, coefficient) pairs, and every
+    word of x is expanded on tuples into one dict; a product is dropped as
+    soon as it cannot stay within D.  The expanded words need no
+    composability check: `Substitution` gives every image term its arrow's
+    endpoints, so the images of a composable word compose.
+    """
     if x.quiver != f.base or x.order != f.order:
         raise AlgebraError("element does not live over the substitution's base")
-    out = AlgebraElement.zero(f.target, f.order)
+    order = f.order
+    words = {}
+    out = {}
+    terms = {}
     for p, c in x.terms.items():
-        if len(p) == 0:
-            out = out + AlgebraElement(f.target, f.order, {p: c})
+        arrows = p.arrows
+        if not arrows:
+            terms[p] = c
             continue
-        acc = AlgebraElement.from_path(f.target, f.order, vertex_path(path_head(x.quiver, p)))
-        for name in p.arrows:
-            acc = acc * f.images[name]
-            if acc.is_zero():
+        acc = [((), c)]
+        room = order - len(arrows)
+        for name in arrows:
+            img = words.get(name)
+            if img is None:
+                img = words[name] = [(q.arrows, v) for q, v in f.images[name].terms.items()]
+            room += 1
+            acc = [(w + u, a * b) for w, a in acc for u, b in img if len(w) + len(u) <= room]
+            if not acc:
                 break
-        out = out + acc.scale(c)
-    return out
+        for w, a in acc:
+            out[w] = out[w] + a if w in out else a
+    for w, a in out.items():
+        if a:
+            terms[Path(w)] = a
+    return AlgebraElement(f.target, order, terms, check=False)
 
 
 def compose_substitutions(f, g):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import (
     AlgebraElement,
@@ -65,20 +66,29 @@ class QP:
 
     @staticmethod
     def from_text(text):
+        """Parse `to_text` output; a bad header or term names its line."""
         order = None
         quiver_lines = []
+        # one entry per input line, blank outside the potential, so that the
+        # term parser's line numbers are the file's
         potential_lines = []
         in_potential = False
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
+            potential_lines.append("")
             if not line or line.startswith("#"):
                 continue
             if line.startswith("truncation:"):
-                order = int(line.split(":", 1)[1])
+                try:
+                    order = int(line.split(":", 1)[1])
+                except ValueError as exc:
+                    raise QPError("bad truncation line %d: %r (%s)" % (lineno, raw, exc)) from exc
+                if order < 1:
+                    raise QPError("bad truncation line %d: %r (order must be >= 1)" % (lineno, raw))
             elif line == "potential:":
                 in_potential = True
             elif in_potential:
-                potential_lines.append(line)
+                potential_lines[-1] = line
             else:
                 quiver_lines.append(line)
         if order is None:
@@ -173,9 +183,23 @@ def premutate_qp(qp, k):
 
 @dataclass
 class SplitResult:
+    """The trivial and reduced parts of a split, and the steps that made them.
+
+    `steps` are the substitutions `split_qp` applied, first to last: the
+    pairing normalisation, then the φ of each sweep.  `witness`, their
+    composite, is composed on first access and cached; mutation never reads
+    it.
+    """
     trivial: QP
     reduced: QP
-    witness: Substitution
+    steps: list
+
+    @cached_property
+    def witness(self):
+        witness = self.steps[0]
+        for phi in self.steps[1:]:
+            witness = compose_substitutions(phi, witness)
+        return witness
 
 
 def _two_cycle_rep(x_name, y_name):
@@ -187,11 +211,11 @@ def _normalize_pairing(qp):
 
     For each unordered vertex pair, the bilinear matrix between the opposite
     arrow blocks that appear in the degree-2 part is diagonalised by an exact
-    basis change acting only on those arrows.  Returns the transformed QP,
-    the substitution used, and the list of trivial pairs (a_j, b_j).
+    basis change acting only on those arrows.  The potential must be in
+    cyclic normal form.  Returns the transformed QP, the substitution used,
+    and the list of trivial pairs (a_j, b_j).
     """
-    s = cyclic_normal_form(qp.potential)
-    s2 = s.degree_part(2)
+    s2 = qp.potential.degree_part(2)
     if s2.is_zero():
         return qp, Substitution.identity(qp.quiver, qp.order), []
 
@@ -272,10 +296,13 @@ def split_qp(qp):
     handled one at a time: for the pair (a, b) the unitriangular substitution
     a -> a - v, b -> b - u removes the cross terms a u and v b, pushing any
     new cross terms into strictly higher degree.  Sweeping over the pairs
-    until nothing changes terminates at the truncation order.
+    until nothing changes terminates at the truncation order.  The result
+    keeps the substitutions; its witness, their composite, is composed on
+    first access.
     """
     _require_valid(qp)
-    base, witness, pairs = _normalize_pairing(qp.normalized())
+    base, phi0, pairs = _normalize_pairing(qp.normalized())
+    steps = [phi0]
     order = qp.order
     quiver = qp.quiver
     s = base.potential
@@ -293,7 +320,7 @@ def split_qp(qp):
                 img_b = AlgebraElement.from_word(quiver, order, [b]) - u
                 phi = Substitution(quiver, quiver, order, {a: img_a, b: img_b})
                 s = cyclic_normal_form(apply_substitution(phi, s))
-                witness = compose_substitutions(phi, witness)
+                steps.append(phi)
             if not changed:
                 break
         else:
@@ -320,7 +347,7 @@ def split_qp(qp):
     red = QP(red_quiver, AlgebraElement(red_quiver, order, red_terms), order)
     if not red.potential.degree_part(2).is_zero():
         raise QPError("reduced part kept a degree-2 term")
-    return SplitResult(trivial=triv, reduced=red, witness=witness)
+    return SplitResult(trivial=triv, reduced=red, steps=steps)
 
 
 def is_trivial_qp(qp):

@@ -268,7 +268,7 @@ class ClassGraph:
     """
     vertices: tuple
     digests: str
-    rows: tuple
+    rows: array
     tables: array
     expanded: array
     targets: array
@@ -280,7 +280,7 @@ class ClassGraph:
     @property
     def nodes(self):
         n, rows, tables = len(self.vertices), self.rows, self.tables
-        return {dig: tuple(rows[n * r:n * r + n] for r in tables[n * i:n * i + n])
+        return {dig: tuple(tuple(rows[n * r:n * r + n]) for r in tables[n * i:n * i + n])
                 for i, dig in enumerate(self._digest_list())}
 
     @property
@@ -312,7 +312,7 @@ def explore_mutation_class(qp, depth, order):
     digests = []
     index = {}
     row_number = {}
-    rows = []
+    rows = array("i")
     tables, expanded, targets = array("i"), array("i"), array("i")
     failures = []
 
@@ -351,4 +351,4 @@ def explore_mutation_class(qp, depth, order):
             ("nodes", True, str(len(digests))),
             ("edges", True, str(len(targets)))]
     report = CheckReport(name, digest, not failures, subs)
-    return report, ClassGraph(vertices, "".join(digests), tuple(rows), tables, expanded, targets)
+    return report, ClassGraph(vertices, "".join(digests), rows, tables, expanded, targets)

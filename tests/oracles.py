@@ -1,8 +1,9 @@
 """Brute-force oracles used by the tests.
 
 Everything here recomputes from first principles: raw enumeration of arrow
-words, the rotation formula for derivatives, dense rational elimination, and
-the least entry table over every vertex order.
+words, the rotation formula for derivatives, dense rational elimination,
+brute-force expansion of substitutions, and the least entry table over every
+vertex order.
 None of it shares code with the library's sparse machinery.
 """
 
@@ -105,6 +106,27 @@ def oracle_dims(qp, max_order):
             npaths += len(paths[ln])
         dims.append(npaths - oracle_rank(rows, columns))
     return dims
+
+
+def oracle_apply_substitution(images, element, order):
+    """Image of an element under an arrow substitution, truncated at order.
+
+    `images` maps every arrow name to a dict {arrow tuple: coefficient}, and
+    `element` is such a dict of positive-length words.  Every choice of one
+    image term per letter is concatenated, and kept when its length is at
+    most the order.
+    """
+    out = {}
+    for word, coeff in element.items():
+        for choice in product(*(list(images[name].items()) for name in word)):
+            full = tuple(name for part, _ in choice for name in part)
+            if len(full) > order:
+                continue
+            c = Fraction(coeff)
+            for _, v in choice:
+                c *= v
+            out[full] = out.get(full, Fraction(0)) + c
+    return {w: c for w, c in out.items() if c}
 
 
 def oracle_canonical_form(rows):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import oracle_apply_substitution
 
 from qpsurf.algebra import (
     AlgebraElement,
@@ -288,3 +289,68 @@ def test_normal_form_invariant_under_term_order():
         rng.shuffle(items)
         resummed = AlgebraElement(q, 6, dict(items))
         assert cyclic_normal_form(resummed) == cyclic_normal_form(s)
+
+
+def random_words(rng, ends, length, count):
+    """Up to `count` composable words of the given length over arrows ends[name] = (tail, head)."""
+    names = sorted(ends)
+    out = []
+    for _ in range(count * 4):
+        w = [rng.choice(names)]
+        while len(w) < length:
+            nxt = [n for n in names if ends[n][1] == ends[w[-1]][0]]
+            if not nxt:
+                break
+            w.append(rng.choice(nxt))
+        if len(w) == length and tuple(w) not in out:
+            out.append(tuple(w))
+        if len(out) == count:
+            break
+    return out
+
+
+def test_apply_substitution_matches_oracle_on_seeded_substitutions():
+    # identity images, images with terms of degree 2-3 (and sometimes no
+    # degree-1 part), and orders 2-5, where truncation drops many products
+    rng = random.Random(20261018)
+    for trial in range(150):
+        n = rng.randrange(2, 5)
+        vertices = [str(v) for v in range(n)]
+        ends = {}
+        for i in range(rng.randrange(3, 8)):
+            tail, head = rng.sample(vertices, 2)
+            ends["x%d" % i] = (tail, head)
+        quiver = Quiver(vertices, [Arrow(name, t, h) for name, (t, h) in ends.items()])
+        order = rng.randrange(2, 6)
+
+        images = {}
+        explicit = {}
+        longer = random_words(rng, ends, 2, 6) + random_words(rng, ends, 3, 6)
+        for name, (tail, head) in ends.items():
+            if rng.random() < 0.3:
+                images[name] = {(name,): Fraction(1)}
+                continue
+            img = {}
+            if rng.random() < 0.85:
+                img[(name,)] = Fraction(rng.choice([1, -1, 2, 3]), rng.randrange(1, 3))
+            parallel = [m for m in ends if m != name and ends[m] == (tail, head)]
+            if parallel and rng.random() < 0.5:
+                img[(rng.choice(parallel),)] = Fraction(rng.randrange(-3, 4) or 1)
+            for w in longer:
+                if len(w) <= order and ends[w[-1]][0] == tail and ends[w[0]][1] == head \
+                        and rng.random() < 0.6:
+                    img[w] = Fraction(rng.randrange(-4, 5) or 1, rng.randrange(1, 4))
+            if not img:
+                img[(name,)] = Fraction(1)
+            images[name] = img
+            explicit[name] = AlgebraElement(quiver, order, {Path(w): c for w, c in img.items()})
+        f = Substitution(quiver, quiver, order, explicit)
+
+        element = {}
+        for length in range(1, order + 1):
+            for w in random_words(rng, ends, length, 2):
+                element[w] = Fraction(rng.randrange(-5, 6) or 1, rng.randrange(1, 4))
+        x = AlgebraElement(quiver, order, {Path(w): c for w, c in element.items()})
+
+        got = {p.arrows: c for p, c in apply_substitution(f, x).terms.items()}
+        assert got == oracle_apply_substitution(images, element, order), trial

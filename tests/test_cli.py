@@ -180,13 +180,43 @@ def test_explore_text_is_pinned(tmp_path, monkeypatch, name):
 def test_malformed_triangulation_exits_two_without_traceback(tmp_path, text, bad_line):
     path = tmp_path / "bad.tri"
     path.write_text(text, encoding="utf-8")
+    assert_input_error(["validate", str(path)], bad_line)
+
+
+def assert_input_error(argv, bad_line):
+    """Run the CLI in a fresh process: exit 2, no traceback, the line named."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli", "validate", str(path)],
+    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli"] + argv,
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2
+    assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert bad_line in proc.stderr
+
+
+TRIANGLE_QP = """\
+truncation: 6
+v 1
+v 2
+v 3
+a a 3 1
+a b 2 3
+a c 1 2
+potential:
+1/1 a b c
+"""
+
+
+@pytest.mark.parametrize("old, new, bad_line", [
+    ("1/1 a b c", "1/0 a b c", "line 9"),
+    ("truncation: 6", "truncation: x", "line 1"),
+    ("truncation: 6", "truncation:", "line 1"),
+], ids=["zero-denominator-coefficient", "non-integer-truncation", "empty-truncation"])
+def test_malformed_qp_exits_two_without_traceback(tmp_path, old, new, bad_line):
+    path = tmp_path / "bad.qp"
+    path.write_text(TRIANGLE_QP.replace(old, new), encoding="utf-8")
+    for argv in (["mutate", str(path), "2"], ["dim", str(path)]):
+        assert_input_error(argv, bad_line)
 
 
 def test_unknown_subcommand_exits_two():

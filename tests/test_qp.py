@@ -1,3 +1,5 @@
+import hashlib
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from qpsurf.algebra import (
     cyclically_equivalent,
     substitution_is_isomorphism,
 )
+from qpsurf.examples_data import CORPUS, example_text
+from qpsurf.potential import qp_of_triangulation
 from qpsurf.qp import (
     QP,
     QPError,
@@ -23,6 +27,7 @@ from qpsurf.qp import (
     validate_qp,
 )
 from qpsurf.quiver import Arrow, Quiver
+from qpsurf.surface import Triangulation
 
 
 def word(q, order, *names):
@@ -198,6 +203,46 @@ def test_split_rank_deficient_pairing():
     image = apply_substitution(res.witness, s)
     recombined = AlgebraElement(q, 6, dict(res.trivial.potential.terms))
     assert cyclically_equivalent(image, recombined)
+
+
+def test_mutation_never_composes_the_witness(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("witness composed")
+
+    monkeypatch.setattr("qpsurf.qp.compose_substitutions", refuse)
+    qp = qp_of_triangulation(Triangulation.from_text(example_text("punctured-square-2")), 6)
+    assert len(qp.quiver.arrows) == 4  # the 2-cycle of the valence-2 puncture split off
+    torus = qp_of_triangulation(Triangulation.from_text(example_text("torus")), 6)
+    for k in torus.quiver.vertices:
+        mutate_qp(torus, k)
+    with pytest.raises(AssertionError):
+        split_qp(premutate_qp(torus, "1")).witness
+
+
+def test_split_witness_is_cached():
+    q = square_quiver()
+    s = 2 * word(q, 6, "a", "b") + word(q, 6, "a", "al", "be") + word(q, 6, "ga", "de", "b")
+    res = split_qp(QP(q, s))
+    assert res.witness is res.witness
+
+
+# sha256 of the witness images of every split behind a one-step mutation of
+# the corpus at order 6, recorded when the witness was still composed inside
+# split_qp
+WITNESS_IMAGES_ORDER_6 = "c1cb8179741e7cd9e8c9c5e65dcff297fb112106c9b065b9e6440e7ae67d10a1"
+
+
+def test_split_witness_images_are_pinned():
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in CORPUS:
+            qp = qp_of_triangulation(Triangulation.from_text(example_text(name)), 6)
+            for k in qp.quiver.vertices:
+                images = split_qp(premutate_qp(qp, k)).witness.images
+                for a in sorted(images):
+                    h.update(("%s %s %s\n%s" % (name, k, a, images[a].to_text())).encode())
+    assert h.hexdigest() == WITNESS_IMAGES_ORDER_6
 
 
 def test_restrict_full_and_empty():
