@@ -7,31 +7,72 @@ word a1 a2 ... ad the arrow ad is traversed first, so t(a_j) = h(a_{j+1}),
 the word starts at t(ad) and ends at h(a1).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 
 
 _ONE = Fraction(1)
+_setattr = object.__setattr__
 
 
 class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
 class Path:
-    """Arrow-id word; a length-0 path carries its vertex instead."""
+    """Arrow-id word; a length-0 path carries its vertex instead.
 
-    arrows: tuple
-    vertex: str = ""
+    Immutable.  Compares, orders and hashes as the tuple (arrows, vertex).
+    """
 
-    def __post_init__(self):
-        if len(self.arrows) > 0 and self.vertex:
+    __slots__ = ("arrows", "vertex")
+
+    def __init__(self, arrows, vertex=""):
+        if len(arrows) > 0 and vertex:
             raise AlgebraError("positive-length path must not carry a vertex")
-        if len(self.arrows) == 0 and not self.vertex:
+        if len(arrows) == 0 and not vertex:
             raise AlgebraError("length-0 path needs a vertex")
+        _setattr(self, "arrows", arrows)
+        _setattr(self, "vertex", vertex)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return Path, (self.arrows, self.vertex)
+
+    def __repr__(self):
+        return "Path(arrows=%r, vertex=%r)" % (self.arrows, self.vertex)
+
+    def __hash__(self):
+        return hash((self.arrows, self.vertex))
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.arrows == other.arrows and self.vertex == other.vertex
+
+    def __lt__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self.arrows, self.vertex) < (other.arrows, other.vertex)
+
+    def __le__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self.arrows, self.vertex) <= (other.arrows, other.vertex)
+
+    def __gt__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self.arrows, self.vertex) > (other.arrows, other.vertex)
+
+    def __ge__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self.arrows, self.vertex) >= (other.arrows, other.vertex)
 
     def __len__(self):
         return len(self.arrows)

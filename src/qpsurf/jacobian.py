@@ -1,8 +1,5 @@
 """Truncated Jacobian ideals: quotient dimensions, rigidity, finite-dimension evidence."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
@@ -85,15 +82,32 @@ def _ideal_echelon(qp, order):
     return elim, levels, index
 
 
-@dataclass
 class DimensionReport:
-    order: int
-    dims: list
-    path_counts: list
-    ranks: list
-    certified: bool
-    certified_order: int | None
-    absorbed: list = field(default_factory=list)
+    __slots__ = ("order", "dims", "path_counts", "ranks", "certified", "certified_order",
+                 "absorbed")
+
+    def __init__(self, order, dims, path_counts, ranks, certified, certified_order,
+                 absorbed=None):
+        self.order = order
+        self.dims = dims
+        self.path_counts = path_counts
+        self.ranks = ranks
+        self.certified = certified
+        self.certified_order = certified_order
+        self.absorbed = [] if absorbed is None else absorbed
+
+    def _astuple(self):
+        return (self.order, self.dims, self.path_counts, self.ranks, self.certified,
+                self.certified_order, self.absorbed)
+
+    def __eq__(self, other):
+        if other.__class__ is not DimensionReport:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return ("DimensionReport(order=%r, dims=%r, path_counts=%r, ranks=%r, certified=%r, "
+                "certified_order=%r, absorbed=%r)" % self._astuple())
 
     @property
     def dimension(self):
@@ -156,11 +170,24 @@ def truncated_quotient_dim(qp, order):
                            certified_order=certified_order, absorbed=absorbed)
 
 
-@dataclass
 class RigidityReport:
-    max_order: int
-    rigid: bool
-    witness: Path | None
+    __slots__ = ("max_order", "rigid", "witness")
+
+    def __init__(self, max_order, rigid, witness):
+        self.max_order = max_order
+        self.rigid = rigid
+        self.witness = witness
+
+    def _astuple(self):
+        return self.max_order, self.rigid, self.witness
+
+    def __eq__(self, other):
+        if other.__class__ is not RigidityReport:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return "RigidityReport(max_order=%r, rigid=%r, witness=%r)" % self._astuple()
 
     def to_text(self):
         if self.rigid:

@@ -5,8 +5,6 @@ sparse incremental eliminator for the large path-indexed systems used by the
 dimension and rigidity computations.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

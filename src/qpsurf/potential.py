@@ -7,10 +7,7 @@ are realised by the arrows added at valence-2 punctures, so each cycle always
 closes up inside the unreduced quiver.
 """
 
-from __future__ import annotations
-
 import warnings as _warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraElement, Path, cyclic_normal_form
@@ -23,7 +20,6 @@ class PotentialBuildWarning(UserWarning):
     pass
 
 
-@dataclass
 class PotentialAssembly:
     """Summands of the potential of a triangulation, by origin.
 
@@ -31,12 +27,30 @@ class PotentialAssembly:
     are keyed by triangle index, puncture terms by puncture id.
     """
 
-    quiver: object
-    order: int
-    triangle_terms: dict = field(default_factory=dict)
-    correction_terms: dict = field(default_factory=dict)
-    puncture_terms: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+    __slots__ = ("quiver", "order", "triangle_terms", "correction_terms", "puncture_terms",
+                 "warnings")
+
+    def __init__(self, quiver, order, triangle_terms=None, correction_terms=None,
+                 puncture_terms=None, warnings=None):
+        self.quiver = quiver
+        self.order = order
+        self.triangle_terms = {} if triangle_terms is None else triangle_terms
+        self.correction_terms = {} if correction_terms is None else correction_terms
+        self.puncture_terms = {} if puncture_terms is None else puncture_terms
+        self.warnings = [] if warnings is None else warnings
+
+    def _astuple(self):
+        return (self.quiver, self.order, self.triangle_terms, self.correction_terms,
+                self.puncture_terms, self.warnings)
+
+    def __eq__(self, other):
+        if other.__class__ is not PotentialAssembly:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return ("PotentialAssembly(quiver=%r, order=%r, triangle_terms=%r, correction_terms=%r, "
+                "puncture_terms=%r, warnings=%r)" % self._astuple())
 
     def total(self):
         terms = {}

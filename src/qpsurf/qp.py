@@ -1,8 +1,5 @@
 """Quivers with potentials: validation, premutation, splitting, mutation, restriction."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -66,15 +63,16 @@ class QP:
 
     @staticmethod
     def from_text(text):
-        """Parse `to_text` output; a bad header or term names its line."""
+        """Parse `to_text` output; a bad header, quiver line or term names its line."""
         order = None
+        # one entry per input line, blank outside the block, so that the
+        # quiver and term parsers' line numbers are the file's
         quiver_lines = []
-        # one entry per input line, blank outside the potential, so that the
-        # term parser's line numbers are the file's
         potential_lines = []
         in_potential = False
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
+            quiver_lines.append("")
             potential_lines.append("")
             if not line or line.startswith("#"):
                 continue
@@ -90,7 +88,7 @@ class QP:
             elif in_potential:
                 potential_lines[-1] = line
             else:
-                quiver_lines.append(line)
+                quiver_lines[-1] = line
         if order is None:
             raise QPError("missing 'truncation:' header")
         quiver = Quiver.from_text("\n".join(quiver_lines))
@@ -181,7 +179,6 @@ def premutate_qp(qp, k):
     return QP(new_quiver, potential, qp.order)
 
 
-@dataclass
 class SplitResult:
     """The trivial and reduced parts of a split, and the steps that made them.
 
@@ -190,9 +187,22 @@ class SplitResult:
     composite, is composed on first access and cached; mutation never reads
     it.
     """
-    trivial: QP
-    reduced: QP
-    steps: list
+
+    def __init__(self, trivial, reduced, steps):
+        self.trivial = trivial
+        self.reduced = reduced
+        self.steps = steps
+
+    def _astuple(self):
+        return self.trivial, self.reduced, self.steps
+
+    def __eq__(self, other):
+        if other.__class__ is not SplitResult:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return "SplitResult(trivial=%r, reduced=%r, steps=%r)" % self._astuple()
 
     @cached_property
     def witness(self):

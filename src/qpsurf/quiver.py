@@ -1,19 +1,41 @@
 """Loop-free quivers, the skew-matrix correspondence, and quiver mutation."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+_setattr = object.__setattr__
 
 
 class QuiverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Arrow:
-    name: str
-    tail: str
-    head: str
+    """Named arrow tail -> head.  Immutable; compares and hashes as (name, tail, head)."""
+
+    __slots__ = ("name", "tail", "head")
+
+    def __init__(self, name, tail, head):
+        _setattr(self, "name", name)
+        _setattr(self, "tail", tail)
+        _setattr(self, "head", head)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return Arrow, (self.name, self.tail, self.head)
+
+    def __repr__(self):
+        return "Arrow(name=%r, tail=%r, head=%r)" % (self.name, self.tail, self.head)
+
+    def __hash__(self):
+        return hash((self.name, self.tail, self.head))
+
+    def __eq__(self, other):
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        return (self.name, self.tail, self.head) == (other.name, other.tail, other.head)
 
 
 class Quiver:
@@ -84,9 +106,10 @@ class Quiver:
 
     @staticmethod
     def from_text(text):
+        """Parse `to_text` output; a bad line raises QuiverError naming it."""
         vertices = []
         arrows = []
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -96,7 +119,7 @@ class Quiver:
             elif parts[0] == "a" and len(parts) == 4:
                 arrows.append(Arrow(parts[1], parts[2], parts[3]))
             else:
-                raise QuiverError("bad quiver line: %r" % raw)
+                raise QuiverError("bad quiver line %d: %r" % (lineno, raw))
         return Quiver(vertices, arrows)
 
 
@@ -141,12 +164,16 @@ class IntegerMatrix:
 
     @staticmethod
     def from_text(text):
+        """Parse `to_text` output; a non-integer entry raises QuiverError naming its line."""
         rows = []
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([int(x) for x in line.split()])
+            try:
+                rows.append([int(x) for x in line.split()])
+            except ValueError as exc:
+                raise QuiverError("bad matrix line %d: %r (%s)" % (lineno, raw, exc)) from exc
         n = len(rows)
         width = len(str(n))
         vertices = ["%0*d" % (width, k + 1) for k in range(n)]

@@ -10,13 +10,12 @@ rotating counter-clockwise around a point crosses the entry side of the next
 slot into the partner triangle.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .quiver import Arrow, IntegerMatrix, Quiver
+
+_setattr = object.__setattr__
 
 
 class SurfaceError(ValueError):
@@ -87,12 +86,42 @@ class MarkedSurface:
                 + len(self.boundary_marked) - 6)
 
 
-@dataclass(frozen=True)
 class Side:
-    name: str
-    kind: str  # "arc" or "bseg"
-    ends: tuple
-    boundary: int | None = None
+    """An arc or boundary segment with its two end points.
+
+    `kind` is "arc" or "bseg"; `boundary` is the boundary component of a
+    segment.  Immutable; compares and hashes as (name, kind, ends, boundary).
+    """
+
+    __slots__ = ("name", "kind", "ends", "boundary")
+
+    def __init__(self, name, kind, ends, boundary=None):
+        _setattr(self, "name", name)
+        _setattr(self, "kind", kind)
+        _setattr(self, "ends", ends)
+        _setattr(self, "boundary", boundary)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return Side, (self.name, self.kind, self.ends, self.boundary)
+
+    def __repr__(self):
+        return "Side(name=%r, kind=%r, ends=%r, boundary=%r)" % (
+            self.name, self.kind, self.ends, self.boundary)
+
+    def __hash__(self):
+        return hash((self.name, self.kind, self.ends, self.boundary))
+
+    def __eq__(self, other):
+        if other.__class__ is not Side:
+            return NotImplemented
+        return ((self.name, self.kind, self.ends, self.boundary)
+                == (other.name, other.kind, other.ends, other.boundary))
 
     @property
     def is_arc(self):

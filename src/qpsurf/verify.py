@@ -1,11 +1,8 @@
 """Executable compatibility checks and mutation-class exploration."""
 
-from __future__ import annotations
-
 import hashlib
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 
 from .algebra import apply_substitution, cyclically_equivalent
 from .jacobian import truncated_quotient_dim
@@ -15,12 +12,25 @@ from .quiver import IntegerMatrix, is_two_acyclic
 from .surface import flip
 
 
-@dataclass
 class CheckReport:
-    name: str
-    inputs_digest: str
-    passed: bool
-    subresults: list = field(default_factory=list)
+    __slots__ = ("name", "inputs_digest", "passed", "subresults")
+
+    def __init__(self, name, inputs_digest, passed, subresults=None):
+        self.name = name
+        self.inputs_digest = inputs_digest
+        self.passed = passed
+        self.subresults = [] if subresults is None else subresults
+
+    def _astuple(self):
+        return self.name, self.inputs_digest, self.passed, self.subresults
+
+    def __eq__(self, other):
+        if other.__class__ is not CheckReport:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return "CheckReport(name=%r, inputs_digest=%r, passed=%r, subresults=%r)" % self._astuple()
 
     @property
     def first_failure(self):
@@ -254,7 +264,6 @@ def canonical_matrix_form(matrix):
     return tuple(best)
 
 
-@dataclass
 class ClassGraph:
     """The nodes and edges found by `explore_mutation_class`, stored flat.
 
@@ -266,12 +275,29 @@ class ClassGraph:
     -> canonical table) and `edges` ((source, vertex, target) triples) are
     built from these on each access.
     """
-    vertices: tuple
-    digests: str
-    rows: array
-    tables: array
-    expanded: array
-    targets: array
+
+    __slots__ = ("vertices", "digests", "rows", "tables", "expanded", "targets")
+
+    def __init__(self, vertices, digests, rows, tables, expanded, targets):
+        self.vertices = vertices
+        self.digests = digests
+        self.rows = rows
+        self.tables = tables
+        self.expanded = expanded
+        self.targets = targets
+
+    def _astuple(self):
+        return (self.vertices, self.digests, self.rows, self.tables, self.expanded,
+                self.targets)
+
+    def __eq__(self, other):
+        if other.__class__ is not ClassGraph:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return ("ClassGraph(vertices=%r, digests=%r, rows=%r, tables=%r, expanded=%r, "
+                "targets=%r)" % self._astuple())
 
     def _digest_list(self):
         d = self.digests

@@ -211,7 +211,10 @@ potential:
     ("1/1 a b c", "1/0 a b c", "line 9"),
     ("truncation: 6", "truncation: x", "line 1"),
     ("truncation: 6", "truncation:", "line 1"),
-], ids=["zero-denominator-coefficient", "non-integer-truncation", "empty-truncation"])
+    ("v 1\n", "v\n", "line 2"),
+    ("a a 3 1", "a x 1", "line 5"),
+], ids=["zero-denominator-coefficient", "non-integer-truncation", "empty-truncation",
+        "vertex-without-id", "short-arrow"])
 def test_malformed_qp_exits_two_without_traceback(tmp_path, old, new, bad_line):
     path = tmp_path / "bad.qp"
     path.write_text(TRIANGLE_QP.replace(old, new), encoding="utf-8")
@@ -231,3 +234,91 @@ def test_outputs_are_deterministic(tmp_path):
         _, text = run(["qp", path])
         outs.add(text)
     assert len(outs) == 1
+
+
+# sha256 of stdout, recorded before the CLI imported per command
+POTENTIAL_UNREDUCED = {
+    "torus": "a8e885b3f4af5248923b0919b48dfaa0e4262ebcc66310e69f20065722a7cd35",
+    "punctured-square-2": "1df9ff9c6840ea883157e2f0469d875e1942a4ab14d407a7fc471172fea5d158",
+}
+DIM_STABILIZE_7 = {
+    "punctured-square-2": "68ec584e8cea9d0c3648eb3673c438b7056945f6d197fd4532472baff2633f84",
+    "pentagon": "3c6041fbf608aa271896f1d843142c337515ab0f25043e63c6cd7cd470b4ff92",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIAL_UNREDUCED))
+def test_unreduced_potential_text_is_pinned(tmp_path, name):
+    code, text = run(["potential", write_example(tmp_path, name), "--unreduced"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == POTENTIAL_UNREDUCED[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIM_STABILIZE_7))
+def test_stabilized_dim_text_is_pinned(tmp_path, monkeypatch, name):
+    _, qp_text = run(["qp", write_example(tmp_path, name), "--order", "7"])
+    code, text = run(["dim", "-", "--order", "7", "--stabilize"],
+                     stdin_text=qp_text, monkeypatch=monkeypatch)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == DIM_STABILIZE_7[name]
+
+
+def imported(args, stdin_text=None):
+    """The qpsurf submodules, `dataclasses` and `hashlib` a fresh process imports.
+
+    Runs `python -S -X importtime <args>`; -S keeps site-packages start-up
+    hooks from importing modules before qpsurf does.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime"] + args, input=stdin_text,
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    names = set()
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rsplit("|", 1)[1].strip()
+            if name.startswith("qpsurf.") or name in ("dataclasses", "hashlib"):
+                names.add(name.replace("qpsurf.", ""))
+    return names
+
+
+SURFACE = {"surface", "quiver"}
+MUTATION = {"qp", "algebra", "quiver", "linalg"}
+JACOBIAN = MUTATION | {"jacobian"}
+ASSEMBLY = MUTATION | {"potential", "surface"}
+EVERYTHING = ASSEMBLY | {"jacobian", "verify", "hashlib"}
+
+
+COMMAND_MODULES = [
+    (["examples", "torus"], None, {"examples_data"}),
+    (["validate", "-"], "tri", SURFACE),
+    (["matrix", "-"], "tri", SURFACE),
+    (["flip", "-", "1"], "tri", SURFACE),
+    (["quiver", "-"], "tri", SURFACE),
+    (["quiver", "-", "--unreduced"], "tri", SURFACE),
+    (["potential", "-"], "tri", ASSEMBLY),
+    (["potential", "-", "--unreduced"], "tri", ASSEMBLY),
+    (["qp", "-"], "tri", ASSEMBLY),
+    (["mutate", "-", "2"], "qp", MUTATION),
+    (["dim", "-"], "qp", JACOBIAN),
+    (["dim", "-", "--stabilize"], "qp", JACOBIAN),
+    (["rigid", "-"], "qp", JACOBIAN),
+    (["check", "flip-compat", "-", "1"], "tri", EVERYTHING),
+    (["check", "involution", "-", "2", "--order", "4"], "qp", EVERYTHING),
+    (["explore", "-", "--depth", "1"], "qp", EVERYTHING),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, modules", COMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _, _ in COMMAND_MODULES])
+def test_each_command_imports_only_its_modules(monkeypatch, argv, stdin, modules):
+    tri = example_text("torus")
+    inputs = {None: None, "tri": tri}
+    if stdin == "qp":
+        inputs["qp"] = run(["qp", "-"], stdin_text=tri, monkeypatch=monkeypatch)[1]
+    assert imported(["-m", "qpsurf.cli"] + argv, inputs[stdin]) == modules
+
+
+def test_bare_package_import_loads_no_submodule():
+    assert imported(["-c", "import qpsurf"]) == set()

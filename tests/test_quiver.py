@@ -137,6 +137,24 @@ def test_matrix_text_roundtrip():
     assert again.rows == MARKOV.rows
 
 
+@pytest.mark.parametrize("text, bad_line", [
+    ("0 1\n-1 x\n", "line 2"),
+    ("# header\n\n0 1.5\n-1 0\n", "line 3"),
+], ids=["letter", "after-comment-and-blank"])
+def test_matrix_text_names_a_bad_entry_line(text, bad_line):
+    with pytest.raises(QuiverError, match=bad_line):
+        IntegerMatrix.from_text(text)
+
+
+@pytest.mark.parametrize("text, bad_line", [
+    ("v 1\nv\n", "line 2"),
+    ("v 1\n# c\nv 2\na x 1\n", "line 4"),
+], ids=["vertex-without-id", "short-arrow"])
+def test_quiver_text_names_a_bad_line(text, bad_line):
+    with pytest.raises(QuiverError, match=bad_line):
+        Quiver.from_text(text)
+
+
 def test_quiver_text_roundtrip():
     q = quiver_from_matrix(MARKOV)
     assert Quiver.from_text(q.to_text()) == q
