@@ -192,12 +192,6 @@ class AlgebraElement:
             return None
         return min(len(p) for p in self.terms)
 
-    def arrows_used(self):
-        used = set()
-        for p in self.terms:
-            used.update(p.arrows)
-        return used
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda pc: term_sort_key(pc[0]))
 

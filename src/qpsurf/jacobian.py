@@ -1,18 +1,9 @@
 """Truncated Jacobian ideals: quotient dimensions, rigidity, finite-dimension evidence."""
 
-from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
-from .algebra import (
-    Path,
-    cyclic_derivative,
-    least_rotation,
-    path_head,
-    path_is_cycle,
-    path_tail,
-    rotations,
-    vertex_path,
-)
+from .algebra import Path, cyclic_derivative
 from .linalg import SparseEliminator
 from .qp import validate_qp
 
@@ -22,18 +13,21 @@ class JacobianError(ValueError):
 
 
 def paths_by_length(quiver, max_len):
-    """Lists of all paths of each length 0..max_len, extension on the right."""
-    levels = [[vertex_path(v) for v in quiver.vertices]]
+    """Paths of each length 0..max_len as (arrow tuple, tail, head) triples.
+
+    Level 0 holds the empty word of each vertex, level 1 the arrows sorted by
+    name, and each further level extends the words of the level before it on
+    the right by the arrows in `quiver.arrows` order.
+    """
+    levels = [[((), v, v) for v in quiver.vertices]]
     if max_len >= 1:
-        levels.append([Path((a.name,)) for a in sorted(quiver.arrows, key=lambda a: a.name)])
+        levels.append([((a.name,), a.tail, a.head)
+                       for a in sorted(quiver.arrows, key=lambda a: a.name)])
+    into = {v: [] for v in quiver.vertices}
+    for a in quiver.arrows:
+        into[a.head].append(((a.name,), a.tail))
     for _ in range(2, max_len + 1):
-        nxt = []
-        for p in levels[-1]:
-            tail = quiver.arrow(p.arrows[-1]).tail
-            for a in quiver.arrows:
-                if a.head == tail:
-                    nxt.append(Path(p.arrows + (a.name,)))
-        levels.append(nxt)
+        levels.append([(w + x, t, h) for w, tail, h in levels[-1] for x, t in into[tail]])
     return levels
 
 
@@ -45,6 +39,23 @@ def jacobian_generators(qp):
     return [cyclic_derivative(qp.potential, a.name) for a in qp.quiver.arrows]
 
 
+def _integer_generators(qp):
+    """(arrow, terms) for each nonzero d_a W, scaled by its common denominator.
+
+    Terms are (arrow tuple, int) pairs, shortest first.  Scaling a generator
+    leaves the ideal unchanged, and it makes every row built from it integer.
+    """
+    out = []
+    for a, gen in zip(qp.quiver.arrows, jacobian_generators(qp)):
+        if gen.is_zero():
+            continue
+        den = lcm(*(c.denominator for c in gen.terms.values()))
+        terms = sorted(((p.arrows, int(c * den)) for p, c in gen.terms.items()),
+                       key=lambda tc: len(tc[0]))
+        out.append((a, terms))
+    return out
+
+
 def _ideal_echelon(qp, order):
     """Echelon form of the derivative ideal within degree `order`.
 
@@ -54,23 +65,18 @@ def _ideal_echelon(qp, order):
     runs from h(a) to t(a), so u ranges over the paths with tail t(a) and s
     over the paths with head h(a); both lists are shortest first, so each loop
     stops at the first path too long for a term to fit.  Returns the
-    eliminator, the path levels and the column index of each positive-length
-    path's arrow word.
+    eliminator and the path levels.
     """
-    quiver = qp.quiver
-    levels = paths_by_length(quiver, order)
-    paths = [p for level in levels for p in level]
-    index = {p.arrows: i for i, p in enumerate(paths) if len(p)}
+    levels = paths_by_length(qp.quiver, order)
+    index = {}
     by_tail, by_head = {}, {}
-    for p in paths:
-        by_tail.setdefault(path_tail(quiver, p), []).append(p.arrows)
-        by_head.setdefault(path_head(quiver, p), []).append(p.arrows)
+    for col, (w, tail, head) in enumerate(p for level in levels for p in level):
+        index[w] = col
+        by_tail.setdefault(tail, []).append(w)
+        by_head.setdefault(head, []).append(w)
     elim = SparseEliminator()
-    for a, gen in zip(quiver.arrows, jacobian_generators(qp)):
-        if gen.is_zero():
-            continue
-        gmin = gen.min_degree()
-        terms = [(p.arrows, c) for p, c in gen.terms.items()]
+    for a, terms in _integer_generators(qp):
+        gmin = len(terms[0][0])
         for u in by_tail[a.tail]:
             if len(u) + gmin > order:
                 break
@@ -79,7 +85,7 @@ def _ideal_echelon(qp, order):
                 if room < gmin:
                     break
                 elim.add_row({index[u + t + s]: c for t, c in terms if len(t) <= room})
-    return elim, levels, index
+    return elim, levels
 
 
 class DimensionReport:
@@ -146,7 +152,7 @@ def truncated_quotient_dim(qp, order):
     if order > qp.order:
         raise JacobianError(
             "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
-    elim, levels, _ = _ideal_echelon(qp, order)
+    elim, levels = _ideal_echelon(qp, order)
     level_of = [d for d, level in enumerate(levels) for _ in level]
     pivots = [0] * (order + 1)
     for col in elim.basis:
@@ -198,6 +204,16 @@ class RigidityReport:
 def is_rigid_up_to(qp, order):
     """Test every cycle against the ideal span plus all rotation differences.
 
+    The test runs modulo rotation, with one column per rotation class of
+    cycles of length <= order.  Every term of a row u * d_a W * s has the
+    endpoints of s u, so a row either touches only open paths, which no
+    rotation difference reaches and no cycle needs, or it is closed and
+    equals (s u) * d_a W up to rotation.  So a cycle lies in the span exactly
+    when its class lies in the span of the rows w * d_a W, one per arrow a
+    and path w from t(a) around to h(a), each term mapped to its class and
+    cut at length `order`.  The witness is the first class, by its least
+    rotation in (length, arrows) order, outside that span.
+
     A failing cycle is a sound non-rigidity certificate: membership at every
     finite order is necessary for rigidity.
     """
@@ -206,28 +222,37 @@ def is_rigid_up_to(qp, order):
     if order > qp.order:
         raise JacobianError(
             "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
-    quiver = qp.quiver
-    elim, levels, index = _ideal_echelon(qp, order)
-
+    levels = paths_by_length(qp.quiver, order)
+    cls = {}
     reps = []
-    seen = set()
-    for d in range(2, order + 1):
-        for p in levels[d]:
-            if not path_is_cycle(quiver, p):
-                continue
-            rep = least_rotation(p)
-            if rep in seen:
-                continue
-            seen.add(rep)
-            reps.append(rep)
-            for _, rot in rotations(rep):
-                if rot != rep:
-                    elim.add_row({index[rep.arrows]: Fraction(1),
-                                  index[rot.arrows]: Fraction(-1)})
+    around = {}
+    for level in levels:
+        for w, tail, head in level:
+            around.setdefault((tail, head), []).append(w)
+            if w and tail == head and w not in cls:
+                rots = [w[k:] + w[:k] for k in range(len(w))]
+                for r in rots:
+                    cls[r] = len(reps)
+                reps.append(min(rots))
 
-    for rep in sorted(reps, key=lambda p: (len(p), p.arrows)):
-        if not elim.contains({index[rep.arrows]: Fraction(1)}):
-            return RigidityReport(max_order=order, rigid=False, witness=rep)
+    elim = SparseEliminator()
+    for a, terms in _integer_generators(qp):
+        gmin = len(terms[0][0])
+        for w in around.get((a.tail, a.head), ()):
+            room = order - len(w)
+            if room < gmin:
+                break
+            row = {}
+            for t, c in terms:
+                if len(t) > room:
+                    break
+                k = cls[w + t]
+                row[k] = row.get(k, 0) + c
+            elim.add_row(row)
+
+    for rep in sorted(reps, key=lambda w: (len(w), w)):
+        if not elim.contains({cls[rep]: 1}):
+            return RigidityReport(max_order=order, rigid=False, witness=Path(rep))
     return RigidityReport(max_order=order, rigid=True, witness=None)
 
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Dense routines for the small per-vertex-pair blocks used in reduction, and a
-sparse incremental eliminator for the large path-indexed systems used by the
-dimension and rigidity computations.
+sparse incremental eliminator, fraction-free on integer rows, for the large
+path-indexed systems used by the dimension and rigidity computations.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def rank(matrix):
@@ -108,19 +109,23 @@ def diagonalize_pairing(m):
 class SparseEliminator:
     """Row space over the rationals in row echelon form, built incrementally.
 
-    Rows are dicts column-key -> Fraction; column keys must be orderable.
-    Each basis row is stored under its least column, where its coefficient
-    is 1, so no two basis rows share a least column.  That echelon invariant
-    is all `contains` needs: reducing a row cancels its least column against
-    the basis row stored there, which only touches larger columns, until the
-    row vanishes (it lies in the span) or its least column has no basis row
-    (it does not).  Basis rows are not reduced against each other.
+    Rows are dicts column-key -> int or Fraction; column keys must be
+    orderable.  Elimination is fraction-free: a row's denominators are
+    cleared once, on entry, and from then on every row is an integer vector.
+    Each basis row is stored under its least column, divided by its content
+    (the gcd of its entries), with a positive coefficient there, so no two
+    basis rows share a least column.  That echelon invariant is all
+    `contains` needs: reducing a row cancels its least column against the
+    basis row stored there, which only touches larger columns, until the row
+    vanishes (it lies in the span) or its least column has no basis row (it
+    does not).  Basis rows are not reduced against each other.
 
     Because the basis is in echelon form, its rows with least column in an
     initial segment of the column order project onto that segment as a basis
     of the projected span; the other rows project to zero.  So the rank of
     the span cut down to the first n columns is the number of basis keys
-    among those columns.
+    among those columns.  The set of pivot columns of an echelon basis
+    depends only on the span, so it is the same as over the rationals.
     """
 
     def __init__(self):
@@ -129,21 +134,36 @@ class SparseEliminator:
     def _reduce(self, row):
         """Cancel least columns against the basis while it has a row there.
 
-        Returns (least column, reduced row) at the first least column with no
-        basis row, or (None, {}) when the row reduces to zero, i.e. lies in
-        the span.
+        Returns (least column, reduced integer row) at the first least column
+        with no basis row, or (None, {}) when the row reduces to zero, i.e.
+        lies in the span.  With f the row's entry and p > 0 the pivot, the row
+        becomes r - (f//p)*b when p divides f, and (p*r - f*b)/gcd(p, f)
+        otherwise.
         """
         basis = self.basis
-        row = {c: v for c, v in row.items() if v}
+        den = 0
+        for v in row.values():
+            if type(v) is not int:
+                den = lcm(den or 1, v.denominator)
+        if den:
+            row = {c: int(v * den) for c, v in row.items() if v}
+        else:
+            row = {c: v for c, v in row.items() if v}
         while row:
             col = min(row)
             piv = basis.get(col)
             if piv is None:
                 return col, row
-            f = row.pop(col)
+            f = row[col]
+            p = piv[col]
+            if f % p:
+                g = gcd(p, f)
+                m = p // g
+                f //= g
+                row = {c: m * v for c, v in row.items()}
+            else:
+                f //= p
             for c, v in piv.items():
-                if c == col:
-                    continue
                 x = row.get(c, 0) - f * v
                 if x:
                     row[c] = x
@@ -156,8 +176,12 @@ class SparseEliminator:
         col, red = self._reduce(row)
         if col is None:
             return False
-        inv = 1 / red[col]
-        self.basis[col] = {c: v * inv for c, v in red.items()}
+        g = gcd(*red.values())
+        if red[col] < 0:
+            g = -g
+        if g != 1:
+            red = {c: v // g for c, v in red.items()}
+        self.basis[col] = red
         return True
 
     def contains(self, row):

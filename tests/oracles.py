@@ -2,6 +2,7 @@
 
 Everything here recomputes from first principles: raw enumeration of arrow
 words, the rotation formula for derivatives, dense rational elimination,
+rigidity over the whole truncated path space with every rotation difference,
 brute-force expansion of substitutions, and the least entry table over every
 vertex order.
 None of it shares code with the library's sparse machinery.
@@ -133,3 +134,70 @@ def oracle_canonical_form(rows):
     """Row-major least table (rows[p_i][p_j]) over all n! vertex orders p."""
     return min(tuple(tuple(map(rows[i].__getitem__, p)) for i in p)
                for p in permutations(range(len(rows))))
+
+
+def oracle_is_rigid(qp, order):
+    """(rigid, witness) by brute force over the whole truncated path space.
+
+    The rows are every u * d_a W * s, for arrow words u and s of any length
+    (the empty word included) with the terms longer than `order` cut, and the
+    differences between each cycle of length 2..order and its rotations (for
+    one cycle of each class, which spans them all).
+    A class is tested by its least rotation; the witness is the first such
+    word, in (length, arrows) order, outside the span, found by bisection on
+    dense ranks.
+    """
+    quiver = qp.quiver
+    terms = [(p.arrows, c) for p, c in qp.potential.terms.items()]
+    paths = {d: oracle_paths(quiver, d) for d in range(1, order + 1)}
+    words = [w for d in range(1, order + 1) for w in paths[d]]
+
+    def composable(full):
+        return all(quiver.arrow(full[i]).tail == quiver.arrow(full[i + 1]).head
+                   for i in range(len(full) - 1))
+
+    rows = {}  # each distinct row once
+    for a in quiver.arrows:
+        gen = oracle_derivative(quiver, terms, a.name)
+        for lu in range(order + 1):
+            for ls in range(order + 1 - lu):
+                for u in (paths[lu] if lu else [()]):
+                    for s in (paths[ls] if ls else [()]):
+                        row = {}
+                        for t, c in gen.items():
+                            full = u + t + s
+                            if len(full) <= order and composable(full):
+                                row[full] = row.get(full, Fraction(0)) + c
+                        key = frozenset((w, c) for w, c in row.items() if c)
+                        if key:
+                            rows[key] = dict(key)
+
+    reps = set()
+    for d in range(2, order + 1):
+        for w in paths[d]:
+            if quiver.arrow(w[0]).head != quiver.arrow(w[-1]).tail:
+                continue
+            rep = min(w[k:] + w[:k] for k in range(d))
+            if rep not in reps:
+                reps.add(rep)
+                for k in range(1, d):
+                    if w[k:] + w[:k] != w:
+                        row = {w: Fraction(1), w[k:] + w[:k]: Fraction(-1)}
+                        rows[frozenset(row.items())] = row
+    rows = list(rows.values())
+    reps = sorted(reps, key=lambda w: (len(w), w))
+
+    def grows(k):  # some rep among the first k lies outside the span
+        return oracle_rank(rows + [{w: Fraction(1)} for w in reps[:k]], words) > base
+
+    base = oracle_rank(rows, words)
+    if not grows(len(reps)):
+        return True, None
+    lo, hi = 0, len(reps)  # grows(lo) is false and grows(hi) true
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if grows(mid):
+            hi = mid
+        else:
+            lo = mid
+    return False, reps[hi - 1]

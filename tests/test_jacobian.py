@@ -1,9 +1,17 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
-from oracles import oracle_dims
+from oracles import oracle_dims, oracle_is_rigid, oracle_paths
 
-from qpsurf.algebra import AlgebraElement, Substitution, apply_substitution, cyclic_normal_form
+from qpsurf.algebra import (
+    AlgebraElement,
+    Path,
+    Substitution,
+    apply_substitution,
+    cyclic_normal_form,
+)
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.jacobian import (
     JacobianError,
@@ -179,6 +187,78 @@ def test_rigidity_monotone_in_order():
     assert first_bad is not None
     for d in range(first_bad, 7):
         assert not is_rigid_up_to(torus, d).rigid
+
+
+def assert_rigidity_matches_oracle(qp, order, label):
+    rep = is_rigid_up_to(qp, order)
+    got = (rep.rigid, None if rep.witness is None else rep.witness.arrows)
+    assert got == oracle_is_rigid(qp, order), (label, order)
+    assert rep.witness is None or type(rep.witness) is Path
+    return rep.rigid
+
+
+def test_rigidity_matches_oracle_on_corpus():
+    for name in CORPUS:
+        for d in range(3, 6):
+            assert_rigidity_matches_oracle(load_qp(name), d, name)
+
+
+def test_rigidity_matches_oracle_on_one_step_mutations():
+    # the torus mutations have the most cycles, so they stop at order 4
+    for name in CORPUS:
+        qp = load_qp(name)
+        top = 4 if name == "torus" else 5
+        for k in qp.quiver.vertices:
+            for d in range(top - 1, top + 1):
+                assert_rigidity_matches_oracle(mutate_qp(qp, k), d, (name, k))
+
+
+def random_small_qp(rng, order):
+    """Two or three vertices, two to four arrows (parallel ones allowed), and
+    one or two cycles of length <= order with non-unit coefficients."""
+    while True:
+        verts = ["1", "2", "3"][:rng.choice([2, 3])]
+        pairs = [(i, j) for i in verts for j in verts if i != j]
+        q = Quiver(verts, [Arrow("a%d" % k, *rng.choice(pairs))
+                           for k in range(rng.randrange(2, 5))])
+        cycles = sorted({min(w[k:] + w[:k] for k in range(d))
+                         for d in range(2, order + 1) for w in oracle_paths(q, d)
+                         if q.arrow(w[0]).head == q.arrow(w[-1]).tail})
+        if cycles:
+            break
+    picked = rng.sample(cycles, min(len(cycles), rng.randrange(1, 3)))
+    terms = {Path(w): Fraction(rng.choice([-5, -3, -2, 2, 3, 7]), rng.randrange(1, 6))
+             for w in picked}
+    return QP(q, AlgebraElement(q, order, terms))
+
+
+def test_rigidity_matches_oracle_on_random_small_qps():
+    rng = random.Random(2008)
+    outcomes = []
+    for i in range(20):
+        qp = random_small_qp(rng, 4)
+        for d in (3, 4):
+            outcomes.append(assert_rigidity_matches_oracle(qp, d, i))
+    assert outcomes.count(False) * 3 >= len(outcomes)
+
+
+# sha256 of the dim, rigid and dim --stabilize text at orders 6 and 7 of the
+# corpus QPs and their 58 one-step mutations, recorded from an earlier
+# version whose eliminator worked on Fraction rows
+JACOBIAN_TEXT_SHA256 = "4217f2d22314057b6101ecfcb18354ba54fb4cbd553202a0d110c98e6d447168"
+
+
+def test_jacobian_text_pinned_on_corpus_and_mutations():
+    h = hashlib.sha256()
+    for order in (6, 7):
+        for name in CORPUS:
+            qp = load_qp(name, order)
+            for k, q in [(None, qp)] + [(k, mutate_qp(qp, k)) for k in qp.quiver.vertices]:
+                h.update(("%s %s %d\n" % (name, k, order)).encode())
+                h.update(truncated_quotient_dim(q, order).to_text().encode())
+                h.update(is_rigid_up_to(q, order).to_text().encode())
+                h.update(finite_dim_evidence(q, order).to_text().encode())
+    assert h.hexdigest() == JACOBIAN_TEXT_SHA256
 
 
 def test_unpunctured_corpus_certified_by_ten():

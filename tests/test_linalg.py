@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from qpsurf.linalg import SparseEliminator, diagonalize_pairing, mat_mul, rank
 
@@ -39,6 +40,15 @@ def test_sparse_eliminator_membership():
     assert elim.contains({})
 
 
+def assert_primitive_echelon(elim):
+    # each basis row sits under its least column, as a primitive integer
+    # vector (content 1) with a positive pivot
+    for col, brow in elim.basis.items():
+        assert min(brow) == col and brow[col] > 0
+        assert all(type(v) is int and v != 0 for v in brow.values())
+        assert gcd(*brow.values()) == 1
+
+
 def test_sparse_eliminator_matches_dense_rank_random():
     rng = random.Random(2008)
     for _ in range(100):
@@ -51,13 +61,37 @@ def test_sparse_eliminator_matches_dense_rank_random():
             enlarged = elim.add_row(dict(enumerate(row)))
             assert enlarged == (rank(m[:i + 1]) > rank(m[:i]))
         assert elim.rank == rank(m)
-        for col, brow in elim.basis.items():
-            assert min(brow) == col and brow[col] == 1
-            assert all(v != 0 for v in brow.values())
+        assert_primitive_echelon(elim)
         for _ in range(4):
             probe = [Fraction(rng.randrange(-2, 3)) for _ in range(nc)]
             if rng.random() < 0.5:  # a combination of the rows, so inside the span
                 coeffs = [rng.randrange(-2, 3) for _ in range(nr)]
                 probe = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(nc)]
+            inside = rank(m + [probe]) == rank(m)
+            assert elim.contains(dict(enumerate(probe))) == inside
+
+
+def test_sparse_eliminator_clears_denominators_up_to_seven():
+    # wider rows with denominators 1..7: clearing them on entry and reducing
+    # fraction-free keeps ranks, add_row's answer and membership exact
+    rng = random.Random(7)
+    for _ in range(25):
+        nr = rng.randrange(4, 12)
+        nc = rng.randrange(10, 14)
+        m = [[Fraction(rng.choice([0, 0, 0, rng.randrange(-9, 10)]), rng.randrange(1, 8))
+              for _ in range(nc)] for _ in range(nr)]
+        if nr > 3:  # a dependent row, so some add_row calls answer False
+            m[-1] = [x - 3 * y for x, y in zip(m[0], m[1])]
+        elim = SparseEliminator()
+        for i, row in enumerate(m):
+            enlarged = elim.add_row(dict(enumerate(row)))
+            assert enlarged == (rank(m[:i + 1]) > rank(m[:i]))
+        assert elim.rank == rank(m)
+        assert_primitive_echelon(elim)
+        for _ in range(4):
+            coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 8)) for _ in range(nr)]
+            probe = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(nc)]
+            if rng.random() < 0.5:
+                probe[rng.randrange(nc)] += Fraction(1, rng.randrange(1, 8))
             inside = rank(m + [probe]) == rank(m)
             assert elim.contains(dict(enumerate(probe))) == inside
