@@ -9,6 +9,7 @@ the word starts at t(ad) and ends at h(a1).
 
 from fractions import Fraction
 
+from .quiver import FrozenRecord
 
 _ONE = Fraction(1)
 _setattr = object.__setattr__
@@ -18,13 +19,13 @@ class AlgebraError(ValueError):
     pass
 
 
-class Path:
+class Path(FrozenRecord):
     """Arrow-id word; a length-0 path carries its vertex instead.
 
     Immutable.  Compares, orders and hashes as the tuple (arrows, vertex).
     """
 
-    __slots__ = ("arrows", "vertex")
+    __slots__ = _fields = ("arrows", "vertex")
 
     def __init__(self, arrows, vertex=""):
         if len(arrows) > 0 and vertex:
@@ -34,18 +35,8 @@ class Path:
         _setattr(self, "arrows", arrows)
         _setattr(self, "vertex", vertex)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        return Path, (self.arrows, self.vertex)
-
-    def __repr__(self):
-        return "Path(arrows=%r, vertex=%r)" % (self.arrows, self.vertex)
-
+    # direct rather than through the field getter: paths are hashed and
+    # compared in every dict of terms
     def __hash__(self):
         return hash((self.arrows, self.vertex))
 
@@ -186,11 +177,6 @@ class AlgebraElement:
     def degree_part(self, d):
         return AlgebraElement(self.quiver, self.order,
                               {p: c for p, c in self.terms.items() if len(p) == d}, check=False)
-
-    def min_degree(self):
-        if not self.terms:
-            return None
-        return min(len(p) for p in self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda pc: term_sort_key(pc[0]))

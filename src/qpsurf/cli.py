@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 check failure, 2 input or validation error.
+Exit codes: 0 success, 1 check failure, 2 input or validation error, or
+output closed early.
 Output is canonical text and contains nothing run-dependent.
 """
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -281,10 +283,16 @@ def main(argv=None, out=None):
             code = args.func(args, out)
         for w in caught:
             sys.stderr.write("warning: %s\n" % w.message)
+        out.flush()
         return code
     # every error class of the package derives from ValueError
     except (CliError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return INPUT_ERROR
+    except BrokenPipeError:
+        # the reader closed the output; what is still buffered goes to devnull,
+        # so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return INPUT_ERROR
 
 

@@ -6,10 +6,20 @@ from math import lcm
 from .algebra import Path, cyclic_derivative
 from .linalg import SparseEliminator
 from .qp import validate_qp
+from .quiver import Record
 
 
 class JacobianError(ValueError):
     pass
+
+
+def _require_order(qp, order):
+    """Refuse an order outside 1..the QP's truncation."""
+    if order < 1:
+        raise JacobianError("order must be >= 1")
+    if order > qp.order:
+        raise JacobianError(
+            "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
 
 
 def paths_by_length(quiver, max_len):
@@ -88,9 +98,9 @@ def _ideal_echelon(qp, order):
     return elim, levels
 
 
-class DimensionReport:
-    __slots__ = ("order", "dims", "path_counts", "ranks", "certified", "certified_order",
-                 "absorbed")
+class DimensionReport(Record):
+    __slots__ = _fields = ("order", "dims", "path_counts", "ranks", "certified",
+                           "certified_order", "absorbed")
 
     def __init__(self, order, dims, path_counts, ranks, certified, certified_order,
                  absorbed=None):
@@ -101,19 +111,6 @@ class DimensionReport:
         self.certified = certified
         self.certified_order = certified_order
         self.absorbed = [] if absorbed is None else absorbed
-
-    def _astuple(self):
-        return (self.order, self.dims, self.path_counts, self.ranks, self.certified,
-                self.certified_order, self.absorbed)
-
-    def __eq__(self, other):
-        if other.__class__ is not DimensionReport:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        return ("DimensionReport(order=%r, dims=%r, path_counts=%r, ranks=%r, certified=%r, "
-                "certified_order=%r, absorbed=%r)" % self._astuple())
 
     @property
     def dimension(self):
@@ -147,11 +144,7 @@ def truncated_quotient_dim(qp, order):
     the span grows by their number from degree d - 1 to d, that is when
     every path of length d is a pivot column; that is `absorbed[d]`.
     """
-    if order < 1:
-        raise JacobianError("order must be >= 1")
-    if order > qp.order:
-        raise JacobianError(
-            "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
+    _require_order(qp, order)
     elim, levels = _ideal_echelon(qp, order)
     level_of = [d for d, level in enumerate(levels) for _ in level]
     pivots = [0] * (order + 1)
@@ -176,24 +169,13 @@ def truncated_quotient_dim(qp, order):
                            certified_order=certified_order, absorbed=absorbed)
 
 
-class RigidityReport:
-    __slots__ = ("max_order", "rigid", "witness")
+class RigidityReport(Record):
+    __slots__ = _fields = ("max_order", "rigid", "witness")
 
     def __init__(self, max_order, rigid, witness):
         self.max_order = max_order
         self.rigid = rigid
         self.witness = witness
-
-    def _astuple(self):
-        return self.max_order, self.rigid, self.witness
-
-    def __eq__(self, other):
-        if other.__class__ is not RigidityReport:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        return "RigidityReport(max_order=%r, rigid=%r, witness=%r)" % self._astuple()
 
     def to_text(self):
         if self.rigid:
@@ -217,11 +199,7 @@ def is_rigid_up_to(qp, order):
     A failing cycle is a sound non-rigidity certificate: membership at every
     finite order is necessary for rigidity.
     """
-    if order < 1:
-        raise JacobianError("order must be >= 1")
-    if order > qp.order:
-        raise JacobianError(
-            "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
+    _require_order(qp, order)
     levels = paths_by_length(qp.quiver, order)
     cls = {}
     reps = []
@@ -258,11 +236,10 @@ def is_rigid_up_to(qp, order):
 
 def finite_dim_evidence(qp, dmax):
     """Increasing-order dimension reports until stabilisation is certified."""
-    report = None
-    for d in range(2, dmax + 1):
+    if dmax < 1:
+        raise JacobianError("order must be >= 1")
+    for d in range(min(2, dmax), dmax + 1):
         report = truncated_quotient_dim(qp, d)
         if report.certified:
-            return report
-    if report is None:
-        report = truncated_quotient_dim(qp, max(1, dmax))
+            break
     return report

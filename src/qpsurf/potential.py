@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraElement, Path, cyclic_normal_form
 from .qp import QP, split_qp
-from .quiver import quiver_from_matrix
+from .quiver import Record, quiver_from_matrix
 from .surface import SurfaceError, signed_adjacency
 
 
@@ -20,15 +20,15 @@ class PotentialBuildWarning(UserWarning):
     pass
 
 
-class PotentialAssembly:
+class PotentialAssembly(Record):
     """Summands of the potential of a triangulation, by origin.
 
     Each value is a (word, coefficient) pair; triangle and correction terms
     are keyed by triangle index, puncture terms by puncture id.
     """
 
-    __slots__ = ("quiver", "order", "triangle_terms", "correction_terms", "puncture_terms",
-                 "warnings")
+    __slots__ = _fields = ("quiver", "order", "triangle_terms", "correction_terms",
+                           "puncture_terms", "warnings")
 
     def __init__(self, quiver, order, triangle_terms=None, correction_terms=None,
                  puncture_terms=None, warnings=None):
@@ -38,19 +38,6 @@ class PotentialAssembly:
         self.correction_terms = {} if correction_terms is None else correction_terms
         self.puncture_terms = {} if puncture_terms is None else puncture_terms
         self.warnings = [] if warnings is None else warnings
-
-    def _astuple(self):
-        return (self.quiver, self.order, self.triangle_terms, self.correction_terms,
-                self.puncture_terms, self.warnings)
-
-    def __eq__(self, other):
-        if other.__class__ is not PotentialAssembly:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        return ("PotentialAssembly(quiver=%r, order=%r, triangle_terms=%r, correction_terms=%r, "
-                "puncture_terms=%r, warnings=%r)" % self._astuple())
 
     def total(self):
         terms = {}

@@ -17,7 +17,7 @@ from .algebra import (
     path_is_cycle,
     rotations,
 )
-from .quiver import Quiver, hook_name
+from .quiver import Quiver, Record, hook_name
 from . import linalg
 
 
@@ -179,7 +179,7 @@ def premutate_qp(qp, k):
     return QP(new_quiver, potential, qp.order)
 
 
-class SplitResult:
+class SplitResult(Record):
     """The trivial and reduced parts of a split, and the steps that made them.
 
     `steps` are the substitutions `split_qp` applied, first to last: the
@@ -188,21 +188,12 @@ class SplitResult:
     it.
     """
 
+    _fields = ("trivial", "reduced", "steps")
+
     def __init__(self, trivial, reduced, steps):
         self.trivial = trivial
         self.reduced = reduced
         self.steps = steps
-
-    def _astuple(self):
-        return self.trivial, self.reduced, self.steps
-
-    def __eq__(self, other):
-        if other.__class__ is not SplitResult:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        return "SplitResult(trivial=%r, reduced=%r, steps=%r)" % self._astuple()
 
     @cached_property
     def witness(self):

@@ -1,4 +1,10 @@
-"""Loop-free quivers, the skew-matrix correspondence, and quiver mutation."""
+"""Loop-free quivers, the skew-matrix correspondence, and quiver mutation.
+
+Also the rules other modules share: value semantics for record classes, the
+net arrow count of a quiver, and the pairing of opposite arrows.
+"""
+
+from operator import attrgetter
 
 _setattr = object.__setattr__
 
@@ -7,15 +13,38 @@ class QuiverError(ValueError):
     pass
 
 
-class Arrow:
-    """Named arrow tail -> head.  Immutable; compares and hashes as (name, tail, head)."""
+class Record:
+    """Value semantics driven by the class's field tuple `_fields`.
 
-    __slots__ = ("name", "tail", "head")
+    A record equals a record of the same class with equal fields, shows as
+    `Name(field=value, ...)`, and is unhashable, since its fields may change.
+    """
 
-    def __init__(self, name, tail, head):
-        _setattr(self, "name", name)
-        _setattr(self, "tail", tail)
-        _setattr(self, "head", head)
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)  # record -> tuple of its fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__name__, ", ".join(
+            "%s=%r" % fv for fv in zip(self._fields, self._values(self))))
+
+
+class FrozenRecord(Record):
+    """A record whose fields are fixed once `__init__` has set them.
+
+    Hashes as its field tuple and pickles through its constructor.
+    """
+
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -23,19 +52,22 @@ class Arrow:
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r" % name)
 
-    def __reduce__(self):
-        return Arrow, (self.name, self.tail, self.head)
-
-    def __repr__(self):
-        return "Arrow(name=%r, tail=%r, head=%r)" % (self.name, self.tail, self.head)
-
     def __hash__(self):
-        return hash((self.name, self.tail, self.head))
+        return hash(self._values(self))
 
-    def __eq__(self, other):
-        if other.__class__ is not Arrow:
-            return NotImplemented
-        return (self.name, self.tail, self.head) == (other.name, other.tail, other.head)
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+class Arrow(FrozenRecord):
+    """Named arrow tail -> head.  Immutable; compares and hashes as (name, tail, head)."""
+
+    __slots__ = _fields = ("name", "tail", "head")
+
+    def __init__(self, name, tail, head):
+        _setattr(self, "name", name)
+        _setattr(self, "tail", tail)
+        _setattr(self, "head", head)
 
 
 class Quiver:
@@ -76,9 +108,6 @@ class Quiver:
 
     def has_arrow(self, name):
         return name in self._by_name
-
-    def arrows_from_to(self, tail, head):
-        return [a for a in self.arrows if a.tail == tail and a.head == head]
 
     def multiplicities(self):
         """Map (tail, head) -> number of parallel arrows."""
@@ -199,16 +228,23 @@ def quiver_from_matrix(b):
     return Quiver(b.vertices, arrows)
 
 
+def net_matrix(q):
+    """Signed adjacency B of a quiver: B[i][j] = arrows i -> j minus arrows j -> i."""
+    index = {v: n for n, v in enumerate(q.vertices)}
+    n = len(index)
+    rows = [[0] * n for _ in range(n)]
+    for a in q.arrows:
+        i, j = index[a.tail], index[a.head]
+        rows[i][j] += 1
+        rows[j][i] -= 1
+    return IntegerMatrix(q.vertices, rows)
+
+
 def matrix_from_quiver(q):
     """Inverse of quiver_from_matrix; rejects quivers with a 2-cycle."""
     if not is_two_acyclic(q):
         raise QuiverError("quiver has a 2-cycle; matrix entries would be ill-defined")
-    mult = q.multiplicities()
-    verts = q.vertices
-    rows = []
-    for i in verts:
-        rows.append([mult.get((i, j), 0) - mult.get((j, i), 0) for j in verts])
-    return IntegerMatrix(verts, rows)
+    return net_matrix(q)
 
 
 def _check_mutable(q, k):
@@ -247,20 +283,27 @@ def premutate_quiver(q, k):
     return Quiver(q.vertices, arrows)
 
 
+def opposite_pairs(groups):
+    """The items cancelled in pairs between opposite directions.
+
+    `groups` maps (i, j) to the items running i -> j, in the order they pair
+    off: for each i < j, the n-th item of (i, j) pairs with the n-th item of
+    (j, i) while both lists last.  Returns the set of paired items.
+    """
+    paired = set()
+    for (i, j), fwd in groups.items():
+        if i < j and (j, i) in groups:
+            for pair in zip(fwd, groups[(j, i)]):
+                paired.update(pair)
+    return paired
+
+
 def _drop_opposite_pairs(q):
     """Remove a maximal disjoint collection of 2-cycles, pairing smallest names first."""
-    mult = {}
-    for a in q.arrows:
-        mult.setdefault((a.tail, a.head), []).append(a.name)
-    removed = set()
-    for (i, j) in sorted(mult):
-        if i >= j or (j, i) not in mult:
-            continue
-        fwd = sorted(mult[(i, j)])
-        back = sorted(mult[(j, i)])
-        for n in range(min(len(fwd), len(back))):
-            removed.add(fwd[n])
-            removed.add(back[n])
+    names = {}
+    for a in q.arrows:  # sorted by name
+        names.setdefault((a.tail, a.head), []).append(a.name)
+    removed = opposite_pairs(names)
     return Quiver(q.vertices, [a for a in q.arrows if a.name not in removed])
 
 

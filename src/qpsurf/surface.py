@@ -13,7 +13,9 @@ slot into the partner triangle.
 import itertools
 from fractions import Fraction
 
-from .quiver import Arrow, IntegerMatrix, Quiver
+from .quiver import (
+    Arrow, FrozenRecord, IntegerMatrix, Quiver, mutate_matrix, net_matrix, opposite_pairs,
+)
 
 _setattr = object.__setattr__
 
@@ -86,42 +88,20 @@ class MarkedSurface:
                 + len(self.boundary_marked) - 6)
 
 
-class Side:
+class Side(FrozenRecord):
     """An arc or boundary segment with its two end points.
 
     `kind` is "arc" or "bseg"; `boundary` is the boundary component of a
     segment.  Immutable; compares and hashes as (name, kind, ends, boundary).
     """
 
-    __slots__ = ("name", "kind", "ends", "boundary")
+    __slots__ = _fields = ("name", "kind", "ends", "boundary")
 
     def __init__(self, name, kind, ends, boundary=None):
         _setattr(self, "name", name)
         _setattr(self, "kind", kind)
         _setattr(self, "ends", ends)
         _setattr(self, "boundary", boundary)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        return Side, (self.name, self.kind, self.ends, self.boundary)
-
-    def __repr__(self):
-        return "Side(name=%r, kind=%r, ends=%r, boundary=%r)" % (
-            self.name, self.kind, self.ends, self.boundary)
-
-    def __hash__(self):
-        return hash((self.name, self.kind, self.ends, self.boundary))
-
-    def __eq__(self, other):
-        if other.__class__ is not Side:
-            return NotImplemented
-        return ((self.name, self.kind, self.ends, self.boundary)
-                == (other.name, other.kind, other.ends, other.boundary))
 
     @property
     def is_arc(self):
@@ -546,22 +526,12 @@ class Analysis:
                 for i in self._preimages(a_side):
                     for j in self._preimages(b_side):
                         contributions.append((i, j, t, m))
-        self.contributions = contributions
 
+        # made in (triangle, slot) order, the order in which they pair off
         by_pair = {}
         for con in contributions:
             by_pair.setdefault((con[0], con[1]), []).append(con)
-        for cons in by_pair.values():
-            cons.sort(key=lambda con: (con[2], con[3]))
-        self.cancelled = set()
-        for (i, j) in sorted(by_pair):
-            if i >= j or (j, i) not in by_pair:
-                continue
-            fwd = by_pair[(i, j)]
-            back = by_pair[(j, i)]
-            for n in range(min(len(fwd), len(back))):
-                self.cancelled.add(fwd[n])
-                self.cancelled.add(back[n])
+        self.cancelled = opposite_pairs(by_pair)
 
         self.arrow_of = {}
         arrows = []
@@ -633,16 +603,12 @@ def fold_map(tri):
 
 
 def signed_adjacency(tri):
-    """Skew-symmetric arc adjacency matrix summed over non-self-folded triangles."""
-    a = tri.analysis()
-    arcs = tri.arcs
-    idx = {v: i for i, v in enumerate(arcs)}
-    n = len(arcs)
-    rows = [[0] * n for _ in range(n)]
-    for (i, j, _t, _m) in a.contributions:
-        rows[idx[i]][idx[j]] += 1
-        rows[idx[j]][idx[i]] -= 1
-    return IntegerMatrix(arcs, rows)
+    """Skew-symmetric arc adjacency matrix summed over non-self-folded triangles.
+
+    The net arrow count of the unreduced quiver: cancelled contributions and
+    the arrows added at valence-2 punctures both come in opposite pairs.
+    """
+    return net_matrix(tri.analysis().unreduced)
 
 
 def unreduced_quiver(tri):
@@ -685,8 +651,6 @@ def flip(tri, arc):
     problems = validate_triangulation(out)
     if problems:
         raise SurfaceError("flip produced an invalid triangulation: " + "; ".join(problems))
-
-    from .quiver import mutate_matrix
 
     expected = mutate_matrix(signed_adjacency(tri), arc)
     got = signed_adjacency(out)

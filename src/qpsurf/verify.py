@@ -4,33 +4,22 @@ import hashlib
 from array import array
 from collections import deque
 
-from .algebra import apply_substitution, cyclically_equivalent
-from .jacobian import truncated_quotient_dim
+from .algebra import AlgebraElement, apply_substitution, cyclically_equivalent
+from .jacobian import _require_order, truncated_quotient_dim
 from .potential import qp_of_triangulation
 from .qp import QP, mutate_qp, premutate_qp, restrict_qp
-from .quiver import IntegerMatrix, is_two_acyclic
+from .quiver import Arrow, Quiver, Record, is_two_acyclic, net_matrix
 from .surface import flip
 
 
-class CheckReport:
-    __slots__ = ("name", "inputs_digest", "passed", "subresults")
+class CheckReport(Record):
+    __slots__ = _fields = ("name", "inputs_digest", "passed", "subresults")
 
     def __init__(self, name, inputs_digest, passed, subresults=None):
         self.name = name
         self.inputs_digest = inputs_digest
         self.passed = passed
         self.subresults = [] if subresults is None else subresults
-
-    def _astuple(self):
-        return self.name, self.inputs_digest, self.passed, self.subresults
-
-    def __eq__(self, other):
-        if other.__class__ is not CheckReport:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        return "CheckReport(name=%r, inputs_digest=%r, passed=%r, subresults=%r)" % self._astuple()
 
     @property
     def first_failure(self):
@@ -59,36 +48,25 @@ def _digest(*chunks):
     return h.hexdigest()[:DIGEST_CHARS]
 
 
-def _net_matrix(quiver, relabel=None):
-    relabel = relabel or {}
-    verts = sorted(relabel.get(v, v) for v in quiver.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    rows = [[0] * n for _ in range(n)]
-    for a in quiver.arrows:
-        i = idx[relabel.get(a.tail, a.tail)]
-        j = idx[relabel.get(a.head, a.head)]
-        rows[i][j] += 1
-        rows[j][i] -= 1
-    return IntegerMatrix(verts, rows)
-
-
-def _compare_dims(left, right, order):
-    lrep = truncated_quotient_dim(left, order)
-    rrep = truncated_quotient_dim(right, order)
-    return lrep.dims[1:], rrep.dims[1:]
+def _compare(left, right, order, multiplicities=True):
+    """Subresults comparing two QPs' net matrices, arrow multiplicities and dims."""
+    lm, rm = net_matrix(left.quiver), net_matrix(right.quiver)
+    subs = [("matrices", lm == rm, "%r vs %r" % (lm.rows, rm.rows))]
+    if multiplicities:
+        lmul, rmul = left.quiver.multiplicities(), right.quiver.multiplicities()
+        subs.append(("arrow-multiplicities", lmul == rmul, "%r vs %r" % (lmul, rmul)))
+    ld = truncated_quotient_dim(left, order).dims[1:]
+    rd = truncated_quotient_dim(right, order).dims[1:]
+    subs.append(("jacobian-dims-1..%d" % order, ld == rd, "%r vs %r" % (ld, rd)))
+    return subs
 
 
 def relabel_vertices(qp, relabel):
     """The same QP with vertices renamed; arrow names are kept as they are."""
-    from .quiver import Arrow, Quiver
-
     quiver = Quiver(
         [relabel.get(v, v) for v in qp.quiver.vertices],
         [Arrow(a.name, relabel.get(a.tail, a.tail), relabel.get(a.head, a.head))
          for a in qp.quiver.arrows])
-    from .algebra import AlgebraElement
-
     return QP(quiver, AlgebraElement(quiver, qp.order, dict(qp.potential.terms)), qp.order)
 
 
@@ -103,25 +81,12 @@ def check_flip_compatibility(tri, arc, order, witness=None):
     """
     name = "flip-compat"
     digest = _digest(tri.to_text(), arc, str(order))
-    subs = []
     left = mutate_qp(qp_of_triangulation(tri, order), arc)
-    flipped = flip(tri, arc)
-    right = qp_of_triangulation(flipped, order)
-    relabel = {arc + "'": arc}
-
-    lm = _net_matrix(left.quiver)
-    rm = _net_matrix(right.quiver, relabel)
-    subs.append(("matrices", lm == rm, "%r vs %r" % (lm.rows, rm.rows)))
-    lmul = left.quiver.multiplicities()
-    rmul = {(relabel.get(t, t), relabel.get(h, h)): m
-            for (t, h), m in right.quiver.multiplicities().items()}
-    subs.append(("arrow-multiplicities", lmul == rmul, "%r vs %r" % (lmul, rmul)))
-    ld, rd = _compare_dims(left, right, order)
-    subs.append(("jacobian-dims-1..%d" % order, ld == rd, "%r vs %r" % (ld, rd)))
+    right = relabel_vertices(qp_of_triangulation(flip(tri, arc), order), {arc + "'": arc})
+    subs = _compare(left, right, order)
     if witness is not None:
-        target = relabel_vertices(right, relabel)
         image = apply_substitution(witness, left.potential)
-        subs.append(("witness", cyclically_equivalent(image, target.potential), ""))
+        subs.append(("witness", cyclically_equivalent(image, right.potential), ""))
     return CheckReport(name, digest, all(ok for _, ok, _ in subs), subs)
 
 
@@ -129,14 +94,7 @@ def check_involution(qp, k, order):
     """Mutating twice at one vertex restores the quiver and all dimension data."""
     name = "involution"
     digest = _digest(qp.to_text(), k, str(order))
-    twice = mutate_qp(mutate_qp(qp, k), k)
-    subs = []
-    lm, rm = _net_matrix(qp.quiver), _net_matrix(twice.quiver)
-    subs.append(("matrices", lm == rm, "%r vs %r" % (lm.rows, rm.rows)))
-    lmul, rmul = qp.quiver.multiplicities(), twice.quiver.multiplicities()
-    subs.append(("arrow-multiplicities", lmul == rmul, "%r vs %r" % (lmul, rmul)))
-    ld, rd = _compare_dims(qp, twice, order)
-    subs.append(("jacobian-dims-1..%d" % order, ld == rd, "%r vs %r" % (ld, rd)))
+    subs = _compare(qp, mutate_qp(mutate_qp(qp, k), k), order)
     return CheckReport(name, digest, all(ok for _, ok, _ in subs), subs)
 
 
@@ -146,11 +104,7 @@ def check_restriction_commutes(qp, keep, k, order):
     digest = _digest(qp.to_text(), ",".join(sorted(keep)), k, str(order))
     route1 = mutate_qp(restrict_qp(qp, keep), k)
     route2 = restrict_qp(mutate_qp(qp, k), keep)
-    subs = []
-    lm, rm = _net_matrix(route1.quiver), _net_matrix(route2.quiver)
-    subs.append(("matrices", lm == rm, "%r vs %r" % (lm.rows, rm.rows)))
-    ld, rd = _compare_dims(route1, route2, order)
-    subs.append(("jacobian-dims-1..%d" % order, ld == rd, "%r vs %r" % (ld, rd)))
+    subs = _compare(route1, route2, order, multiplicities=False)
     pre1 = premutate_qp(restrict_qp(qp, keep), k)
     pre2 = restrict_qp(premutate_qp(qp, k), keep)
     if pre1 == pre2:
@@ -264,7 +218,7 @@ def canonical_matrix_form(matrix):
     return tuple(best)
 
 
-class ClassGraph:
+class ClassGraph(Record):
     """The nodes and edges found by `explore_mutation_class`, stored flat.
 
     With n vertices, node i has the digest `digests[12*i:12*i+12]`, and the
@@ -276,7 +230,7 @@ class ClassGraph:
     built from these on each access.
     """
 
-    __slots__ = ("vertices", "digests", "rows", "tables", "expanded", "targets")
+    __slots__ = _fields = ("vertices", "digests", "rows", "tables", "expanded", "targets")
 
     def __init__(self, vertices, digests, rows, tables, expanded, targets):
         self.vertices = vertices
@@ -285,19 +239,6 @@ class ClassGraph:
         self.tables = tables
         self.expanded = expanded
         self.targets = targets
-
-    def _astuple(self):
-        return (self.vertices, self.digests, self.rows, self.tables, self.expanded,
-                self.targets)
-
-    def __eq__(self, other):
-        if other.__class__ is not ClassGraph:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        return ("ClassGraph(vertices=%r, digests=%r, rows=%r, tables=%r, expanded=%r, "
-                "targets=%r)" % self._astuple())
 
     def _digest_list(self):
         d = self.digests
@@ -330,8 +271,12 @@ def explore_mutation_class(qp, depth, order):
     Asserts 2-acyclicity of every visited quiver; a failure is reported, not
     raised, since it would disprove the non-degeneracy being probed.
     Mutation keeps the vertex set, and each node is expanded once, at every
-    vertex in order.
+    vertex in order.  Mutations run at the QP's truncation; `order` must not
+    exceed it.
     """
+    _require_order(qp, order)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     name = "explore"
     digest = _digest(qp.to_text(), str(depth), str(order))
     vertices = qp.quiver.vertices
@@ -344,7 +289,7 @@ def explore_mutation_class(qp, depth, order):
 
     def visit(q):
         """The number of q's node, and whether the node is new."""
-        canon = canonical_matrix_form(_net_matrix(q.quiver))
+        canon = canonical_matrix_form(net_matrix(q.quiver))
         dig = _digest(repr(canon))
         if dig in index:
             return index[dig], False

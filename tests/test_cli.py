@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from qpsurf import cli
-from qpsurf.examples_data import example_text
+from qpsurf.examples_data import CORPUS, example_text
+from qpsurf.surface import Triangulation
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -222,6 +223,33 @@ def test_malformed_qp_exits_two_without_traceback(tmp_path, old, new, bad_line):
         assert_input_error(argv, bad_line)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["explore", "--order", "0"], "order must be >= 1"),
+    (["explore", "--order", "7"], "order 7 exceeds the QP truncation 6; rebuild the QP deeper"),
+    (["explore", "--order", "99"], "order 99 exceeds the QP truncation 6; rebuild the QP deeper"),
+    (["explore", "--depth", "-1"], "depth must be >= 0"),
+    (["dim", "--stabilize", "--order", "-3"], "order must be >= 1"),
+], ids=["explore-order-0", "explore-order-7", "explore-order-99", "explore-negative-depth",
+        "stabilize-negative-order"])
+def test_out_of_range_arguments_exit_two_without_traceback(tmp_path, argv, message):
+    path = tmp_path / "triangle.qp"
+    path.write_text(TRIANGLE_QP, encoding="utf-8")
+    assert_input_error([argv[0], str(path)] + argv[1:], message)
+
+
+def test_output_closed_early_exits_two_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "qpsurf.cli", "qp", "-"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    # the child writes only once it has read all of stdin, after this close
+    proc.stdout.close()
+    _, err = proc.communicate(example_text("torus"), timeout=60)
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_unknown_subcommand_exits_two():
     code, _ = run(["frobnicate"])
     assert code == 2
@@ -322,3 +350,44 @@ def test_each_command_imports_only_its_modules(monkeypatch, argv, stdin, modules
 
 def test_bare_package_import_loads_no_submodule():
     assert imported(["-c", "import qpsurf"]) == set()
+
+
+# sha256 of one transcript per corpus file, recorded before the net-matrix and
+# opposite-pair rules were shared: exit code, stdout and stderr of `matrix`,
+# `quiver`, `quiver --unreduced`, `flip` and `check flip-compat --order 6` on
+# every arc, and `check involution --order 6` at every vertex of `qp --order 6`
+CORPUS_TRANSCRIPT = {
+    "torus": "cc2876e864fee4092f17ff8e4b3c3c028b06fec0595be989aac772ffafcb28bc",
+    "pentagon": "c56aa0ee7309bdc85b8ee2cff9603ff2ad6fa6e7a4681590052e30388e5ade49",
+    "hexagon-fan": "b6a269c1be9fb00e5073cf973963a82ab405a7721f20d6832b716d775fe15c75",
+    "hexagon-central": "4f7a7f0649b4c6a63316a4ba985bc9d663172f25016637b2b2995aa2949965dd",
+    "annulus": "e01ea7705fb0ec58b3a2b471d6c172c0b275b453143b6792ba364f5909754600",
+    "punctured-square-4": "b21501ff7d0d6fc7dd117e5b16ba912db6cb62781fcc4b2501caa071828d68fd",
+    "punctured-square-3": "d669be940c9daecf7fbb14f3f05eae099e96e0133490db879f8a21721fe1d15f",
+    "punctured-square-2": "4693c48b21c581456074acb835221fef1c38e1266ee4238805168fb335ab0bd9",
+    "punctured-square-sf": "c5e2b9019d9a9f10609c1e73045105ee01f9a31100c12f22fcc82cd30f276829",
+}
+
+
+def corpus_transcript(tmp_path, capsys, name):
+    tri = write_example(tmp_path, name)
+    arcs = Triangulation.from_text(example_text(name)).arcs
+    qp = tmp_path / (name + ".qp")
+    argvs = [["matrix", tri], ["quiver", tri], ["quiver", tri, "--unreduced"]]
+    argvs += [["flip", tri, arc] for arc in arcs]
+    argvs += [["check", "flip-compat", tri, arc, "--order", "6"] for arc in arcs]
+    argvs += [["qp", tri, "--order", "6"]]
+    argvs += [["check", "involution", str(qp), arc, "--order", "6"] for arc in arcs]
+    h = hashlib.sha256()
+    for argv in argvs:
+        code, text = run(argv)
+        if argv[0] == "qp":
+            qp.write_text(text, encoding="utf-8")
+        label = " ".join(a for a in argv if a not in (tri, str(qp)))
+        h.update(("%s\0%d\0%s\0%s\0" % (label, code, text, capsys.readouterr().err)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_surface_commands_and_checks_text_is_pinned(tmp_path, capsys, name):
+    assert corpus_transcript(tmp_path, capsys, name) == CORPUS_TRANSCRIPT[name]

@@ -149,6 +149,9 @@ def test_order_bounds_enforced():
         truncated_quotient_dim(qp, 0)
     with pytest.raises(JacobianError):
         truncated_quotient_dim(qp, 7)
+    for dmax in (0, -3):
+        with pytest.raises(JacobianError, match="^order must be >= 1$"):
+            finite_dim_evidence(qp, dmax)
 
 
 # -- rigidity -----------------------------------------------------------------

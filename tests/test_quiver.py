@@ -97,6 +97,14 @@ def test_mutate_markov():
     assert matrix_from_quiver(mutate_quiver(q, "2")) == MARKOV_REV
 
 
+def test_mutation_cancels_opposite_arrows_smallest_name_first():
+    # three hooks [a.b1], [a.b2], [a.b3] : 1 -> 3 against one arrow c : 3 -> 1
+    q = Quiver(["1", "2", "3"], [Arrow("a", "2", "3"), Arrow("c", "3", "1")]
+               + [Arrow("b%d" % n, "1", "2") for n in (1, 2, 3)])
+    names = [a.name for a in mutate_quiver(q, "2").arrows]
+    assert names == ["[a.b2]", "[a.b3]", "a*", "b1*", "b2*", "b3*"]
+
+
 def test_mutation_involutive_on_markov():
     q = quiver_from_matrix(MARKOV)
     for k in q.vertices:
