@@ -100,12 +100,6 @@ def path_is_cycle(quiver, p):
     return len(p) >= 1 and path_head(quiver, p) == path_tail(quiver, p)
 
 
-def rotations(p):
-    """All rotations of a cyclic word, as (rotation index, Path) pairs."""
-    d = len(p.arrows)
-    return [(k, Path(p.arrows[k:] + p.arrows[:k])) for k in range(d)]
-
-
 def least_rotation(p):
     """Lexicographically least rotation of a cyclic word."""
     a = p.arrows

@@ -47,12 +47,10 @@ def _parse_scalars(text):
 
 
 def _load_triangulation(args):
-    from .surface import Triangulation, validate_triangulation
+    from .surface import Triangulation
 
     tri = Triangulation.from_text(_read(args.tri), _parse_scalars(getattr(args, "scalars", None)))
-    problems = validate_triangulation(tri)
-    if problems:
-        raise CliError("invalid triangulation: " + "; ".join(problems))
+    tri.analysis()
     return tri
 
 
@@ -267,6 +265,10 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out or sys.stdout
+    if out is None:
+        # started with stdout closed, as by `>&-`
+        sys.stderr.write("error: standard output is closed\n")
+        return INPUT_ERROR
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

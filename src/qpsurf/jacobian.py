@@ -236,8 +236,7 @@ def is_rigid_up_to(qp, order):
 
 def finite_dim_evidence(qp, dmax):
     """Increasing-order dimension reports until stabilisation is certified."""
-    if dmax < 1:
-        raise JacobianError("order must be >= 1")
+    _require_order(qp, dmax)
     for d in range(min(2, dmax), dmax + 1):
         report = truncated_quotient_dim(qp, d)
         if report.certified:

@@ -10,14 +10,12 @@ from .algebra import (
     apply_substitution,
     arrow_path,
     compose_substitutions,
+    cyclic_derivative,
     cyclic_normal_form,
     is_cyclic_element,
     least_rotation,
-    path_head,
-    path_is_cycle,
-    rotations,
 )
-from .quiver import Quiver, Record, hook_name
+from .quiver import Quiver, Record, hook_name, mutate_quiver, premutate_quiver
 from . import linalg
 
 
@@ -28,8 +26,12 @@ class QPError(ValueError):
 class QP:
     """A quiver together with a potential at a fixed truncation order.
 
-    The potential is stored as given; use validate_qp to check that no two
-    distinct stored cycles are cyclically equivalent.
+    The constructor refuses a potential with a non-cyclic term and otherwise
+    stores it as given.  One pass, `_normal_potential`, checks that no two
+    distinct stored cycles are cyclically equivalent and puts the potential
+    in cyclic normal form: `validate_qp` reports what it finds, and
+    `premutate_qp` and `split_qp` run it on their input.  Every QP those two
+    and `mutate_qp` return holds its potential in cyclic normal form.
     """
 
     def __init__(self, quiver, potential, order=None):
@@ -42,9 +44,6 @@ class QP:
         self.quiver = quiver
         self.potential = potential
         self.order = int(order)
-
-    def normalized(self):
-        return QP(self.quiver, cyclic_normal_form(self.potential), self.order)
 
     def __eq__(self, other):
         if not isinstance(other, QP):
@@ -96,37 +95,39 @@ class QP:
         return QP(quiver, potential, order)
 
 
+def _normal_potential(qp):
+    """The potential in cyclic normal form, and the problems that make it invalid.
+
+    Each term is rotated to its least rotation once and merged onto it; two
+    distinct stored terms with one least rotation are a problem.
+    """
+    problems = []
+    first = {}
+    terms = {}
+    for p, c in qp.potential.terms.items():
+        rep = least_rotation(p)
+        if rep in first:
+            problems.append("cyclically equivalent distinct terms %r and %r"
+                            % (first[rep].arrows, p.arrows))
+            terms[rep] += c
+        else:
+            first[rep] = p
+            terms[rep] = c
+    return AlgebraElement(qp.quiver, qp.order, terms, check=False), problems
+
+
 def validate_qp(qp):
     """Diagnostics list; empty means the pair is a valid QP."""
-    problems = []
-    seen = {}
-    for p in qp.potential.terms:
-        if not path_is_cycle(qp.quiver, p):
-            problems.append("non-cyclic term %r" % (p.arrows,))
-            continue
-        rep = least_rotation(p)
-        if rep in seen and seen[rep] != p:
-            problems.append(
-                "cyclically equivalent distinct terms %r and %r"
-                % (seen[rep].arrows, p.arrows))
-        else:
-            seen[rep] = p
-    return problems
+    return _normal_potential(qp)[1]
 
 
-def _require_valid(qp):
-    problems = validate_qp(qp)
-    if problems:
-        raise QPError("invalid QP: " + "; ".join(problems))
-
-
-def _rotate_away_from(quiver, p, k):
-    """Least rotation of the cycle whose word does not begin at vertex k."""
-    cands = [(rot.arrows, idx, rot) for idx, rot in rotations(p)
-             if path_head(quiver, rot) != k]
+def _rotate_away_from(quiver, arrows, k):
+    """Least rotation of the cyclic word that does not begin at vertex k."""
+    cands = [arrows[i:] + arrows[:i] for i in range(len(arrows))
+             if quiver.arrow(arrows[i]).head != k]
     if not cands:
-        raise QPError("cycle %r cannot avoid beginning at %r" % (p.arrows, k))
-    return min(cands)[2]
+        raise QPError("cycle %r cannot avoid beginning at %r" % (arrows, k))
+    return min(cands)
 
 
 def premutate_qp(qp, k):
@@ -136,20 +137,19 @@ def premutate_qp(qp, k):
     inside it is replaced by the composite arrow [a.b], and the sum of
     b* a* [a.b] over all k-hooks of the quiver is added.
     """
-    from .quiver import premutate_quiver
-
-    _require_valid(qp)
+    potential, problems = _normal_potential(qp)
+    if problems:
+        raise QPError("invalid QP: " + "; ".join(problems))
     q = qp.quiver
     if k not in q.vertices:
         raise QPError("unknown vertex %r" % k)
     new_quiver = premutate_quiver(q, k)  # also rejects 2-cycles at k
 
     terms = {}
-    for p, c in cyclic_normal_form(qp.potential).terms.items():
-        rot = _rotate_away_from(q, p, k)
+    for p, c in potential.terms.items():
+        arrows = _rotate_away_from(q, p.arrows, k)
         word = []
         i = 0
-        arrows = rot.arrows
         while i < len(arrows):
             a = arrows[i]
             if q.arrow(a).tail == k:
@@ -207,20 +207,20 @@ def _two_cycle_rep(x_name, y_name):
     return least_rotation(arrow_path(x_name, y_name))
 
 
-def _normalize_pairing(qp):
+def _normalize_pairing(s):
     """Arrow basis change making the degree-2 part a sum of distinct 2-cycles.
 
     For each unordered vertex pair, the bilinear matrix between the opposite
     arrow blocks that appear in the degree-2 part is diagonalised by an exact
     basis change acting only on those arrows.  The potential must be in
-    cyclic normal form.  Returns the transformed QP, the substitution used,
-    and the list of trivial pairs (a_j, b_j).
+    cyclic normal form.  Returns the transformed potential, the substitution
+    used, and the list of trivial pairs (a_j, b_j).
     """
-    s2 = qp.potential.degree_part(2)
+    q = s.quiver
+    s2 = s.degree_part(2)
     if s2.is_zero():
-        return qp, Substitution.identity(qp.quiver, qp.order), []
+        return s, Substitution.identity(q, s.order), []
 
-    q = qp.quiver
     blocks = {}
     for p, c in s2.terms.items():
         x = q.arrow(p.arrows[0])
@@ -243,20 +243,19 @@ def _normalize_pairing(qp):
         # and y_j to sum_j' q_ops[j][j'] y_j'.
         for i, x in enumerate(xs):
             img = {arrow_path(xs[i2]): p_ops[i2][i] for i2 in range(len(xs))}
-            images[x] = AlgebraElement(qp.quiver, qp.order, img)
+            images[x] = AlgebraElement(q, s.order, img)
         for j, y in enumerate(ys):
             img = {arrow_path(ys[j2]): q_ops[j][j2] for j2 in range(len(ys))}
-            images[y] = AlgebraElement(qp.quiver, qp.order, img)
+            images[y] = AlgebraElement(q, s.order, img)
         pairs.extend((xs[t], ys[t]) for t in range(r))
 
-    phi = Substitution(qp.quiver, qp.quiver, qp.order, images)
-    new_s = cyclic_normal_form(apply_substitution(phi, qp.potential))
-    new_qp = QP(qp.quiver, new_s, qp.order)
+    phi = Substitution(q, q, s.order, images)
+    new_s = cyclic_normal_form(apply_substitution(phi, s))
 
     expect = {_two_cycle_rep(a, b): Fraction(1) for (a, b) in pairs}
     if new_s.degree_part(2).terms != expect:
         raise QPError("pairing normalisation failed")
-    return new_qp, phi, pairs
+    return new_s, phi, pairs
 
 
 def _extract_factors(s, a_name, b_name, pair_rep):
@@ -301,12 +300,13 @@ def split_qp(qp):
     keeps the substitutions; its witness, their composite, is composed on
     first access.
     """
-    _require_valid(qp)
-    base, phi0, pairs = _normalize_pairing(qp.normalized())
+    s, problems = _normal_potential(qp)
+    if problems:
+        raise QPError("invalid QP: " + "; ".join(problems))
+    s, phi0, pairs = _normalize_pairing(s)
     steps = [phi0]
     order = qp.order
     quiver = qp.quiver
-    s = base.potential
 
     if pairs:
         reps = {(a, b): _two_cycle_rep(a, b) for (a, b) in pairs}
@@ -355,8 +355,6 @@ def is_trivial_qp(qp):
     """Degree-2 potential whose cyclic derivatives span the arrow space."""
     if any(len(p) != 2 for p in qp.potential.terms):
         return False
-    from .algebra import cyclic_derivative
-
     elim = linalg.SparseEliminator()
     for a in qp.quiver.arrows:
         d = cyclic_derivative(qp.potential, a.name)
@@ -377,8 +375,6 @@ def quiver_mutation_matches(qp, k):
     the premutation get removed, so a degenerate pairing leaves 2-cycles that
     plain quiver mutation would cancel.  Reported, never asserted.
     """
-    from .quiver import mutate_quiver
-
     got = mutate_qp(qp, k).quiver.multiplicities()
     want = mutate_quiver(qp.quiver, k).multiplicities()
     return got == want

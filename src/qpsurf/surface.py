@@ -136,11 +136,9 @@ class Triangulation:
         return tuple(sorted(s.name for s in self.sides.values() if not s.is_arc))
 
     def analysis(self):
-        if self._analysis is None:
-            a = Analysis(self)
-            if a.problems:
-                raise SurfaceError("invalid triangulation: " + "; ".join(a.problems))
-            self._analysis = a
+        problems = validate_triangulation(self)
+        if problems:
+            raise SurfaceError("invalid triangulation: " + "; ".join(problems))
         return self._analysis
 
     # -- text format ---------------------------------------------------------

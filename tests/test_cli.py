@@ -8,6 +8,7 @@ import pytest
 
 from qpsurf import cli
 from qpsurf.examples_data import CORPUS, example_text
+from qpsurf.qp import QP
 from qpsurf.surface import Triangulation
 
 
@@ -229,12 +230,22 @@ def test_malformed_qp_exits_two_without_traceback(tmp_path, old, new, bad_line):
     (["explore", "--order", "99"], "order 99 exceeds the QP truncation 6; rebuild the QP deeper"),
     (["explore", "--depth", "-1"], "depth must be >= 0"),
     (["dim", "--stabilize", "--order", "-3"], "order must be >= 1"),
+    (["dim", "--stabilize", "--order", "99"],
+     "order 99 exceeds the QP truncation 6; rebuild the QP deeper"),
 ], ids=["explore-order-0", "explore-order-7", "explore-order-99", "explore-negative-depth",
-        "stabilize-negative-order"])
+        "stabilize-negative-order", "stabilize-order-99"])
 def test_out_of_range_arguments_exit_two_without_traceback(tmp_path, argv, message):
     path = tmp_path / "triangle.qp"
     path.write_text(TRIANGLE_QP, encoding="utf-8")
     assert_input_error([argv[0], str(path)] + argv[1:], message)
+
+
+@pytest.mark.parametrize("command", ["mutate", "dim"])
+def test_rotations_of_one_cycle_exit_two_without_traceback(tmp_path, command):
+    path = tmp_path / "rotated.qp"
+    path.write_text(TRIANGLE_QP + "1/1 b c a\n", encoding="utf-8")
+    argv = [command, str(path)] + (["2"] if command == "mutate" else [])
+    assert_input_error(argv, "error: invalid QP: cyclically equivalent distinct terms")
 
 
 def test_output_closed_early_exits_two_without_traceback():
@@ -248,6 +259,15 @@ def test_output_closed_early_exits_two_without_traceback():
     _, err = proc.communicate(example_text("torus"), timeout=60)
     assert proc.returncode == 2, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_stdout_closed_at_start_exits_two_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli", "examples", "torus"],
+                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1),
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: standard output is closed\n"
 
 
 def test_unknown_subcommand_exits_two():
@@ -391,3 +411,46 @@ def corpus_transcript(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_surface_commands_and_checks_text_is_pinned(tmp_path, capsys, name):
     assert corpus_transcript(tmp_path, capsys, name) == CORPUS_TRANSCRIPT[name]
+
+
+# sha256 of one `mutate` transcript per corpus file, recorded before the
+# potential check and cyclic normal form moved into one pass: exit code,
+# stdout and stderr of `mutate` at every vertex of `qp --order 6` and
+# `qp --order 7`, and at every vertex of each one-step mutation at order 6
+MUTATE_TRANSCRIPT = {
+    "torus": "a248c18515a7d84ee178c6eaa2fff4fabb9570d6125a81450943280819fc0418",
+    "pentagon": "1a85c2af1edf76bd1dfe57d7e3d2c4f9114c1da82bc359d76a08b56484736aae",
+    "hexagon-fan": "3038368200875e1cfb1f2728ebcb6b8cf4ddf1114a44f2d5a2da2816e14985e8",
+    "hexagon-central": "c3fd6ce5aaa330ff4c442548c2115e5919b6c43291b3acd5450ae7695b122d45",
+    "annulus": "aec21a061c448bbe3c6c63c20cdaece99cec0a3a2c30f5dc7f12163bb5597f77",
+    "punctured-square-4": "08edb21543adf056326ac79c6cc7a9194962fd8620b052dd57391aa01d0e69e6",
+    "punctured-square-3": "baec6256f135c9b3ace7c244d1792febd642533c442a896d8f54c928563621e0",
+    "punctured-square-2": "521437602190cf3072ec7b51a2bf67070852cee708fbd2eb912654c8d4bf5d31",
+    "punctured-square-sf": "820e9523fc6fe3351f605cd73d196e996a27a92633533ca82808902e6add19ee",
+}
+
+
+def mutate_transcript(tmp_path, capsys, monkeypatch, name):
+    tri = write_example(tmp_path, name)
+    h = hashlib.sha256()
+
+    def step(label, argv, stdin_text):
+        code, text = run(argv, stdin_text, monkeypatch)
+        h.update(("%s\0%d\0%s\0%s\0" % (label, code, text, capsys.readouterr().err)).encode())
+        return code, text
+
+    for order in ("6", "7"):
+        _, qp_text = run(["qp", tri, "--order", order])
+        capsys.readouterr()
+        for v in QP.from_text(qp_text).quiver.vertices:
+            code, once = step("%s %s" % (order, v), ["mutate", "-", v], qp_text)
+            if order != "6" or code != 0:
+                continue
+            for w in QP.from_text(once).quiver.vertices:
+                step("%s %s %s" % (order, v, w), ["mutate", "-", w], once)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_mutate_text_is_pinned(tmp_path, capsys, monkeypatch, name):
+    assert mutate_transcript(tmp_path, capsys, monkeypatch, name) == MUTATE_TRANSCRIPT[name]

@@ -152,6 +152,10 @@ def test_order_bounds_enforced():
     for dmax in (0, -3):
         with pytest.raises(JacobianError, match="^order must be >= 1$"):
             finite_dim_evidence(qp, dmax)
+    # the pentagon's certificate fires below its truncation, so only the
+    # order check refuses this
+    with pytest.raises(JacobianError, match="^order 99 exceeds the QP truncation 6; rebuild"):
+        finite_dim_evidence(load_qp("pentagon"), 99)
 
 
 # -- rigidity -----------------------------------------------------------------

@@ -53,6 +53,19 @@ def test_validate_qp_rejects_cyclically_equivalent_terms():
     assert problems and "cyclically equivalent" in problems[0]
 
 
+@pytest.mark.parametrize("call", [
+    lambda qp: premutate_qp(qp, "2"),
+    lambda qp: premutate_qp(qp, "no-such-vertex"),
+    split_qp,
+    lambda qp: mutate_qp(qp, "2"),
+], ids=["premutate", "premutate-unknown-vertex", "split", "mutate"])
+def test_rotations_of_one_cycle_are_refused(call):
+    q = cycle_quiver()
+    qp = QP(q, word(q, 6, "a", "b", "c") + word(q, 6, "b", "c", "a"))
+    with pytest.raises(QPError, match="^invalid QP: cyclically equivalent distinct terms"):
+        call(qp)
+
+
 def test_premutate_abc_at_2():
     q = cycle_quiver()
     qp = QP(q, word(q, 6, "a", "b", "c"))
