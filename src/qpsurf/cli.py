@@ -46,18 +46,18 @@ def _parse_scalars(text):
     return out
 
 
-def _load_triangulation(args):
+def _load_triangulation(path, scalars=None):
     from .surface import Triangulation
 
-    tri = Triangulation.from_text(_read(args.tri), _parse_scalars(getattr(args, "scalars", None)))
+    tri = Triangulation.from_text(_read(path), _parse_scalars(scalars))
     tri.analysis()
     return tri
 
 
-def _load_qp(args):
+def _load_qp(path):
     from .qp import QP
 
-    return QP.from_text(_read(args.qp))
+    return QP.from_text(_read(path))
 
 
 def _cmd_validate(args, out):
@@ -74,7 +74,7 @@ def _cmd_validate(args, out):
 def _cmd_matrix(args, out):
     from .surface import signed_adjacency
 
-    out.write(signed_adjacency(_load_triangulation(args)).to_text())
+    out.write(signed_adjacency(_load_triangulation(args.tri)).to_text())
     return 0
 
 
@@ -82,7 +82,7 @@ def _cmd_quiver(args, out):
     from .quiver import quiver_from_matrix
     from .surface import signed_adjacency, unreduced_quiver
 
-    tri = _load_triangulation(args)
+    tri = _load_triangulation(args.tri)
     if args.unreduced:
         quiver, provenance = unreduced_quiver(tri)
         out.write(quiver.to_text())
@@ -96,7 +96,7 @@ def _cmd_quiver(args, out):
 def _cmd_potential(args, out):
     from .potential import qp_of_triangulation, unreduced_potential
 
-    tri = _load_triangulation(args)
+    tri = _load_triangulation(args.tri, args.scalars)
     if args.unreduced:
         out.write(unreduced_potential(tri, args.order).to_text())
     else:
@@ -107,28 +107,29 @@ def _cmd_potential(args, out):
 def _cmd_qp(args, out):
     from .potential import qp_of_triangulation
 
-    out.write(qp_of_triangulation(_load_triangulation(args), args.order).to_text())
+    tri = _load_triangulation(args.tri, args.scalars)
+    out.write(qp_of_triangulation(tri, args.order).to_text())
     return 0
 
 
 def _cmd_flip(args, out):
     from .surface import flip
 
-    out.write(flip(_load_triangulation(args), args.arc).to_text())
+    out.write(flip(_load_triangulation(args.tri), args.arc).to_text())
     return 0
 
 
 def _cmd_mutate(args, out):
     from .qp import mutate_qp
 
-    out.write(mutate_qp(_load_qp(args), args.vertex).to_text())
+    out.write(mutate_qp(_load_qp(args.qp), args.vertex).to_text())
     return 0
 
 
 def _cmd_dim(args, out):
     from .jacobian import finite_dim_evidence, truncated_quotient_dim
 
-    qp = _load_qp(args)
+    qp = _load_qp(args.qp)
     if args.stabilize:
         out.write(finite_dim_evidence(qp, args.order).to_text())
     else:
@@ -139,7 +140,7 @@ def _cmd_dim(args, out):
 def _cmd_rigid(args, out):
     from .jacobian import is_rigid_up_to
 
-    report = is_rigid_up_to(_load_qp(args), args.order)
+    report = is_rigid_up_to(_load_qp(args.qp), args.order)
     out.write(report.to_text())
     return 0
 
@@ -148,15 +149,12 @@ def _cmd_check(args, out):
     from .verify import check_flip_compatibility, check_involution, check_restriction_commutes
 
     if args.what == "flip-compat":
-        tri = _load_triangulation(args)
-        report = check_flip_compatibility(tri, args.arg, args.order)
+        report = check_flip_compatibility(_load_triangulation(args.input), args.arg, args.order)
     elif args.what == "involution":
-        report = check_involution(_load_qp(args), args.arg, args.order)
-    elif args.what == "restriction":
-        keep = [v for v in args.keep.split(",") if v]
-        report = check_restriction_commutes(_load_qp(args), keep, args.arg, args.order)
+        report = check_involution(_load_qp(args.input), args.arg, args.order)
     else:
-        raise CliError("unknown check %r" % args.what)
+        keep = [v for v in args.keep.split(",") if v]
+        report = check_restriction_commutes(_load_qp(args.input), keep, args.arg, args.order)
     out.write(report.to_text())
     return 0 if report.passed else CHECK_FAILURE
 
@@ -164,7 +162,7 @@ def _cmd_check(args, out):
 def _cmd_explore(args, out):
     from .verify import explore_mutation_class
 
-    report, graph = explore_mutation_class(_load_qp(args), args.depth, args.order)
+    report, graph = explore_mutation_class(_load_qp(args.qp), args.depth, args.order)
     out.write(report.to_text())
     out.write(graph.to_text())
     return 0 if report.passed else CHECK_FAILURE
@@ -274,11 +272,6 @@ def main(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return INPUT_ERROR if exc.code not in (0, None) else 0
-    if args.command == "check":
-        if args.what == "flip-compat":
-            args.tri = args.input
-        else:
-            args.qp = args.input
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

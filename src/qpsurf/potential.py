@@ -68,18 +68,15 @@ def _loop_slot(analysis, loop):
 
 def _walk_step_arrow(analysis, corners, u_arc, v_arc):
     """Arrow from u to v realised at one of the given corners."""
-    tri = analysis.tri
+    # a folded side fills both slots of its self-folded triangle, so every
+    # other slot holds a side that is its own fold
+    fold = analysis.fold
     found = []
     for (t, m) in corners:
-        if t in analysis.self_folded:
-            continue
-        triple = tri.triangles[t]
-        for i in analysis._preimages(triple[m]):
-            if i != u_arc:
-                continue
-            for j in analysis._preimages(triple[(m + 1) % 3]):
-                if j == v_arc:
-                    found.append(analysis.resolve(t, m, i, j))
+        triple = analysis.tri.triangles[t]
+        if (t not in analysis.self_folded and fold[u_arc] == triple[m]
+                and fold[v_arc] == triple[(m + 1) % 3]):
+            found.append(analysis.resolve(t, m, u_arc, v_arc))
     if len(found) != 1:
         raise SurfaceError(
             "expected one arrow %r -> %r around the puncture, found %d"

@@ -112,11 +112,23 @@ class Side(FrozenRecord):
         return self.ends[0] == self.ends[1]
 
 
+def _options(tokens, keys):
+    """The key=value tokens of a line; a key outside `keys` or given twice is refused."""
+    opts = {}
+    for token in tokens:
+        key, eq, val = token.partition("=")
+        if not eq or key not in keys or key in opts:
+            raise ValueError("unexpected %r" % token)
+        opts[key] = val
+    return opts
+
+
 class Triangulation:
     def __init__(self, surface, sides, triangles):
         self.surface = surface
+        sides = list(sides)
         self.sides = {s.name: s for s in sides}
-        if len(self.sides) != len(list(sides)):
+        if len(self.sides) != len(sides):
             raise SurfaceError("duplicate side ids")
         self.triangles = [tuple(t) for t in triangles]
         for t in self.triangles:
@@ -167,7 +179,6 @@ class Triangulation:
     def from_text(text, scalar_overrides=None):
         genus = boundary = None
         locations = {}
-        scalars = dict(scalar_overrides or {})
         explicit = {}
         sides = []
         triangles = []
@@ -179,27 +190,33 @@ class Triangulation:
             kind = parts[0]
             try:
                 if kind == "surface":
-                    opts = dict(p.split("=", 1) for p in parts[1:])
+                    if genus is not None:
+                        raise ValueError("repeated surface line")
+                    opts = _options(parts[1:], ("genus", "boundary"))
                     genus = int(opts["genus"])
                     boundary = int(opts["boundary"])
                 elif kind == "marked":
                     name = parts[1]
+                    if name in locations:
+                        raise ValueError("repeated marked point %r" % name)
                     if parts[2] == "puncture":
                         locations[name] = None
-                        for opt in parts[3:]:
-                            key, val = opt.split("=", 1)
-                            if key == "scalar":
-                                explicit[name] = Fraction(val)
+                        opts = _options(parts[3:], ("scalar",))
+                        if "scalar" in opts:
+                            explicit[name] = Fraction(opts["scalar"])
                     elif parts[2].startswith("boundary="):
+                        _options(parts[3:], ())
                         locations[name] = int(parts[2].split("=", 1)[1])
                     else:
                         raise SurfaceError("bad marked line: %r" % raw)
                 elif kind == "bseg":
-                    opts = dict(p.split("=", 1) for p in parts[4:])
+                    opts = _options(parts[4:], ("on",))
                     sides.append(Side(parts[1], "bseg", (parts[2], parts[3]), int(opts["on"])))
                 elif kind == "arc":
+                    _options(parts[4:], ())
                     sides.append(Side(parts[1], "arc", (parts[2], parts[3])))
                 elif kind == "tri":
+                    _options(parts[4:], ())
                     triangles.append(tuple(parts[1:4]))
                 else:
                     raise SurfaceError("bad triangulation line: %r" % raw)
@@ -210,7 +227,10 @@ class Triangulation:
                                    % (kind, lineno, raw, type(exc).__name__, exc)) from exc
         if genus is None:
             raise SurfaceError("missing surface header")
-        explicit.update(scalars)
+        for name in scalar_overrides or {}:
+            if locations.get(name, 0) is not None:
+                raise SurfaceError("scalar override %r is not a puncture" % name)
+        explicit.update(scalar_overrides or {})
         surface = MarkedSurface(genus, boundary, locations, explicit)
         return Triangulation(surface, sides, triangles)
 
@@ -220,6 +240,22 @@ class Analysis:
 
     Populates `problems` instead of raising, so it doubles as the validator.
     Arrow-level structure is only built when the basic shape checks pass.
+    A slot (t, m) is position m of triangle t.  The maps, one per fact:
+
+    - `slots_of`: side -> its slots, in triangle order;
+    - `partner`: slot -> the other slot of its arc, or None on the boundary;
+    - `corner_point`: slot -> the point where it ends and the next slot of
+      its triangle starts, so slot (t, m) starts at corner (t, m - 1); the
+      only orientation map;
+    - `self_folded`: triangle -> (folded side, enclosing loop); `fold`: side
+      -> itself, or a folded side -> its loop; `fold_back`: loop -> folded
+      side; `enclosed`: loop -> the puncture inside it;
+    - `puncture_cycle`: puncture -> its corners, counter-clockwise;
+      `puncture_ends`: puncture -> the side crossed after each of them;
+    - `cancelled`: the contributions (i, j, t, m) lost to 2-cycles;
+      `arrow_of`: kept contribution -> arrow; `def8`: (i, j) -> the arrow
+      added at a valence-2 puncture; `provenance`: arrow -> ("triangle", t,
+      m) or ("puncture", p); `unreduced`: the quiver of all these arrows.
     """
 
     def __init__(self, tri):
@@ -266,6 +302,9 @@ class Analysis:
             return
 
         self.self_folded = {}
+        self.fold = {name: name for name in tri.sides}
+        self.fold_back = {}
+        self.enclosed = {}
         for t, triple in enumerate(tri.triangles):
             counts = {}
             for s in triple:
@@ -294,23 +333,15 @@ class Analysis:
                 self.problems.append(
                     "folded side %r does not join the loop base of triangle %d" % (folded, t))
                 continue
-            q = other[0]
-            if surf.locations.get(q, 0) is not None:
+            if surf.locations.get(other[0], 0) is not None:
                 self.problems.append("folded side %r must end at an interior puncture" % folded)
                 continue
             self.self_folded[t] = (folded, loop)
-        if self.problems:
-            return
-
-        self.fold = {name: name for name in tri.sides}
-        self.fold_back = {}
-        self.enclosed = {}
-        for t, (folded, loop) in self.self_folded.items():
             self.fold[folded] = loop
             self.fold_back[loop] = folded
-            fs = tri.sides[folded]
-            base = tri.sides[loop].ends[0]
-            self.enclosed[loop] = next(e for e in fs.ends if e != base)
+            self.enclosed[loop] = other[0]
+        if self.problems:
+            return
 
         arcs = tri.arcs
         bsegs = tri.bsegs
@@ -370,67 +401,56 @@ class Analysis:
 
     def _solve_corners(self):
         tri = self.tri
-        self.entry = {}
-        self.exit = {}
-        self.corner_point = {}
+        cp = self.corner_point = {}
         for t, triple in enumerate(tri.triangles):
             ends = [tri.sides[s].ends for s in triple]
+            # slot m runs from end bits[m] of its side to the other end, where
+            # the next slot starts
             profiles = set()
-            chosen = None
             for bits in itertools.product((0, 1), repeat=3):
-                entry = [ends[m][bits[m]] for m in range(3)]
-                exits = [ends[m][1 - bits[m]] for m in range(3)]
-                if all(exits[m] == entry[(m + 1) % 3] for m in range(3)):
-                    profiles.add(tuple(exits))
-                    if chosen is None:
-                        chosen = (entry, exits)
-            if chosen is None:
+                exits = tuple(ends[m][1 - bits[m]] for m in range(3))
+                if all(exits[m] == ends[(m + 1) % 3][bits[(m + 1) % 3]] for m in range(3)):
+                    profiles.add(exits)
+            if not profiles:
                 self.problems.append("sides of triangle %d do not chain into a triangle" % t)
                 continue
             if len(profiles) > 1:
                 self.problems.append("ambiguous corner assignment in triangle %d" % t)
                 continue
-            entry, exits = chosen
+            (exits,) = profiles
             for m in range(3):
-                self.entry[(t, m)] = entry[m]
-                self.exit[(t, m)] = exits[m]
-                self.corner_point[(t, m)] = exits[m]
+                cp[(t, m)] = exits[m]
         if self.problems:
             return
 
+        # a slot enters at the corner of the slot before it and exits at its own
         self.partner = {}
         for name, slots in self.slots_of.items():
-            if len(slots) == 2:
-                self.partner[slots[0]] = slots[1]
-                self.partner[slots[1]] = slots[0]
-            else:
-                self.partner[slots[0]] = None
-
-        for name, slots in self.slots_of.items():
             if len(slots) != 2:
+                self.partner[slots[0]] = None
                 continue
-            h, h2 = slots
-            if self.entry[h] != self.exit[h2] or self.exit[h] != self.entry[h2]:
+            (t, m), (t2, m2) = slots
+            self.partner[(t, m)], self.partner[(t2, m2)] = (t2, m2), (t, m)
+            if cp[(t, m)] != cp[(t2, (m2 - 1) % 3)] or cp[(t2, m2)] != cp[(t, (m - 1) % 3)]:
                 self.problems.append("sides of arc %r are glued without reversing" % name)
 
         for k in range(self.tri.surface.boundary):
             segs = [s for s in self.tri.bsegs if self.tri.sides[s].boundary == k]
             succ = {}
             for s in segs:
-                slot = self.slots_of[s][0]
-                a, b = self.entry[slot], self.exit[slot]
+                t, m = self.slots_of[s][0]
+                a = cp[(t, (m - 1) % 3)]
                 if a in succ:
                     self.problems.append("boundary component %d is traversed inconsistently" % k)
                     return
-                succ[a] = b
+                succ[a] = cp[(t, m)]
             pts = {m for m, loc in self.tri.surface.locations.items() if loc == k}
             if set(succ) != pts or set(succ.values()) != pts:
                 self.problems.append("boundary component %d does not close up" % k)
 
     def _ccw_next(self, corner):
         t, m = corner
-        nxt = self.partner.get((t, (m + 1) % 3))
-        return nxt
+        return self.partner.get((t, (m + 1) % 3))
 
     def _walks(self):
         """Rotation structure around each marked point.
@@ -441,9 +461,7 @@ class Analysis:
         tri = self.tri
         corners_at = {}
         for corner, pt in self.corner_point.items():
-            t = corner[0]
             corners_at.setdefault(pt, []).append(corner)
-        self.corners_at = corners_at
         self.puncture_cycle = {}
         for p in tri.surface.punctures:
             corners = sorted(corners_at.get(p, []))
@@ -503,12 +521,9 @@ class Analysis:
 
     # -- arrows ----------------------------------------------------------------
 
-    def _preimages(self, side_name):
-        out = [side_name]
-        for folded, loop in self.fold.items():
-            if loop == side_name and folded != side_name:
-                out.append(folded)
-        return sorted(out)
+    def _preimages(self, side):
+        """The side and the folded side it encloses, if any, in sorted order."""
+        return sorted({side, self.fold_back.get(side, side)})
 
     def _arrows(self):
         tri = self.tri
@@ -532,6 +547,7 @@ class Analysis:
         self.cancelled = opposite_pairs(by_pair)
 
         self.arrow_of = {}
+        self.provenance = {}
         arrows = []
         for con in contributions:
             if con in self.cancelled:
@@ -539,9 +555,9 @@ class Analysis:
             i, j, t, m = con
             name = "%s>%s~t%d" % (i, j, t)
             self.arrow_of[con] = name
+            self.provenance[name] = ("triangle", t, m)
             arrows.append(Arrow(name, i, j))
 
-        self.pair_punctures = {}
         self.def8 = {}
         for p, ends in self.puncture_ends.items():
             if len(ends) != 2:
@@ -550,21 +566,15 @@ class Analysis:
                 self.problems.append("puncture %r has two ends of a single arc" % p)
                 continue
             i1, i2 = sorted(set(ends))
-            self.pair_punctures[p] = (i1, i2)
             for (u, v) in ((i1, i2), (i2, i1)):
                 name = "%s>%s~p%s" % (u, v, p)
                 self.def8[(u, v)] = name
+                self.provenance[name] = ("puncture", p)
                 arrows.append(Arrow(name, u, v))
         if self.problems:
             return
 
         self.unreduced = Quiver(tri.arcs, arrows)
-        self.provenance = {}
-        for con, name in self.arrow_of.items():
-            self.provenance[name] = ("triangle", con[2], con[3])
-        for p, (i1, i2) in self.pair_punctures.items():
-            self.provenance[self.def8[(i1, i2)]] = ("puncture", p)
-            self.provenance[self.def8[(i2, i1)]] = ("puncture", p)
 
     def resolve(self, t, m, i, j):
         """Arrow name realising the contribution (i -> j) at corner (t, m).

@@ -82,11 +82,18 @@ def test_potential_scalar_override(tmp_path):
     assert "-1/7" in text
 
 
-def test_bad_scalar_override_exits_two(tmp_path):
-    path = write_example(tmp_path, "punctured-square-2")
-    for bad in ("p=1/0", "p", "p=x"):
-        code, _ = run(["potential", path, "--scalars", bad])
-        assert code == 2, bad
+def test_bad_scalar_override_exits_two(tmp_path, capsys):
+    for name, command, bad, message in [
+        ("punctured-square-2", "potential", "p=1/0", "bad scalar 'p=1/0'"),
+        ("punctured-square-2", "potential", "p", "bad scalar 'p'"),
+        ("punctured-square-2", "potential", "p=x", "bad scalar 'p=x'"),
+        # the pentagon has no puncture, and this square's puncture is `p`
+        ("pentagon", "potential", "A=5", "scalar override 'A' is not a puncture"),
+        ("punctured-square-4", "qp", "P=0", "scalar override 'P' is not a puncture"),
+    ]:
+        code, text = run([command, write_example(tmp_path, name), "--scalars", bad])
+        assert (code, text) == (2, ""), bad
+        assert message in capsys.readouterr().err
 
 
 def test_flip_and_pipe_roundtrip(tmp_path, monkeypatch):
@@ -172,13 +179,32 @@ def test_explore_text_is_pinned(tmp_path, monkeypatch, name):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_DEPTH_3[name]
 
 
+PENTAGON = example_text("pentagon")  # 16 lines
+
+
 @pytest.mark.parametrize("text, bad_line", [
     ("surface genus=0 boundary=1\nmarked p\n", "line 2"),
     ("surface genus=0\n", "line 1"),
     ("surface genus=0 boundary=1\nmarked p puncture scalar=1/0\n", "line 2"),
     ("surface genus=0 boundary=1\nmarked A boundary=0\nbseg AB A\n", "line 3"),
+    (PENTAGON.replace("marked A boundary=0\n", "marked A boundary=0\nmarked A puncture\n"),
+     "bad marked line 3: 'marked A puncture' (ValueError: repeated marked point 'A')"),
+    (PENTAGON + "surface genus=1 boundary=0\n",
+     "bad surface line 17: 'surface genus=1 boundary=0' (ValueError: repeated surface line)"),
+    (PENTAGON + "arc 9 A C extra\n",
+     "bad arc line 17: 'arc 9 A C extra' (ValueError: unexpected 'extra')"),
+    (PENTAGON + "tri 1 2 AB extra\n",
+     "bad tri line 17: 'tri 1 2 AB extra' (ValueError: unexpected 'extra')"),
+    (PENTAGON.replace("marked A boundary=0\n", "marked A boundary=0 extra=1\n"),
+     "bad marked line 2: 'marked A boundary=0 extra=1' (ValueError: unexpected 'extra=1')"),
+    (PENTAGON.replace("bseg AB A B on=0\n", "bseg AB A B on=0 on=1\n"),
+     "bad bseg line 7: 'bseg AB A B on=0 on=1' (ValueError: unexpected 'on=1')"),
+    ("surface genus=0 boundary=1\nmarked p puncture scale=2\n",
+     "bad marked line 2: 'marked p puncture scale=2' (ValueError: unexpected 'scale=2')"),
 ], ids=["marked-without-kind", "surface-without-boundary", "zero-denominator-scalar",
-        "short-bseg"])
+        "short-bseg", "repeated-marked", "repeated-surface", "extra-arc-token",
+        "extra-tri-token", "extra-marked-option", "repeated-bseg-option",
+        "unknown-puncture-option"])
 def test_malformed_triangulation_exits_two_without_traceback(tmp_path, text, bad_line):
     path = tmp_path / "bad.tri"
     path.write_text(text, encoding="utf-8")
@@ -273,6 +299,29 @@ def test_stdout_closed_at_start_exits_two_without_traceback():
 def test_unknown_subcommand_exits_two():
     code, _ = run(["frobnicate"])
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["torus", "punctured-square-sf"])
+def test_outputs_do_not_depend_on_the_hash_seed(name):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+    def outputs(seed):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+
+        def cli_run(argv, stdin_text):
+            proc = subprocess.run([sys.executable, "-m", "qpsurf.cli"] + argv, input=stdin_text,
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        tri = example_text(name)
+        qp_text = cli_run(["qp", "-"], tri)
+        vertex = QP.from_text(qp_text).quiver.vertices[0]
+        return [qp_text, cli_run(["quiver", "-", "--unreduced"], tri),
+                cli_run(["mutate", "-", vertex], qp_text),
+                cli_run(["explore", "-", "--depth", "2"], qp_text)]
+
+    assert outputs("1") == outputs("2")
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -454,3 +503,50 @@ def mutate_transcript(tmp_path, capsys, monkeypatch, name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_mutate_text_is_pinned(tmp_path, capsys, monkeypatch, name):
     assert mutate_transcript(tmp_path, capsys, monkeypatch, name) == MUTATE_TRANSCRIPT[name]
+
+
+# sha256 of one transcript per corpus file, recorded before the triangulation
+# analysis dropped its duplicate orientation and fold maps: exit code, stdout
+# and stderr of `quiver --unreduced`, `potential --unreduced --order 8` and
+# `qp --order 8` on the file and on each of its one-step flips, and of every
+# `flip`, including the refused flips of folded sides
+FLIP_TRANSCRIPT = {
+    "torus": "2489d5b13f3a6886684d2aa2ecd3693697772eef725f94eb740ef7da7faa1b51",
+    "pentagon": "e968bff902eba6ea9e062d7a16fac010af17e8f5e4f484a849a0107247b483bf",
+    "hexagon-fan": "6c1a4456663fe4b3b981dee6522b55c5b0626c6cb126836f04a86bb50c4c26f0",
+    "hexagon-central": "4993f95ce95659000691790d9dede3d655bd42e31e23240ed7c6ba8b445664a3",
+    "annulus": "c0585ec5d677d18ae0621aa335b81fe5e3205ea43b3549a7d9a57403a10a0d9b",
+    "punctured-square-4": "909f91da640f2d5989dc40dd9d6a4957ad78a459b40752851bbe4edcfee65958",
+    "punctured-square-3": "e698b23f4f0c7a65d595686877228e19993147e74792c51a47a3a78815ec483a",
+    "punctured-square-2": "0b01439e055866ae3887150ed18e65705dc7afdd672db4404c5f2065fc7782dc",
+    "punctured-square-sf": "b4bffb40528637fefe23a0879b7dfd4376cb39e95a46fba7e1a46aea518f86ad",
+}
+
+
+def flip_transcript(tmp_path, capsys, name):
+    h = hashlib.sha256()
+
+    def step(label, argv):
+        code, text = run(argv)
+        h.update(("%s\0%d\0%s\0%s\0" % (label, code, text, capsys.readouterr().err)).encode())
+        return code, text
+
+    def analysed(label, path):
+        step(label + " quiver", ["quiver", path, "--unreduced"])
+        step(label + " potential", ["potential", path, "--unreduced", "--order", "8"])
+        step(label + " qp", ["qp", path, "--order", "8"])
+
+    tri = write_example(tmp_path, name)
+    analysed(name, tri)
+    flipped = tmp_path / "flipped.tri"
+    for arc in Triangulation.from_text(example_text(name)).arcs:
+        code, text = step("flip " + arc, ["flip", tri, arc])
+        if code == 0:
+            flipped.write_text(text, encoding="utf-8")
+            analysed(arc, str(flipped))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_flip_analysis_text_is_pinned(tmp_path, capsys, name):
+    assert flip_transcript(tmp_path, capsys, name) == FLIP_TRANSCRIPT[name]

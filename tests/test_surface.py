@@ -55,6 +55,16 @@ def test_arc_slot_count_diagnostic():
     assert any("slots" in p for p in problems)
 
 
+def test_constructor_takes_sides_from_a_generator():
+    tri = load("punctured-square-sf")
+    again = Triangulation(tri.surface, (s for s in tri.sides.values()), iter(tri.triangles))
+    assert again.to_text() == tri.to_text()
+    assert validate_triangulation(again) == []
+    side = next(iter(tri.sides.values()))
+    with pytest.raises(SurfaceError, match="duplicate side ids"):
+        Triangulation(tri.surface, (s for s in [side, side]), [])
+
+
 def test_fold_map_identity_without_self_folded():
     for name in ("torus", "pentagon", "hexagon-central"):
         tri = load(name)
