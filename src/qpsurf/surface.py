@@ -179,6 +179,7 @@ class Triangulation:
     def from_text(text, scalar_overrides=None):
         genus = boundary = None
         locations = {}
+        scalars = dict(scalar_overrides or {})
         explicit = {}
         sides = []
         triangles = []
@@ -227,10 +228,10 @@ class Triangulation:
                                    % (kind, lineno, raw, type(exc).__name__, exc)) from exc
         if genus is None:
             raise SurfaceError("missing surface header")
-        for name in scalar_overrides or {}:
+        for name in scalars:
             if locations.get(name, 0) is not None:
                 raise SurfaceError("scalar override %r is not a puncture" % name)
-        explicit.update(scalar_overrides or {})
+        explicit.update(scalars)
         surface = MarkedSurface(genus, boundary, locations, explicit)
         return Triangulation(surface, sides, triangles)
 
