@@ -24,7 +24,6 @@ _EXPORTS = {
     ),
     "qp": (
         "QP", "QPError", "SplitResult", "mutate_qp", "premutate_qp", "restrict_qp", "split_qp",
-        "validate_qp",
     ),
     "quiver": (
         "Arrow", "IntegerMatrix", "Quiver", "QuiverError", "is_two_acyclic", "matrix_from_quiver",

@@ -26,12 +26,11 @@ class QPError(ValueError):
 class QP:
     """A quiver together with a potential at a fixed truncation order.
 
-    The constructor refuses a potential with a non-cyclic term and otherwise
-    stores it as given.  One pass, `_normal_potential`, checks that no two
-    distinct stored cycles are cyclically equivalent and puts the potential
-    in cyclic normal form: `validate_qp` reports what it finds, and
-    `premutate_qp` and `split_qp` run it on their input.  Every QP those two
-    and `mutate_qp` return holds its potential in cyclic normal form.
+    The constructor refuses a potential with a non-cyclic term or with two
+    distinct terms that are rotations of one cycle, and otherwise stores it
+    as given, so every QP is valid and no consumer checks again.  Every QP
+    `premutate_qp`, `split_qp` and `mutate_qp` return holds its potential in
+    cyclic normal form.
     """
 
     def __init__(self, quiver, potential, order=None):
@@ -41,6 +40,20 @@ class QP:
             raise QPError("potential does not live over this quiver at this order")
         if not is_cyclic_element(potential):
             raise QPError("potential has a non-cyclic term")
+        # each term's least rotation, taken on the arrow tuple: every QP built
+        # runs this, and `least_rotation` would build a Path per term
+        first = {}
+        problems = []
+        for p in potential.terms:
+            arrows = p.arrows
+            rep = min(arrows[i:] + arrows[:i] for i in range(len(arrows)))
+            if rep in first:
+                problems.append("cyclically equivalent distinct terms %r and %r"
+                                % (first[rep], arrows))
+            else:
+                first[rep] = arrows
+        if problems:
+            raise QPError("invalid QP: " + "; ".join(problems))
         self.quiver = quiver
         self.potential = potential
         self.order = int(order)
@@ -76,6 +89,9 @@ class QP:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("truncation:"):
+                if order is not None:
+                    raise QPError("bad truncation line %d: %r (repeated truncation line)"
+                                  % (lineno, raw))
                 try:
                     order = int(line.split(":", 1)[1])
                 except ValueError as exc:
@@ -95,32 +111,6 @@ class QP:
         return QP(quiver, potential, order)
 
 
-def _normal_potential(qp):
-    """The potential in cyclic normal form, and the problems that make it invalid.
-
-    Each term is rotated to its least rotation once and merged onto it; two
-    distinct stored terms with one least rotation are a problem.
-    """
-    problems = []
-    first = {}
-    terms = {}
-    for p, c in qp.potential.terms.items():
-        rep = least_rotation(p)
-        if rep in first:
-            problems.append("cyclically equivalent distinct terms %r and %r"
-                            % (first[rep].arrows, p.arrows))
-            terms[rep] += c
-        else:
-            first[rep] = p
-            terms[rep] = c
-    return AlgebraElement(qp.quiver, qp.order, terms, check=False), problems
-
-
-def validate_qp(qp):
-    """Diagnostics list; empty means the pair is a valid QP."""
-    return _normal_potential(qp)[1]
-
-
 def _rotate_away_from(quiver, arrows, k):
     """Least rotation of the cyclic word that does not begin at vertex k."""
     cands = [arrows[i:] + arrows[:i] for i in range(len(arrows))
@@ -137,16 +127,11 @@ def premutate_qp(qp, k):
     inside it is replaced by the composite arrow [a.b], and the sum of
     b* a* [a.b] over all k-hooks of the quiver is added.
     """
-    potential, problems = _normal_potential(qp)
-    if problems:
-        raise QPError("invalid QP: " + "; ".join(problems))
     q = qp.quiver
-    if k not in q.vertices:
-        raise QPError("unknown vertex %r" % k)
-    new_quiver = premutate_quiver(q, k)  # also rejects 2-cycles at k
+    new_quiver = premutate_quiver(q, k)  # rejects an unknown vertex and 2-cycles at k
 
     terms = {}
-    for p, c in potential.terms.items():
+    for p, c in qp.potential.terms.items():
         arrows = _rotate_away_from(q, p.arrows, k)
         word = []
         i = 0
@@ -300,10 +285,7 @@ def split_qp(qp):
     keeps the substitutions; its witness, their composite, is composed on
     first access.
     """
-    s, problems = _normal_potential(qp)
-    if problems:
-        raise QPError("invalid QP: " + "; ".join(problems))
-    s, phi0, pairs = _normalize_pairing(s)
+    s, phi0, pairs = _normalize_pairing(cyclic_normal_form(qp.potential))
     steps = [phi0]
     order = qp.order
     quiver = qp.quiver

@@ -135,21 +135,40 @@ class Quiver:
 
     @staticmethod
     def from_text(text):
-        """Parse `to_text` output; a bad line raises QuiverError naming it."""
-        vertices = []
-        arrows = []
+        """Parse `to_text` output; a bad line raises QuiverError naming it.
+
+        A repeated id, a loop and an undeclared endpoint name their line too;
+        endpoints are checked once every vertex line is read.
+        """
+        def bad(lineno, raw, why=None):
+            return QuiverError("bad quiver line %d: %r%s"
+                               % (lineno, raw, " (%s)" % why if why else ""))
+
+        vertices = set()
+        arrows = {}  # name -> (line number, line, arrow)
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if parts[0] == "v" and len(parts) == 2:
-                vertices.append(parts[1])
+                if parts[1] in vertices:
+                    raise bad(lineno, raw, "repeated vertex id %r" % parts[1])
+                vertices.add(parts[1])
             elif parts[0] == "a" and len(parts) == 4:
-                arrows.append(Arrow(parts[1], parts[2], parts[3]))
+                a = Arrow(parts[1], parts[2], parts[3])
+                if a.name in arrows:
+                    raise bad(lineno, raw, "repeated arrow id %r" % a.name)
+                if a.tail == a.head:
+                    raise bad(lineno, raw, "arrow %r is a loop" % a.name)
+                arrows[a.name] = (lineno, raw, a)
             else:
-                raise QuiverError("bad quiver line %d: %r" % (lineno, raw))
-        return Quiver(vertices, arrows)
+                raise bad(lineno, raw)
+        for lineno, raw, a in arrows.values():
+            for end in (a.tail, a.head):
+                if end not in vertices:
+                    raise bad(lineno, raw, "arrow %r has undeclared endpoint %r" % (a.name, end))
+        return Quiver(vertices, [a for _, _, a in arrows.values()])
 
 
 class IntegerMatrix:

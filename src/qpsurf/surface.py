@@ -123,6 +123,11 @@ def _options(tokens, keys):
     return opts
 
 
+def _bad_line(kind, lineno, raw, exc):
+    return SurfaceError("bad %s line %d: %r (%s: %s)"
+                        % (kind, lineno, raw, type(exc).__name__, exc))
+
+
 class Triangulation:
     def __init__(self, surface, sides, triangles):
         self.surface = surface
@@ -181,8 +186,8 @@ class Triangulation:
         locations = {}
         scalars = dict(scalar_overrides or {})
         explicit = {}
-        sides = []
-        triangles = []
+        sides = {}
+        triangles = []  # (lineno, raw, sides), checked once every side is known
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -209,31 +214,38 @@ class Triangulation:
                         _options(parts[3:], ())
                         locations[name] = int(parts[2].split("=", 1)[1])
                     else:
-                        raise SurfaceError("bad marked line: %r" % raw)
-                elif kind == "bseg":
-                    opts = _options(parts[4:], ("on",))
-                    sides.append(Side(parts[1], "bseg", (parts[2], parts[3]), int(opts["on"])))
-                elif kind == "arc":
-                    _options(parts[4:], ())
-                    sides.append(Side(parts[1], "arc", (parts[2], parts[3])))
+                        raise ValueError("unexpected %r" % parts[2])
+                elif kind in ("bseg", "arc"):
+                    if kind == "bseg":
+                        opts = _options(parts[4:], ("on",))
+                        side = Side(parts[1], kind, (parts[2], parts[3]), int(opts["on"]))
+                    else:
+                        _options(parts[4:], ())
+                        side = Side(parts[1], kind, (parts[2], parts[3]))
+                    if side.name in sides:
+                        raise ValueError("repeated side id %r" % side.name)
+                    sides[side.name] = side
                 elif kind == "tri":
+                    if len(parts) < 4:
+                        raise ValueError("a triangle has three sides")
                     _options(parts[4:], ())
-                    triangles.append(tuple(parts[1:4]))
+                    triangles.append((lineno, raw, tuple(parts[1:4])))
                 else:
-                    raise SurfaceError("bad triangulation line: %r" % raw)
-            except SurfaceError:
-                raise
+                    raise ValueError("unknown line kind %r" % kind)
             except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
-                raise SurfaceError("bad %s line %d: %r (%s: %s)"
-                                   % (kind, lineno, raw, type(exc).__name__, exc)) from exc
+                raise _bad_line(kind, lineno, raw, exc) from exc
         if genus is None:
             raise SurfaceError("missing surface header")
         for name in scalars:
             if locations.get(name, 0) is not None:
                 raise SurfaceError("scalar override %r is not a puncture" % name)
+        for lineno, raw, triangle in triangles:
+            for side in triangle:
+                if side not in sides:
+                    raise _bad_line("tri", lineno, raw, ValueError("unknown side %r" % side))
         explicit.update(scalars)
         surface = MarkedSurface(genus, boundary, locations, explicit)
-        return Triangulation(surface, sides, triangles)
+        return Triangulation(surface, sides.values(), [t for _, _, t in triangles])
 
 
 class Analysis:

@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "potential_assembly", "premutate_qp", "premutate_quiver", "qp", "qp_of_triangulation",
     "quiver", "quiver_from_matrix", "restrict_qp", "signed_adjacency", "split_qp",
     "substitution_is_isomorphism", "surface", "truncated_quotient_dim", "unreduced_potential",
-    "unreduced_quiver", "validate_qp", "validate_triangulation", "verify", "vertex_path",
+    "unreduced_quiver", "validate_triangulation", "verify", "vertex_path",
 ]
 
 # Runs after a bare `import qpsurf`; prints what the test compares.

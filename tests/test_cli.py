@@ -201,10 +201,21 @@ PENTAGON = example_text("pentagon")  # 16 lines
      "bad bseg line 7: 'bseg AB A B on=0 on=1' (ValueError: unexpected 'on=1')"),
     ("surface genus=0 boundary=1\nmarked p puncture scale=2\n",
      "bad marked line 2: 'marked p puncture scale=2' (ValueError: unexpected 'scale=2')"),
+    (PENTAGON + "marked X foo\n",
+     "bad marked line 17: 'marked X foo' (ValueError: unexpected 'foo')"),
+    (PENTAGON + "frob 1 2\n",
+     "bad frob line 17: 'frob 1 2' (ValueError: unknown line kind 'frob')"),
+    (PENTAGON + "tri 1 2\n",
+     "bad tri line 17: 'tri 1 2' (ValueError: a triangle has three sides)"),
+    (PENTAGON + "arc AB A C\n",
+     "bad arc line 17: 'arc AB A C' (ValueError: repeated side id 'AB')"),
+    (PENTAGON + "tri 1 X 2\n",
+     "bad tri line 17: 'tri 1 X 2' (ValueError: unknown side 'X')"),
 ], ids=["marked-without-kind", "surface-without-boundary", "zero-denominator-scalar",
         "short-bseg", "repeated-marked", "repeated-surface", "extra-arc-token",
         "extra-tri-token", "extra-marked-option", "repeated-bseg-option",
-        "unknown-puncture-option"])
+        "unknown-puncture-option", "unknown-marked-kind", "unknown-line-kind", "short-tri",
+        "repeated-side-id", "unknown-tri-side"])
 def test_malformed_triangulation_exits_two_without_traceback(tmp_path, text, bad_line):
     path = tmp_path / "bad.tri"
     path.write_text(text, encoding="utf-8")
@@ -241,8 +252,16 @@ potential:
     ("truncation: 6", "truncation:", "line 1"),
     ("v 1\n", "v\n", "line 2"),
     ("a a 3 1", "a x 1", "line 5"),
+    ("truncation: 6", "truncation: 3\ntruncation: 9",
+     "bad truncation line 2: 'truncation: 9' (repeated truncation line)"),
+    ("v 2\n", "v 1\n", "bad quiver line 3: 'v 1' (repeated vertex id '1')"),
+    ("a b 2 3", "a a 2 3", "bad quiver line 6: 'a a 2 3' (repeated arrow id 'a')"),
+    ("a c 1 2", "a c 1 9",
+     "bad quiver line 7: 'a c 1 9' (arrow 'c' has undeclared endpoint '9')"),
+    ("a c 1 2", "a c 1 1", "bad quiver line 7: 'a c 1 1' (arrow 'c' is a loop)"),
 ], ids=["zero-denominator-coefficient", "non-integer-truncation", "empty-truncation",
-        "vertex-without-id", "short-arrow"])
+        "vertex-without-id", "short-arrow", "repeated-truncation", "repeated-vertex",
+        "repeated-arrow", "undeclared-endpoint", "loop-arrow"])
 def test_malformed_qp_exits_two_without_traceback(tmp_path, old, new, bad_line):
     path = tmp_path / "bad.qp"
     path.write_text(TRIANGLE_QP.replace(old, new), encoding="utf-8")
@@ -266,12 +285,18 @@ def test_out_of_range_arguments_exit_two_without_traceback(tmp_path, argv, messa
     assert_input_error([argv[0], str(path)] + argv[1:], message)
 
 
-@pytest.mark.parametrize("command", ["mutate", "dim"])
-def test_rotations_of_one_cycle_exit_two_without_traceback(tmp_path, command):
+@pytest.mark.parametrize("command, args", [
+    (["mutate"], ["2"]),
+    (["dim"], []),
+    (["rigid"], []),
+    (["check", "involution"], ["2"]),
+    (["explore"], ["--depth", "0"]),
+], ids=["mutate", "dim", "rigid", "check-involution", "explore-depth-0"])
+def test_rotations_of_one_cycle_exit_two_without_traceback(tmp_path, command, args):
     path = tmp_path / "rotated.qp"
     path.write_text(TRIANGLE_QP + "1/1 b c a\n", encoding="utf-8")
-    argv = [command, str(path)] + (["2"] if command == "mutate" else [])
-    assert_input_error(argv, "error: invalid QP: cyclically equivalent distinct terms")
+    assert_input_error(command + [str(path)] + args,
+                       "error: invalid QP: cyclically equivalent distinct terms")
 
 
 def test_output_closed_early_exits_two_without_traceback():

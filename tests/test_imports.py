@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private function, class and method is used somewhere in the package.
 
 Reads the sources with `ast` and imports no qpsurf module, so a deletion that
-leaves an import behind fails here whatever else the suite loads.
+leaves an import or a helper behind fails here whatever else the suite loads.
 """
 
 import ast
@@ -26,6 +27,45 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def referenced_name(node):
+    """The name a bare-name or attribute node refers to, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unreferenced_privates(sources):
+    """(module, line, name) of each `_name` def that no code outside it refers to.
+
+    Covers module-level functions and classes and the methods of module-level
+    classes; dunder names are exempt.  A reference is a bare name or an
+    attribute, anywhere in `sources` (module name -> source) except inside
+    the def itself, so recursion alone does not count.
+    """
+    defs = []
+    refs = {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            name = referenced_name(node)
+            if name:
+                refs[name] = refs.get(name, 0) + 1
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node] + members:
+                if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                        and d.name.startswith("_") and not d.name.endswith("__")):
+                    defs.append((module, d))
+    out = []
+    for module, d in defs:
+        inside = sum(1 for node in ast.walk(d) if referenced_name(node) == d.name)
+        if refs.get(d.name, 0) == inside:
+            out.append((module, d.lineno, d.name))
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -34,3 +74,19 @@ def test_every_imported_name_is_used(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom sys import argv, path as p\nprint(argv)\n"
     assert unused_imports(source) == [(1, "os"), (2, "p")]
+
+
+def test_every_private_helper_is_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_privates(sources) == []
+
+
+def test_unreferenced_private_is_reported():
+    sources = {
+        "a": "def _used():\n    pass\n\n\ndef _dead(n):\n    return _dead(n - 1)\n\n\n"
+             "class _Dead:\n    pass\n\n\nclass C:\n    def _m(self):\n        pass\n\n"
+             "    def __init__(self):\n        pass\n",
+        "b": "from a import _used\n_used()\n",
+    }
+    assert unreferenced_privates(sources) == [("a", 5, "_dead"), ("a", 9, "_Dead"),
+                                              ("a", 14, "_m")]

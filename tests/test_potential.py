@@ -5,7 +5,7 @@ import pytest
 from qpsurf.algebra import AlgebraElement, cyclic_normal_form, cyclically_equivalent
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.potential import PotentialBuildWarning, qp_of_triangulation, unreduced_potential
-from qpsurf.qp import QP, validate_qp
+from qpsurf.qp import QP
 from qpsurf.quiver import quiver_from_matrix
 from qpsurf.surface import SurfaceError, Triangulation, flip, signed_adjacency, unreduced_quiver
 
@@ -133,8 +133,7 @@ def test_potential_is_a_valid_qp_over_corpus():
     for name in CORPUS:
         tri = load(name)
         pot = unreduced_potential(tri, 6)
-        qp = QP(pot.quiver, pot, 6)
-        assert validate_qp(qp) == [], name
+        QP(pot.quiver, pot, 6)  # refuses an invalid potential
 
 
 def test_assembly_term_bounds_over_corpus():

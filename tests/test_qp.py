@@ -24,7 +24,6 @@ from qpsurf.qp import (
     quiver_mutation_matches,
     restrict_qp,
     split_qp,
-    validate_qp,
 )
 from qpsurf.quiver import Arrow, Quiver
 from qpsurf.surface import Triangulation
@@ -42,15 +41,17 @@ def cycle_quiver():
 
 def test_validate_qp_accepts_triangle():
     q = cycle_quiver()
-    assert validate_qp(QP(q, word(q, 6, "a", "b", "c"))) == []
-    assert validate_qp(QP(q, AlgebraElement.zero(q, 6))) == []
+    qp = QP(q, word(q, 6, "a", "b", "c"))
+    assert qp.potential == word(q, 6, "a", "b", "c")
+    assert QP(q, AlgebraElement.zero(q, 6)).potential.is_zero()
 
 
 def test_validate_qp_rejects_cyclically_equivalent_terms():
     q = cycle_quiver()
     bad = 2 * word(q, 6, "a", "b", "c") - 3 * word(q, 6, "b", "c", "a")
-    problems = validate_qp(QP(q, bad))
-    assert problems and "cyclically equivalent" in problems[0]
+    with pytest.raises(QPError, match="^invalid QP: cyclically equivalent distinct terms "
+                       r"\('a', 'b', 'c'\) and \('b', 'c', 'a'\)$"):
+        QP(q, bad)
 
 
 @pytest.mark.parametrize("call", [
@@ -60,10 +61,10 @@ def test_validate_qp_rejects_cyclically_equivalent_terms():
     lambda qp: mutate_qp(qp, "2"),
 ], ids=["premutate", "premutate-unknown-vertex", "split", "mutate"])
 def test_rotations_of_one_cycle_are_refused(call):
+    # the QP refuses itself, so no consumer is ever handed one
     q = cycle_quiver()
-    qp = QP(q, word(q, 6, "a", "b", "c") + word(q, 6, "b", "c", "a"))
     with pytest.raises(QPError, match="^invalid QP: cyclically equivalent distinct terms"):
-        call(qp)
+        call(QP(q, word(q, 6, "a", "b", "c") + word(q, 6, "b", "c", "a")))
 
 
 def test_premutate_abc_at_2():
