@@ -100,10 +100,9 @@ def path_is_cycle(quiver, p):
     return len(p) >= 1 and path_head(quiver, p) == path_tail(quiver, p)
 
 
-def least_rotation(p):
-    """Lexicographically least rotation of a cyclic word."""
-    a = p.arrows
-    return Path(min(a[k:] + a[:k] for k in range(len(a))))
+def least_rotation(arrows):
+    """Lexicographically least rotation of a cyclic arrow tuple."""
+    return min(arrows[k:] + arrows[:k] for k in range(len(arrows)))
 
 
 def term_sort_key(p):
@@ -301,7 +300,7 @@ def cyclic_normal_form(x):
         raise AlgebraError("element has a non-cyclic or degree-0 term")
     terms = {}
     for p, c in x.terms.items():
-        r = least_rotation(p)
+        r = Path(least_rotation(p.arrows))
         terms[r] = terms.get(r, Fraction(0)) + c
     return AlgebraElement(x.quiver, x.order, terms, check=False)
 

@@ -233,7 +233,7 @@ def build_parser():
     qp_arg(p)
     order_arg(p)
     p.add_argument("--stabilize", action="store_true",
-                   help="raise the order until the certificate fires")
+                   help="end the table one degree after the certificate")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("rigid", help="rigidity check up to an order")

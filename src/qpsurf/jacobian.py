@@ -46,10 +46,11 @@ def jacobian_generators(qp):
 
 
 def _integer_generators(qp):
-    """(arrow, terms) for each nonzero d_a W, scaled by its common denominator.
+    """(arrow, terms, gmin) for each nonzero d_a W, scaled by its common denominator.
 
-    Terms are (arrow tuple, int) pairs, shortest first.  Scaling a generator
-    leaves the ideal unchanged, and it makes every row built from it integer.
+    Terms are (arrow tuple, int) pairs, shortest first, and gmin is the
+    length of the shortest.  Scaling a generator leaves the ideal unchanged,
+    and it makes every row built from it integer.
     """
     out = []
     for a, gen in zip(qp.quiver.arrows, jacobian_generators(qp)):
@@ -58,40 +59,8 @@ def _integer_generators(qp):
         den = lcm(*(c.denominator for c in gen.terms.values()))
         terms = sorted(((p.arrows, int(c * den)) for p, c in gen.terms.items()),
                        key=lambda tc: len(tc[0]))
-        out.append((a, terms))
+        out.append((a, terms, len(terms[0][0])))
     return out
-
-
-def _ideal_echelon(qp, order):
-    """Echelon form of the derivative ideal within degree `order`.
-
-    Columns are the paths of length <= order numbered in the order of
-    `paths_by_length`, shortest first.  The spanning rows u * d_a W * s, for
-    paths u and s, are built straight from arrow words: every term of d_a W
-    runs from h(a) to t(a), so u ranges over the paths with tail t(a) and s
-    over the paths with head h(a); both lists are shortest first, so each loop
-    stops at the first path too long for a term to fit.  Returns the
-    eliminator and the path levels.
-    """
-    levels = paths_by_length(qp.quiver, order)
-    index = {}
-    by_tail, by_head = {}, {}
-    for col, (w, tail, head) in enumerate(p for level in levels for p in level):
-        index[w] = col
-        by_tail.setdefault(tail, []).append(w)
-        by_head.setdefault(head, []).append(w)
-    elim = SparseEliminator()
-    for a, terms in _integer_generators(qp):
-        gmin = len(terms[0][0])
-        for u in by_tail[a.tail]:
-            if len(u) + gmin > order:
-                break
-            for s in by_head[a.head]:
-                room = order - len(u) - len(s)
-                if room < gmin:
-                    break
-                elim.add_row({index[u + t + s]: c for t, c in terms if len(t) <= room})
-    return elim, levels
 
 
 class DimensionReport(Record):
@@ -130,38 +99,54 @@ def truncated_quotient_dim(qp, order):
     of length d and d+1 all lie in the span; from there on every longer path
     does too, so the quotient dimension has stabilised.
 
-    One echelon pass over the ideal rows at `order` serves every degree.
-    Columns run through the paths shortest first, so the paths of length
-    <= d are an initial segment of the columns, and cutting the ideal down to
-    degree d projects its span onto that segment.  The echelon basis rows
-    with least column in the segment project to a basis of that projection
-    and the others project to zero, so rank_d is the number of pivots of
-    length <= d.  The paths of length d lie in the degree-d span exactly when
-    the span grows by their number from degree d - 1 to d, that is when
-    every path of length d is a pivot column; that is `absorbed[d]`.
+    Columns run through the paths shortest first, so cutting the ideal down
+    to degree d projects its span onto an initial segment of the columns,
+    and rank_d is the number of echelon pivots of length <= d.  The paths of
+    length d lie in the degree-d span exactly when every one of them is a
+    pivot column; that is `absorbed[d]`.
+
+    One pass feeds the rows u * d_a W * s, cut at `order`, in order of their
+    least degree |u| + gmin(a) + |s|.  Reduction never moves a row's pivot
+    below its least degree, so once the rows of least degree <= d are in,
+    the pivots of length <= d are final.  The pass stops at the certificate
+    and fills every higher degree by counting, with a pivot for each of its
+    paths.  That is exact: if every path q of length c lies in the span plus
+    longer paths, so does every q * r, since a row times a path r is again
+    a row, up to terms longer than `order`.
     """
     _require_order(qp, order)
-    elim, levels = _ideal_echelon(qp, order)
-    level_of = [d for d, level in enumerate(levels) for _ in level]
-    pivots = [0] * (order + 1)
-    for col in elim.basis:
-        pivots[level_of[col]] += 1
-
+    levels = paths_by_length(qp.quiver, order)
+    index = {}
+    by_tail, by_head = {}, {}
+    for col, (w, tail, head) in enumerate(p for level in levels for p in level):
+        index[w] = col
+        by_tail.setdefault((tail, len(w)), []).append(w)
+        by_head.setdefault((head, len(w)), []).append(w)
     counts = [len(level) for level in levels]
     path_counts = list(accumulate(counts))
+    generators = _integer_generators(qp)
+
+    elim = SparseEliminator()
+    pivots = [0] * (order + 1)
+    certified_order = None
+    for d in range(1, order + 1):
+        for a, terms, gmin in generators:
+            room = order - d + gmin
+            for lu in range(d - gmin + 1):
+                for u in by_tail.get((a.tail, lu), ()):
+                    for s in by_head.get((a.head, d - gmin - lu), ()):
+                        elim.add_row({index[u + t + s]: c for t, c in terms if len(t) <= room})
+        pivots[d] = sum(map(elim.basis.__contains__, range(path_counts[d - 1], path_counts[d])))
+        if d >= 2 and pivots[d - 1] == counts[d - 1] and pivots[d] == counts[d]:
+            certified_order = d - 1
+            pivots[d + 1:] = counts[d + 1:]
+            break
+
     ranks = list(accumulate(pivots))
     dims = [n - r for n, r in zip(path_counts, ranks)]
     absorbed = [False] + [pivots[d] == counts[d] for d in range(1, order + 1)]
-
-    certified = False
-    certified_order = None
-    for d in range(1, order):
-        if absorbed[d] and absorbed[d + 1]:
-            certified = True
-            certified_order = d
-            break
     return DimensionReport(order=order, dims=dims, path_counts=path_counts,
-                           ranks=ranks, certified=certified,
+                           ranks=ranks, certified=certified_order is not None,
                            certified_order=certified_order, absorbed=absorbed)
 
 
@@ -210,8 +195,7 @@ def is_rigid_up_to(qp, order):
                 reps.append(min(rots))
 
     elim = SparseEliminator()
-    for a, terms in _integer_generators(qp):
-        gmin = len(terms[0][0])
+    for a, terms, gmin in _integer_generators(qp):
         for w in around.get((a.tail, a.head), ()):
             room = order - len(w)
             if room < gmin:
@@ -231,10 +215,16 @@ def is_rigid_up_to(qp, order):
 
 
 def finite_dim_evidence(qp, dmax):
-    """Increasing-order dimension reports until stabilisation is certified."""
-    _require_order(qp, dmax)
-    for d in range(min(2, dmax), dmax + 1):
-        report = truncated_quotient_dim(qp, d)
-        if report.certified:
-            break
-    return report
+    """The dimension report at the least order whose certificate fires.
+
+    That order is certified_order + 1 of the report at `dmax`; with no
+    certificate up to `dmax` it is the report at `dmax`.  Cutting the ideal
+    down to a lower order projects its span onto the shorter paths, so the
+    report at order c + 1 is the first c + 2 degrees of the report at `dmax`.
+    """
+    report = truncated_quotient_dim(qp, dmax)
+    if not report.certified:
+        return report
+    c = report.certified_order
+    return DimensionReport(c + 1, report.dims[:c + 2], report.path_counts[:c + 2],
+                           report.ranks[:c + 2], True, c, report.absorbed[:c + 2])

@@ -12,15 +12,19 @@ from .algebra import (
     compose_substitutions,
     cyclic_derivative,
     cyclic_normal_form,
-    is_cyclic_element,
     least_rotation,
+    path_is_cycle,
 )
 from .quiver import Quiver, Record, hook_name, mutate_quiver, premutate_quiver
 from . import linalg
 
 
 class QPError(ValueError):
-    pass
+    """A refused QP; `terms` holds the potential's terms that the message names."""
+
+    def __init__(self, message, terms=()):
+        super().__init__(message)
+        self.terms = terms
 
 
 class QP:
@@ -38,22 +42,19 @@ class QP:
             order = potential.order
         if potential.quiver != quiver or potential.order != order:
             raise QPError("potential does not live over this quiver at this order")
-        if not is_cyclic_element(potential):
-            raise QPError("potential has a non-cyclic term")
-        # each term's least rotation, taken on the arrow tuple: every QP built
-        # runs this, and `least_rotation` would build a Path per term
         first = {}
-        problems = []
+        pairs = []
         for p in potential.terms:
-            arrows = p.arrows
-            rep = min(arrows[i:] + arrows[:i] for i in range(len(arrows)))
-            if rep in first:
-                problems.append("cyclically equivalent distinct terms %r and %r"
-                                % (first[rep], arrows))
-            else:
-                first[rep] = arrows
-        if problems:
-            raise QPError("invalid QP: " + "; ".join(problems))
+            if not path_is_cycle(quiver, p):
+                raise QPError("potential has a non-cyclic term %r"
+                              % (p.arrows or "e:" + p.vertex,), [p])
+            q = first.setdefault(least_rotation(p.arrows), p)
+            if q is not p:
+                pairs.append((q, p))
+        if pairs:
+            raise QPError("invalid QP: " + "; ".join(
+                "cyclically equivalent distinct terms %r and %r" % (q.arrows, p.arrows)
+                for q, p in pairs), [t for pair in pairs for t in pair])
         self.quiver = quiver
         self.potential = potential
         self.order = int(order)
@@ -108,7 +109,14 @@ class QP:
             raise QPError("missing 'truncation:' header")
         quiver = Quiver.from_text("\n".join(quiver_lines))
         potential = AlgebraElement.from_text(quiver, order, "\n".join(potential_lines))
-        return QP(quiver, potential, order)
+        try:
+            return QP(quiver, potential, order)
+        except QPError as exc:
+            # each line parses alone, so its term can be matched to the ones named
+            lines = [str(n) for n, line in enumerate(potential_lines, 1) if line and not
+                     AlgebraElement.from_text(quiver, order, line).terms.keys().isdisjoint(exc.terms)]
+            raise QPError("%s (line%s %s)" % (exc, "s" if len(lines) > 1 else "",
+                                              ", ".join(lines)), exc.terms) from exc
 
 
 def _rotate_away_from(quiver, arrows, k):
@@ -189,7 +197,7 @@ class SplitResult(Record):
 
 
 def _two_cycle_rep(x_name, y_name):
-    return least_rotation(arrow_path(x_name, y_name))
+    return Path(least_rotation((x_name, y_name)))
 
 
 def _normalize_pairing(s):

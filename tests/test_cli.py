@@ -179,6 +179,26 @@ def test_explore_text_is_pinned(tmp_path, monkeypatch, name):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPLORE_DEPTH_3[name]
 
 
+def test_explore_reports_fail_on_a_non_two_acyclic_node(monkeypatch):
+    # an oriented triangle with zero potential: mutating it at any vertex
+    # leaves a 2-cycle that no potential term cancels
+    qp_text = ("truncation: 4\nv 1\nv 2\nv 3\n"
+               "a a 1 2\na b 2 3\na c 3 1\npotential:\n")
+    code, text = run(["explore", "-", "--depth", "2", "--order", "4"],
+                     stdin_text=qp_text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert text == (
+        "check explore (dacdcf38b16e): FAIL\n"
+        "  all-2-acyclic: FAIL (non-2-acyclic nodes: ['4e09e5c1fc44'])\n"
+        "  nodes: ok\n"
+        "  edges: ok\n"
+        "node 4e09e5c1fc44 ((0, -1, 0), (1, 0, -1), (0, 1, 0))\n"
+        "node 77ede555251c ((0, -1, 1), (1, 0, -1), (-1, 1, 0))\n"
+        "77ede555251c --1--> 4e09e5c1fc44\n"
+        "77ede555251c --2--> 4e09e5c1fc44\n"
+        "77ede555251c --3--> 4e09e5c1fc44\n")
+
+
 PENTAGON = example_text("pentagon")  # 16 lines
 
 
@@ -259,9 +279,15 @@ potential:
     ("a c 1 2", "a c 1 9",
      "bad quiver line 7: 'a c 1 9' (arrow 'c' has undeclared endpoint '9')"),
     ("a c 1 2", "a c 1 1", "bad quiver line 7: 'a c 1 1' (arrow 'c' is a loop)"),
+    ("1/1 a b c", "1/1 a b",
+     "error: potential has a non-cyclic term ('a', 'b') (line 9)\n"),
+    ("1/1 a b c", "1/1 a b c\n# a rotation\n2/1 c a b",
+     "error: invalid QP: cyclically equivalent distinct terms ('a', 'b', 'c') and "
+     "('c', 'a', 'b') (lines 9, 11)\n"),
 ], ids=["zero-denominator-coefficient", "non-integer-truncation", "empty-truncation",
         "vertex-without-id", "short-arrow", "repeated-truncation", "repeated-vertex",
-        "repeated-arrow", "undeclared-endpoint", "loop-arrow"])
+        "repeated-arrow", "undeclared-endpoint", "loop-arrow", "non-cyclic-term",
+        "rotated-duplicate-terms"])
 def test_malformed_qp_exits_two_without_traceback(tmp_path, old, new, bad_line):
     path = tmp_path / "bad.qp"
     path.write_text(TRIANGLE_QP.replace(old, new), encoding="utf-8")

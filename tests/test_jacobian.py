@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from oracles import oracle_dims, oracle_is_rigid, oracle_paths
@@ -89,11 +90,27 @@ def test_pentagon_dimension_three():
     assert rep.dimension == 3
 
 
+def assert_dims_match_oracle(qp, order, label):
+    rep = truncated_quotient_dim(qp, order)
+    assert rep.dims == oracle_dims(qp, order), label
+    counts = [len(qp.quiver.vertices)] + [len(oracle_paths(qp.quiver, d))
+                                          for d in range(1, order + 1)]
+    assert rep.path_counts == list(accumulate(counts)), label
+    return rep
+
+
 def test_dims_match_brute_force_oracle():
     for name in ("pentagon", "hexagon-central", "annulus", "punctured-square-2"):
-        qp = load_qp(name)
-        rep = truncated_quotient_dim(qp, 5)
-        assert rep.dims == oracle_dims(qp, 5), name
+        assert_dims_match_oracle(load_qp(name), 5, name)
+    # the degrees above certified_order + 1 are filled by counting, not
+    # eliminated, so the random inputs must reach well past the certificate
+    rng = random.Random(2008)
+    filled = 0
+    for i in range(40):
+        order = rng.randrange(3, 7)
+        rep = assert_dims_match_oracle(random_small_qp(rng, order), order, i)
+        filled += rep.certified and rep.certified_order <= order - 2
+    assert filled >= 10
 
 
 def test_torus_dims_match_oracle_smaller_order():
@@ -266,6 +283,24 @@ def test_jacobian_text_pinned_on_corpus_and_mutations():
                 h.update(is_rigid_up_to(q, order).to_text().encode())
                 h.update(finite_dim_evidence(q, order).to_text().encode())
     assert h.hexdigest() == JACOBIAN_TEXT_SHA256
+
+
+# sha256 of the dim and dim --stabilize text at every order 1-9 of the corpus
+# QPs built at order 9 and their one-step mutations, recorded before the
+# Jacobian pass stopped at its certificate
+JACOBIAN_ORDERS_SHA256 = "04596af089b984066137d28ddd33a3976afb08099b759b10186ec8034fa7b5b9"
+
+
+def test_dim_text_pinned_at_every_order_to_nine():
+    h = hashlib.sha256()
+    for name in CORPUS:
+        qp = load_qp(name, 9)
+        for k, q in [(None, qp)] + [(k, mutate_qp(qp, k)) for k in qp.quiver.vertices]:
+            for order in range(1, 10):
+                h.update(("%s %s %d\n" % (name, k, order)).encode())
+                h.update(truncated_quotient_dim(q, order).to_text().encode())
+                h.update(finite_dim_evidence(q, order).to_text().encode())
+    assert h.hexdigest() == JACOBIAN_ORDERS_SHA256
 
 
 def test_unpunctured_corpus_certified_by_ten():

@@ -54,6 +54,17 @@ def test_validate_qp_rejects_cyclically_equivalent_terms():
         QP(q, bad)
 
 
+@pytest.mark.parametrize("term, name", [
+    (("a", "b"), r"\('a', 'b'\)"),
+    (("e:2",), "'e:2'"),
+], ids=["open-path", "vertex"])
+def test_validate_qp_names_a_non_cyclic_term(term, name):
+    q = cycle_quiver()
+    bad = word(q, 6, "a", "b", "c") + AlgebraElement.from_text(q, 6, "1/1 " + " ".join(term))
+    with pytest.raises(QPError, match="^potential has a non-cyclic term %s$" % name):
+        QP(q, bad)
+
+
 @pytest.mark.parametrize("call", [
     lambda qp: premutate_qp(qp, "2"),
     lambda qp: premutate_qp(qp, "no-such-vertex"),
