@@ -24,14 +24,13 @@ def _require_order(qp, order):
 def paths_by_length(quiver, max_len):
     """Paths of each length 0..max_len as (arrow tuple, tail, head) triples.
 
-    Level 0 holds the empty word of each vertex, level 1 the arrows sorted by
-    name, and each further level extends the words of the level before it on
-    the right by the arrows in `quiver.arrows` order.
+    Level 0 holds the empty word of each vertex, level 1 the arrows, and each
+    further level extends the words of the level before it on the right; the
+    arrows go in `quiver.arrows` order, which is by name.
     """
     levels = [[((), v, v) for v in quiver.vertices]]
     if max_len >= 1:
-        levels.append([((a.name,), a.tail, a.head)
-                       for a in sorted(quiver.arrows, key=lambda a: a.name)])
+        levels.append([((a.name,), a.tail, a.head) for a in quiver.arrows])
     into = {v: [] for v in quiver.vertices}
     for a in quiver.arrows:
         into[a.head].append(((a.name,), a.tail))
@@ -95,24 +94,24 @@ def truncated_quotient_dim(qp, order):
     """Per-degree dimensions of the quotient by the derivative ideal.
 
     dim_d is the dimension of (paths of length <= d) modulo the ideal span
-    and all longer paths.  The certificate fires at the first d whose paths
-    of length d and d+1 all lie in the span; from there on every longer path
-    does too, so the quotient dimension has stabilised.
+    and all longer paths.  Columns run through the paths shortest first, so
+    cutting the ideal down to degree d projects its span onto an initial
+    segment of the columns, and rank_d is the number of echelon pivots of
+    length <= d.  The paths of length d lie in the span plus longer paths
+    exactly when every one of them is a pivot column; that is `absorbed[d]`.
 
-    Columns run through the paths shortest first, so cutting the ideal down
-    to degree d projects its span onto an initial segment of the columns,
-    and rank_d is the number of echelon pivots of length <= d.  The paths of
-    length d lie in the degree-d span exactly when every one of them is a
-    pivot column; that is `absorbed[d]`.
+    The certificate fires at the first absorbed d < order, and every longer
+    path is absorbed too: a path of length c + 1 is q * r for an arrow r and
+    a path q that is a sum of rows u * d_a W * s plus longer paths, and the
+    cut of that row times r is the cut of the row u * d_a W * (s * r).  The
+    top degree alone certifies nothing, as no column extends it.
 
     One pass feeds the rows u * d_a W * s, cut at `order`, in order of their
     least degree |u| + gmin(a) + |s|.  Reduction never moves a row's pivot
     below its least degree, so once the rows of least degree <= d are in,
     the pivots of length <= d are final.  The pass stops at the certificate
     and fills every higher degree by counting, with a pivot for each of its
-    paths.  That is exact: if every path q of length c lies in the span plus
-    longer paths, so does every q * r, since a row times a path r is again
-    a row, up to terms longer than `order`.
+    paths.
     """
     _require_order(qp, order)
     levels = paths_by_length(qp.quiver, order)
@@ -137,8 +136,8 @@ def truncated_quotient_dim(qp, order):
                     for s in by_head.get((a.head, d - gmin - lu), ()):
                         elim.add_row({index[u + t + s]: c for t, c in terms if len(t) <= room})
         pivots[d] = sum(map(elim.basis.__contains__, range(path_counts[d - 1], path_counts[d])))
-        if d >= 2 and pivots[d - 1] == counts[d - 1] and pivots[d] == counts[d]:
-            certified_order = d - 1
+        if d < order and pivots[d] == counts[d]:
+            certified_order = d
             pivots[d + 1:] = counts[d + 1:]
             break
 
@@ -217,10 +216,11 @@ def is_rigid_up_to(qp, order):
 def finite_dim_evidence(qp, dmax):
     """The dimension report at the least order whose certificate fires.
 
-    That order is certified_order + 1 of the report at `dmax`; with no
-    certificate up to `dmax` it is the report at `dmax`.  Cutting the ideal
-    down to a lower order projects its span onto the shorter paths, so the
-    report at order c + 1 is the first c + 2 degrees of the report at `dmax`.
+    The certificate at order D is the first absorbed degree c < D, so that
+    order is c + 1 for the c of the report at `dmax`; with no certificate up
+    to `dmax` it is the report at `dmax`.  Cutting the ideal down to a lower
+    order projects its span onto the shorter paths, so the report at order
+    c + 1 is the first c + 2 degrees of the report at `dmax`.
     """
     report = truncated_quotient_dim(qp, dmax)
     if not report.certified:

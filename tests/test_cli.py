@@ -236,21 +236,35 @@ PENTAGON = example_text("pentagon")  # 16 lines
         "extra-tri-token", "extra-marked-option", "repeated-bseg-option",
         "unknown-puncture-option", "unknown-marked-kind", "unknown-line-kind", "short-tri",
         "repeated-side-id", "unknown-tri-side"])
-def test_malformed_triangulation_exits_two_without_traceback(tmp_path, text, bad_line):
+def test_malformed_triangulation_exits_two_without_traceback(tmp_path, capsys, text, bad_line):
     path = tmp_path / "bad.tri"
     path.write_text(text, encoding="utf-8")
-    assert_input_error(["validate", str(path)], bad_line)
+    assert_input_error(capsys, ["validate", str(path)], bad_line)
 
 
-def assert_input_error(argv, bad_line):
-    """Run the CLI in a fresh process: exit 2, no traceback, the line named."""
+def test_malformed_triangulation_exits_two_in_a_fresh_process(tmp_path):
+    # the other input-error rows run in process; this one keeps the exit
+    # status of a real `python -m qpsurf.cli` covered
+    path = tmp_path / "bad.tri"
+    path.write_text(PENTAGON + "frob 1 2\n", encoding="utf-8")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli"] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli", "validate", str(path)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
     assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert bad_line in proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: bad frob line 17: 'frob 1 2' "
+                           "(ValueError: unknown line kind 'frob')\n")
+
+
+def assert_input_error(capsys, argv, bad_line):
+    """Run the CLI in process: exit 2, nothing raised past `main`, the line named."""
+    capsys.readouterr()
+    code = cli.main(argv, out=io.StringIO())
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert bad_line in err
 
 
 TRIANGLE_QP = """\
@@ -288,11 +302,11 @@ potential:
         "vertex-without-id", "short-arrow", "repeated-truncation", "repeated-vertex",
         "repeated-arrow", "undeclared-endpoint", "loop-arrow", "non-cyclic-term",
         "rotated-duplicate-terms"])
-def test_malformed_qp_exits_two_without_traceback(tmp_path, old, new, bad_line):
+def test_malformed_qp_exits_two_without_traceback(tmp_path, capsys, old, new, bad_line):
     path = tmp_path / "bad.qp"
     path.write_text(TRIANGLE_QP.replace(old, new), encoding="utf-8")
     for argv in (["mutate", str(path), "2"], ["dim", str(path)]):
-        assert_input_error(argv, bad_line)
+        assert_input_error(capsys, argv, bad_line)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -305,10 +319,10 @@ def test_malformed_qp_exits_two_without_traceback(tmp_path, old, new, bad_line):
      "order 99 exceeds the QP truncation 6; rebuild the QP deeper"),
 ], ids=["explore-order-0", "explore-order-7", "explore-order-99", "explore-negative-depth",
         "stabilize-negative-order", "stabilize-order-99"])
-def test_out_of_range_arguments_exit_two_without_traceback(tmp_path, argv, message):
+def test_out_of_range_arguments_exit_two_without_traceback(tmp_path, capsys, argv, message):
     path = tmp_path / "triangle.qp"
     path.write_text(TRIANGLE_QP, encoding="utf-8")
-    assert_input_error([argv[0], str(path)] + argv[1:], message)
+    assert_input_error(capsys, [argv[0], str(path)] + argv[1:], message)
 
 
 @pytest.mark.parametrize("command, args", [
@@ -318,10 +332,10 @@ def test_out_of_range_arguments_exit_two_without_traceback(tmp_path, argv, messa
     (["check", "involution"], ["2"]),
     (["explore"], ["--depth", "0"]),
 ], ids=["mutate", "dim", "rigid", "check-involution", "explore-depth-0"])
-def test_rotations_of_one_cycle_exit_two_without_traceback(tmp_path, command, args):
+def test_rotations_of_one_cycle_exit_two_without_traceback(tmp_path, capsys, command, args):
     path = tmp_path / "rotated.qp"
     path.write_text(TRIANGLE_QP + "1/1 b c a\n", encoding="utf-8")
-    assert_input_error(command + [str(path)] + args,
+    assert_input_error(capsys, command + [str(path)] + args,
                        "error: invalid QP: cyclically equivalent distinct terms")
 
 

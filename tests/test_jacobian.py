@@ -102,7 +102,7 @@ def assert_dims_match_oracle(qp, order, label):
 def test_dims_match_brute_force_oracle():
     for name in ("pentagon", "hexagon-central", "annulus", "punctured-square-2"):
         assert_dims_match_oracle(load_qp(name), 5, name)
-    # the degrees above certified_order + 1 are filled by counting, not
+    # the degrees above certified_order are filled by counting, not
     # eliminated, so the random inputs must reach well past the certificate
     rng = random.Random(2008)
     filled = 0
@@ -111,6 +111,42 @@ def test_dims_match_brute_force_oracle():
         rep = assert_dims_match_oracle(random_small_qp(rng, order), order, i)
         filled += rep.certified and rep.certified_order <= order - 2
     assert filled >= 10
+
+
+def two_degree_certificate(dims, order):
+    """The first c >= 1 with c + 1 <= order whose degrees c and c + 1 add
+    nothing to the quotient, from the oracle's dims alone; None if none."""
+    return next((c for c in range(1, order)
+                 if dims[c] == dims[c - 1] and dims[c + 1] == dims[c]), None)
+
+
+def assert_certificate_matches_oracle(qp, order, label):
+    rep = truncated_quotient_dim(qp, order)
+    c = two_degree_certificate(oracle_dims(qp, order), order)
+    assert (rep.certified, rep.certified_order) == (c is not None, c), label
+    return c
+
+
+def test_certificate_matches_two_degree_rule_of_oracle():
+    # one absorbed degree below the order decides the certificate; checked
+    # against the rule that asks for two, computed from the oracle's dims
+    rng = random.Random(2008)
+    below = 0
+    for i in range(40):
+        order = rng.randrange(3, 7)
+        c = assert_certificate_matches_oracle(random_small_qp(rng, order), order, i)
+        below += c is not None and c <= order - 2
+    assert below >= 10
+    for name in CORPUS:
+        qp = load_qp(name)
+        for k in qp.quiver.vertices:
+            assert_certificate_matches_oracle(mutate_qp(qp, k), 5, (name, k))
+    # the top degree alone does not certify: the torus absorbs degree 7 first
+    torus = load_qp("torus", 9)
+    rep = truncated_quotient_dim(torus, 7)
+    assert not rep.certified and rep.certified_order is None and rep.absorbed[7]
+    rep = truncated_quotient_dim(torus, 8)
+    assert rep.certified and rep.certified_order == 7
 
 
 def test_torus_dims_match_oracle_smaller_order():
