@@ -4,7 +4,7 @@ Also the rules other modules share: value semantics for record classes, the
 net arrow count of a quiver, and the pairing of opposite arrows.
 """
 
-from operator import attrgetter
+from operator import attrgetter, neg
 
 _setattr = object.__setattr__
 
@@ -177,11 +177,17 @@ class IntegerMatrix:
     def __init__(self, vertices, rows):
         self.vertices = tuple(vertices)
         n = len(self.vertices)
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise QuiverError("matrix shape does not match vertex count")
         self.rows = rows
         self._index = {v: i for i, v in enumerate(self.vertices)}
+
+    def _with_rows(self, rows):
+        """A matrix on the same vertices; `rows` is a tuple of n int tuples."""
+        out = object.__new__(IntegerMatrix)
+        out.vertices, out.rows, out._index = self.vertices, rows, self._index
+        return out
 
     def entry(self, i, j):
         return self.rows[self._index[i]][self._index[j]]
@@ -194,8 +200,7 @@ class IntegerMatrix:
         return out
 
     def is_skew_symmetric(self):
-        n = len(self.vertices)
-        return all(self.rows[i][j] == -self.rows[j][i] for i in range(n) for j in range(n))
+        return self.rows == tuple(zip(*[map(neg, row) for row in self.rows]))
 
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -334,26 +339,24 @@ def mutate_quiver(q, k):
 def mutate_matrix(b, k):
     """Matrix mutation rule for skew-symmetric integer matrices.
 
-    Computed directly on entries; serves as the independent cross-check for
-    the quiver route and for triangulation flips.
+    Computed directly on entries: b'_ij = -b_ij if i or j is k, else
+    b_ij + sgn(b_ik) [b_ik b_kj]_+.  It checks the quiver route and
+    triangulation flips, and `explore` finds each child's node with it.
     """
     if not b.is_skew_symmetric():
         raise QuiverError("matrix is not skew-symmetric")
     if k not in b.vertices:
         raise QuiverError("unknown vertex %r" % k)
     ki = b.vertices.index(k)
-    n = len(b.vertices)
-    old = b.rows
+    row_k = b.rows[ki]
+    parts = ([x if x > 0 else 0 for x in row_k], [-x if x < 0 else 0 for x in row_k])
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == ki or j == ki:
-                row.append(-old[i][j])
-            elif old[i][ki] * old[ki][j] > 0:
-                sign = 1 if old[i][ki] > 0 else -1
-                row.append(old[i][j] + sign * old[i][ki] * old[ki][j])
-            else:
-                row.append(old[i][j])
+    for row in b.rows:
+        c = row[ki]
+        if c:  # b_ij + b_ik [b_kj]_+ if b_ik > 0, else b_ij + b_ik [-b_kj]_+
+            row = [x + c * y for x, y in zip(row, parts[c < 0])]
+            row[ki] = -c
+            row = tuple(row)
         rows.append(row)
-    return IntegerMatrix(b.vertices, rows)
+    rows[ki] = tuple(map(neg, row_k))
+    return b._with_rows(tuple(rows))

@@ -8,7 +8,7 @@ from .algebra import AlgebraElement, apply_substitution, cyclically_equivalent
 from .jacobian import _require_order, truncated_quotient_dim
 from .potential import qp_of_triangulation
 from .qp import QP, mutate_qp, premutate_qp, restrict_qp
-from .quiver import Arrow, Quiver, Record, is_two_acyclic, net_matrix
+from .quiver import Arrow, Quiver, Record, is_two_acyclic, mutate_matrix, net_matrix
 from .surface import flip
 
 
@@ -273,6 +273,14 @@ def explore_mutation_class(qp, depth, order):
     Mutation keeps the vertex set, and each node is expanded once, at every
     vertex in order.  Mutations run at the QP's truncation; `order` must not
     exceed it.
+
+    A child's node is found from the parent's net matrix B as
+    `mutate_matrix(B, k)`, and its QP is built only if the node is new, so
+    each node keeps the first QP that reaches it.  For a 2-acyclic q that is
+    the net matrix of `mutate_qp(q, k)`: premutation reverses the arrows at k
+    and adds [b_ik]_+ [b_kj]_+ arrows i -> j, one per hook through k, and the
+    split removes trivial arrows, which come in opposite pairs.  A node with
+    a 2-cycle is never expanded.
     """
     _require_order(qp, order)
     if depth < 0:
@@ -287,9 +295,9 @@ def explore_mutation_class(qp, depth, order):
     tables, expanded, targets = array("i"), array("i"), array("i")
     failures = []
 
-    def visit(q):
-        """The number of q's node, and whether the node is new."""
-        canon = canonical_matrix_form(net_matrix(q.quiver))
+    def visit(matrix):
+        """The number of the matrix's node, and whether the node is new."""
+        canon = canonical_matrix_form(matrix)
         dig = _digest(repr(canon))
         if dig in index:
             return index[dig], False
@@ -302,7 +310,7 @@ def explore_mutation_class(qp, depth, order):
             tables.append(row_number[row])
         return index[dig], True
 
-    frontier = deque([(qp, visit(qp)[0], 0)])
+    frontier = deque([(qp, visit(net_matrix(qp.quiver))[0], 0)])
     while frontier:
         current, cur, dist = frontier.popleft()
         if not is_two_acyclic(current.quiver):
@@ -311,12 +319,12 @@ def explore_mutation_class(qp, depth, order):
         if dist >= depth:
             continue
         expanded.append(cur)
+        matrix = net_matrix(current.quiver)
         for k in vertices:
-            child = mutate_qp(current, k)
-            dst, new = visit(child)
+            dst, new = visit(mutate_matrix(matrix, k))
             targets.append(dst)
             if new:
-                frontier.append((child, dst, dist + 1))
+                frontier.append((mutate_qp(current, k), dst, dist + 1))
 
     subs = [("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures),
             ("nodes", True, str(len(digests))),

@@ -90,29 +90,6 @@ def test_pentagon_dimension_three():
     assert rep.dimension == 3
 
 
-def assert_dims_match_oracle(qp, order, label):
-    rep = truncated_quotient_dim(qp, order)
-    assert rep.dims == oracle_dims(qp, order), label
-    counts = [len(qp.quiver.vertices)] + [len(oracle_paths(qp.quiver, d))
-                                          for d in range(1, order + 1)]
-    assert rep.path_counts == list(accumulate(counts)), label
-    return rep
-
-
-def test_dims_match_brute_force_oracle():
-    for name in ("pentagon", "hexagon-central", "annulus", "punctured-square-2"):
-        assert_dims_match_oracle(load_qp(name), 5, name)
-    # the degrees above certified_order are filled by counting, not
-    # eliminated, so the random inputs must reach well past the certificate
-    rng = random.Random(2008)
-    filled = 0
-    for i in range(40):
-        order = rng.randrange(3, 7)
-        rep = assert_dims_match_oracle(random_small_qp(rng, order), order, i)
-        filled += rep.certified and rep.certified_order <= order - 2
-    assert filled >= 10
-
-
 def two_degree_certificate(dims, order):
     """The first c >= 1 with c + 1 <= order whose degrees c and c + 1 add
     nothing to the quotient, from the oracle's dims alone; None if none."""
@@ -120,28 +97,42 @@ def two_degree_certificate(dims, order):
                  if dims[c] == dims[c - 1] and dims[c + 1] == dims[c]), None)
 
 
-def assert_certificate_matches_oracle(qp, order, label):
+def assert_matches_oracle(qp, order, label):
+    """One pass against one oracle call: dims, path counts, absorbed degrees
+    (a degree is absorbed exactly when it adds nothing to the quotient), and
+    the certificate, which one absorbed degree below the order decides, as
+    against the rule that asks for two, computed from the oracle's dims."""
     rep = truncated_quotient_dim(qp, order)
-    c = two_degree_certificate(oracle_dims(qp, order), order)
+    dims = oracle_dims(qp, order)
+    assert rep.dims == dims, label
+    counts = [len(qp.quiver.vertices)] + [len(oracle_paths(qp.quiver, d))
+                                          for d in range(1, order + 1)]
+    assert rep.path_counts == list(accumulate(counts)), label
+    for d in range(1, order + 1):
+        assert rep.absorbed[d] == (dims[d] == dims[d - 1]), (label, d)
+    c = two_degree_certificate(dims, order)
     assert (rep.certified, rep.certified_order) == (c is not None, c), label
-    return c
+    return rep
+
+
+def test_dims_match_brute_force_oracle():
+    for name in ("pentagon", "hexagon-central", "annulus", "punctured-square-2"):
+        assert_matches_oracle(load_qp(name), 5, name)
+    # the degrees above certified_order are filled by counting, not
+    # eliminated, so the random inputs must reach well past the certificate
+    rng = random.Random(2008)
+    filled = 0
+    for i in range(40):
+        order = rng.randrange(3, 7)
+        rep = assert_matches_oracle(random_small_qp(rng, order), order, i)
+        filled += rep.certified and rep.certified_order <= order - 2
+    assert filled >= 10
 
 
 def test_certificate_matches_two_degree_rule_of_oracle():
-    # one absorbed degree below the order decides the certificate; checked
-    # against the rule that asks for two, computed from the oracle's dims
-    rng = random.Random(2008)
-    below = 0
-    for i in range(40):
-        order = rng.randrange(3, 7)
-        c = assert_certificate_matches_oracle(random_small_qp(rng, order), order, i)
-        below += c is not None and c <= order - 2
-    assert below >= 10
-    for name in CORPUS:
-        qp = load_qp(name)
-        for k in qp.quiver.vertices:
-            assert_certificate_matches_oracle(mutate_qp(qp, k), 5, (name, k))
-    # the top degree alone does not certify: the torus absorbs degree 7 first
+    # `assert_matches_oracle` checks the certificate against the two-degree
+    # rule on every oracle input; the top degree alone does not certify:
+    # the torus absorbs degree 7 first
     torus = load_qp("torus", 9)
     rep = truncated_quotient_dim(torus, 7)
     assert not rep.certified and rep.certified_order is None and rep.absorbed[7]
@@ -157,19 +148,14 @@ def test_torus_dims_match_oracle_smaller_order():
 
 def test_dims_match_oracle_on_one_step_mutations():
     # the graded pass counts pivots by path length; the oracle re-eliminates
-    # densely at every degree, here on QPs that are not hand-written.  A degree
-    # is absorbed exactly when it adds nothing to the quotient.
+    # densely at every degree, here on QPs that are not hand-written
     for name in CORPUS:
         qp = load_qp(name)
-        reports = [(None, truncated_quotient_dim(qp, 5))]
+        rep = truncated_quotient_dim(qp, 5)
+        for d in range(1, 6):
+            assert rep.absorbed[d] == (rep.dims[d] == rep.dims[d - 1]), (name, d)
         for k in qp.quiver.vertices:
-            mutated = mutate_qp(qp, k)
-            rep = truncated_quotient_dim(mutated, 5)
-            assert rep.dims == oracle_dims(mutated, 5), (name, k)
-            reports.append((k, rep))
-        for k, rep in reports:
-            for d in range(1, 6):
-                assert rep.absorbed[d] == (rep.dims[d] == rep.dims[d - 1]), (name, k, d)
+            assert_matches_oracle(mutate_qp(qp, k), 5, (name, k))
 
 
 def test_dim_zero_counts_vertices():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qpsurf.quiver import (
@@ -123,6 +125,38 @@ def test_mutate_matrix_literals():
     assert mutate_matrix(mutate_matrix(MARKOV, "2"), "2") == MARKOV
     b = IntegerMatrix(["1", "2"], [[0, 1], [-1, 0]])
     assert mutate_matrix(b, "1") == IntegerMatrix(["1", "2"], [[0, -1], [1, 0]])
+
+
+def test_mutate_matrix_matches_entrywise_rule_and_checks_input():
+    rng = random.Random(2008)
+    for _ in range(200):
+        n = rng.randrange(1, 6)
+        vs = [str(i) for i in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rng.randrange(-3, 4)
+                rows[j][i] = -rows[i][j]
+        b = IntegerMatrix(vs, rows)
+        k = rng.randrange(n)
+
+        def rule(i, j):  # b'_ij = -b_ij at k, else b_ij + sgn(b_ik) [b_ik b_kj]_+
+            if k in (i, j):
+                return -rows[i][j]
+            p = rows[i][k] * rows[k][j]
+            return rows[i][j] + (0 if p <= 0 else p if rows[i][k] > 0 else -p)
+
+        want = IntegerMatrix(vs, [[rule(i, j) for j in range(n)] for i in range(n)])
+        got = mutate_matrix(b, str(k))
+        assert type(got) is IntegerMatrix and got.vertices == b.vertices
+        assert got.rows == want.rows and got == want
+        assert got.entry(vs[0], vs[-1]) == want.entry(vs[0], vs[-1])
+    with pytest.raises(QuiverError, match="not skew-symmetric"):
+        mutate_matrix(IntegerMatrix(["1", "2"], [[0, 1], [1, 0]]), "1")
+    with pytest.raises(QuiverError, match="not skew-symmetric"):
+        mutate_matrix(IntegerMatrix(["1"], [[1]]), "1")
+    with pytest.raises(QuiverError, match="unknown vertex '4'"):
+        mutate_matrix(MARKOV, "4")
 
 
 def test_matrix_and_quiver_mutation_agree():

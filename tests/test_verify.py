@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 import time
@@ -7,8 +9,16 @@ from oracles import oracle_canonical_form
 from qpsurf.algebra import AlgebraElement
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.potential import qp_of_triangulation
-from qpsurf.qp import QP
-from qpsurf.quiver import Arrow, IntegerMatrix, Quiver, matrix_from_quiver
+from qpsurf.qp import QP, mutate_qp
+from qpsurf.quiver import (
+    Arrow,
+    IntegerMatrix,
+    Quiver,
+    is_two_acyclic,
+    matrix_from_quiver,
+    mutate_matrix,
+    net_matrix,
+)
 from qpsurf.surface import Triangulation
 from qpsurf.verify import (
     canonical_matrix_form,
@@ -280,6 +290,89 @@ def test_explore_graph_shapes():
         assert src in graph.nodes and dst in graph.nodes and k in qp.quiver.vertices
     assert isinstance(graph.nodes, dict)
     assert canonical_matrix_form(matrix_from_quiver(qp.quiver)) in graph.nodes.values()
+
+
+def fan_polygon_text(n):
+    """Fan triangulation of an n-gon from corner B0; its quiver has type A_{n-3}."""
+    lines = ["surface genus=0 boundary=1"]
+    lines += ["marked B%d boundary=0" % i for i in range(n)]
+    lines += ["bseg b%d B%d B%d on=0" % (i, i, (i + 1) % n) for i in range(n)]
+    lines += ["arc %d B0 B%d" % (j - 1, j) for j in range(2, n - 1)]
+    for j in range(1, n - 1):
+        first = "b0" if j == 1 else str(j - 1)
+        last = "b%d" % (n - 1) if j == n - 2 else str(j)
+        lines.append("tri %s b%d %s" % (first, j, last))
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def full_type_a_class(rank):
+    qp = qp_of_triangulation(Triangulation.from_text(fan_polygon_text(rank + 3)), 6)
+    return explore_mutation_class(qp, 99, 6)
+
+
+def test_full_type_a_classes_have_torkildsen_sizes():
+    # mutation classes of A4, A5 and A6 have 6, 19 and 49 quivers (Torkildsen 2008)
+    for rank, size in ((4, 6), (5, 19), (6, 49)):
+        rep, graph = full_type_a_class(rank)
+        assert rep.passed, rep.to_text()
+        assert len(graph.nodes) == size, rank
+        assert len(graph.edges) == rank * size, rank
+
+
+# sha256 over the explore text (report, then graph) of every corpus QP at
+# order 6 at depths 1-3, of its one-step mutations at depth 2, then of the
+# full A4, A5 and A6 classes; recorded when every child of an expanded node
+# still had its QP built before its node was looked up
+EXPLORE_CORPUS_SHA256 = "d3ee02cd5fbfaa4171b7b2ec5923aeff55eaaa77cc8c2bb1aff3494d39e05882"
+
+
+def test_explore_text_pinned_on_corpus_mutations_and_type_a_classes():
+    h = hashlib.sha256()
+
+    def add(rep, graph):
+        h.update(rep.to_text().encode())
+        h.update(graph.to_text().encode())
+
+    for name in CORPUS:
+        qp = load_qp(name)
+        for depth in (1, 2, 3):
+            add(*explore_mutation_class(qp, depth, 6))
+        for k in qp.quiver.vertices:
+            add(*explore_mutation_class(mutate_qp(qp, k), 2, 6))
+    for rank in (4, 5, 6):
+        add(*full_type_a_class(rank))
+    assert h.hexdigest() == EXPLORE_CORPUS_SHA256
+
+
+def test_mutated_qp_has_the_mutated_matrix():
+    # explore finds a child's node from mutate_matrix before it builds the
+    # child's QP; check that identity on the QPs explore pops at depth 2 (the
+    # first QP to reach each node, in breadth-first order)
+    def node(q):
+        return canonical_matrix_form(net_matrix(q.quiver))
+
+    triangle = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                        Arrow("c", "3", "1")])
+    starts = [load_qp(name) for name in CORPUS] + [
+        QP(triangle, AlgebraElement(triangle, 4, {}))]
+    checked = 0
+    for start in starts:
+        seen, frontier = {node(start)}, [(start, 0)]
+        for q, dist in frontier:
+            if not is_two_acyclic(q.quiver):
+                continue
+            b = net_matrix(q.quiver)
+            for k in q.quiver.vertices:
+                child = mutate_qp(q, k)
+                assert net_matrix(child.quiver).rows == mutate_matrix(b, k).rows, (q, k)
+                checked += 1
+                if dist < 2 and node(child) not in seen:
+                    seen.add(node(child))
+                    frontier.append((child, dist + 1))
+    assert checked > 100
+    # the zero-potential triangle keeps a 2-cycle after mutation, and still matches
+    assert not is_two_acyclic(mutate_qp(starts[-1], "1").quiver)
 
 
 def test_twice_punctured_hexagon_checks():
