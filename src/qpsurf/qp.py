@@ -200,27 +200,22 @@ def _two_cycle_rep(x_name, y_name):
     return Path(least_rotation((x_name, y_name)))
 
 
-def _normalize_pairing(s):
-    """Arrow basis change making the degree-2 part a sum of distinct 2-cycles.
+def _diagonal_pairing(s2):
+    """The blocks of a degree-2 part s2, diagonalised, and its trivial pairs.
 
-    For each unordered vertex pair, the bilinear matrix between the opposite
-    arrow blocks that appear in the degree-2 part is diagonalised by an exact
-    basis change acting only on those arrows.  The potential must be in
-    cyclic normal form.  Returns the transformed potential, the substitution
-    used, and the list of trivial pairs (a_j, b_j).
+    For each unordered vertex pair, exact operations bring the bilinear
+    matrix m between the opposite arrows xs and ys that s2 names to
+    p_ops @ m @ q_ops = E_r.  A block is (xs, ys, p_ops, q_ops); its
+    trivial pairs are (xs[t], ys[t]) for t < r.
     """
-    q = s.quiver
-    s2 = s.degree_part(2)
-    if s2.is_zero():
-        return s, Substitution.identity(q, s.order), []
-
+    q = s2.quiver
     blocks = {}
     for p, c in s2.terms.items():
         x = q.arrow(p.arrows[0])
         pair = tuple(sorted((x.tail, x.head)))
         blocks.setdefault(pair, {})[p] = c
 
-    images = {}
+    diagonal = []
     pairs = []
     for (u, v) in sorted(blocks):
         coeffs = blocks[(u, v)]
@@ -232,6 +227,26 @@ def _normalize_pairing(s):
         p_ops, q_ops, r = linalg.diagonalize_pairing(m)
         if r == 0:
             raise QPError("degenerate degree-2 pairing on arrows it names")
+        diagonal.append((xs, ys, p_ops, q_ops))
+        pairs.extend((xs[t], ys[t]) for t in range(r))
+    return diagonal, pairs
+
+
+def _normalize_pairing(s):
+    """Arrow basis change making the degree-2 part a sum of distinct 2-cycles.
+
+    Each block of `_diagonal_pairing` changes only its own arrows.  The
+    potential must be in cyclic normal form.  Returns the transformed
+    potential, the substitution used, and the list of trivial pairs (a_j, b_j).
+    """
+    q = s.quiver
+    s2 = s.degree_part(2)
+    if s2.is_zero():
+        return s, Substitution.identity(q, s.order), []
+
+    blocks, pairs = _diagonal_pairing(s2)
+    images = {}
+    for xs, ys, p_ops, q_ops in blocks:
         # p_ops @ m @ q_ops = E_r, so send x_i to sum_i' p_ops[i'][i] x_i'
         # and y_j to sum_j' q_ops[j][j'] y_j'.
         for i, x in enumerate(xs):
@@ -240,7 +255,6 @@ def _normalize_pairing(s):
         for j, y in enumerate(ys):
             img = {arrow_path(ys[j2]): q_ops[j][j2] for j2 in range(len(ys))}
             images[y] = AlgebraElement(q, s.order, img)
-        pairs.extend((xs[t], ys[t]) for t in range(r))
 
     phi = Substitution(q, q, s.order, images)
     new_s = cyclic_normal_form(apply_substitution(phi, s))
@@ -277,9 +291,10 @@ def _extract_factors(s, a_name, b_name, pair_rep):
     return u, v
 
 
-def _subquiver(quiver, arrow_names):
-    keep = set(arrow_names)
-    return Quiver(quiver.vertices, [a for a in quiver.arrows if a.name in keep])
+def _reduced_quiver(quiver, pairs):
+    """The quiver less the arrows of the trivial pairs."""
+    trivial = {name for pair in pairs for name in pair}
+    return Quiver(quiver.vertices, [a for a in quiver.arrows if a.name not in trivial])
 
 
 def split_qp(qp):
@@ -317,10 +332,7 @@ def split_qp(qp):
         else:
             raise QPError("splitting did not converge within the truncation order")
 
-    trivial_arrows = set()
-    for (a, b) in pairs:
-        trivial_arrows.add(a)
-        trivial_arrows.add(b)
+    trivial_arrows = {name for pair in pairs for name in pair}
     triv_terms = {}
     red_terms = {}
     for p, c in s.terms.items():
@@ -331,9 +343,8 @@ def split_qp(qp):
         else:
             red_terms[p] = c
 
-    triv_quiver = _subquiver(quiver, trivial_arrows)
-    red_quiver = _subquiver(quiver, [a.name for a in quiver.arrows
-                                     if a.name not in trivial_arrows])
+    triv_quiver = Quiver(quiver.vertices, [a for a in quiver.arrows if a.name in trivial_arrows])
+    red_quiver = _reduced_quiver(quiver, pairs)
     triv = QP(triv_quiver, AlgebraElement(triv_quiver, order, triv_terms), order)
     red = QP(red_quiver, AlgebraElement(red_quiver, order, red_terms), order)
     if not red.potential.degree_part(2).is_zero():
@@ -358,6 +369,17 @@ def mutate_qp(qp, k):
     return split_qp(premutate_qp(qp, k)).reduced
 
 
+def mutated_quiver(qp, k):
+    """`mutate_qp(qp, k).quiver`, arrow names included, without the split's sweeps.
+
+    The split drops the arrows of the trivial pairs, which the premutation's
+    degree-2 part decides alone: the sweeps change the potential, never
+    which arrows are trivial.
+    """
+    pre = premutate_qp(qp, k)
+    return _reduced_quiver(pre.quiver, _diagonal_pairing(pre.potential.degree_part(2))[1])
+
+
 def quiver_mutation_matches(qp, k):
     """Whether QP-mutation at k lands on the plainly mutated quiver.
 
@@ -365,7 +387,7 @@ def quiver_mutation_matches(qp, k):
     the premutation get removed, so a degenerate pairing leaves 2-cycles that
     plain quiver mutation would cancel.  Reported, never asserted.
     """
-    got = mutate_qp(qp, k).quiver.multiplicities()
+    got = mutated_quiver(qp, k).multiplicities()
     want = mutate_quiver(qp.quiver, k).multiplicities()
     return got == want
 

@@ -7,7 +7,7 @@ from collections import deque
 from .algebra import AlgebraElement, apply_substitution, cyclically_equivalent
 from .jacobian import _require_order, truncated_quotient_dim
 from .potential import qp_of_triangulation
-from .qp import QP, mutate_qp, premutate_qp, restrict_qp
+from .qp import QP, mutate_qp, mutated_quiver, premutate_qp, restrict_qp
 from .quiver import Arrow, Quiver, Record, is_two_acyclic, mutate_matrix, net_matrix
 from .surface import flip
 
@@ -268,19 +268,22 @@ class ClassGraph(Record):
 def explore_mutation_class(qp, depth, order):
     """Breadth-first search over mutation sequences, deduplicated by matrix form.
 
-    Asserts 2-acyclicity of every visited quiver; a failure is reported, not
+    Asserts that every node's quiver is 2-acyclic; a child's quiver is that
+    of its first parent's QP mutated at k.  A failure is reported, not
     raised, since it would disprove the non-degeneracy being probed.
     Mutation keeps the vertex set, and each node is expanded once, at every
     vertex in order.  Mutations run at the QP's truncation; `order` must not
     exceed it.
 
     A child's node is found from the parent's net matrix B as
-    `mutate_matrix(B, k)`, and its QP is built only if the node is new, so
-    each node keeps the first QP that reaches it.  For a 2-acyclic q that is
-    the net matrix of `mutate_qp(q, k)`: premutation reverses the arrows at k
-    and adds [b_ik]_+ [b_kj]_+ arrows i -> j, one per hook through k, and the
-    split removes trivial arrows, which come in opposite pairs.  A node with
-    a 2-cycle is never expanded.
+    `mutate_matrix(B, k)`, and the child is built only if the node is new.
+    For a 2-acyclic q that is the net matrix of `mutate_qp(q, k)`:
+    premutation reverses the arrows at k and adds [b_ik]_+ [b_kj]_+ arrows
+    i -> j, one per hook through k, and the split removes trivial arrows,
+    which come in opposite pairs.  At the depth limit, where no node is
+    expanded, only the child's quiver is built, by `mutated_quiver`.  A node
+    with a 2-cycle is never expanded.  `canonical_matrix_form` runs once
+    per distinct raw matrix.
     """
     _require_order(qp, order)
     if depth < 0:
@@ -290,6 +293,7 @@ def explore_mutation_class(qp, depth, order):
     vertices = qp.quiver.vertices
     digests = []
     index = {}
+    node_of_rows = {}
     row_number = {}
     rows = array("i")
     tables, expanded, targets = array("i"), array("i"), array("i")
@@ -297,34 +301,41 @@ def explore_mutation_class(qp, depth, order):
 
     def visit(matrix):
         """The number of the matrix's node, and whether the node is new."""
+        if matrix.rows in node_of_rows:
+            return node_of_rows[matrix.rows], False
         canon = canonical_matrix_form(matrix)
         dig = _digest(repr(canon))
-        if dig in index:
-            return index[dig], False
-        index[dig] = len(digests)
-        digests.append(dig)
-        for row in canon:
-            if row not in row_number:
-                row_number[row] = len(row_number)
-                rows.extend(row)
-            tables.append(row_number[row])
-        return index[dig], True
+        new = dig not in index
+        if new:
+            index[dig] = len(digests)
+            digests.append(dig)
+            for row in canon:
+                if row not in row_number:
+                    row_number[row] = len(row_number)
+                    rows.extend(row)
+                tables.append(row_number[row])
+        node_of_rows[matrix.rows] = index[dig]
+        return index[dig], new
 
-    frontier = deque([(qp, visit(net_matrix(qp.quiver))[0], 0)])
+    # (quiver, QP or None at the depth limit, node number, distance)
+    frontier = deque([(qp.quiver, qp, visit(net_matrix(qp.quiver))[0], 0)])
     while frontier:
-        current, cur, dist = frontier.popleft()
-        if not is_two_acyclic(current.quiver):
+        quiver, current, cur, dist = frontier.popleft()
+        if not is_two_acyclic(quiver):
             failures.append(digests[cur])
             continue
         if dist >= depth:
             continue
         expanded.append(cur)
-        matrix = net_matrix(current.quiver)
+        matrix = net_matrix(quiver)
         for k in vertices:
             dst, new = visit(mutate_matrix(matrix, k))
             targets.append(dst)
-            if new:
-                frontier.append((mutate_qp(current, k), dst, dist + 1))
+            if new and dist + 1 < depth:
+                child = mutate_qp(current, k)
+                frontier.append((child.quiver, child, dst, dist + 1))
+            elif new:
+                frontier.append((mutated_quiver(current, k), None, dst, dist + 1))
 
     subs = [("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures),
             ("nodes", True, str(len(digests))),

@@ -6,14 +6,16 @@ import time
 
 from oracles import oracle_canonical_form
 
-from qpsurf.algebra import AlgebraElement
+from qpsurf import verify
+from qpsurf.algebra import AlgebraElement, Path, least_rotation
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.potential import qp_of_triangulation
-from qpsurf.qp import QP, mutate_qp
+from qpsurf.qp import QP, mutate_qp, mutated_quiver, premutate_qp
 from qpsurf.quiver import (
     Arrow,
     IntegerMatrix,
     Quiver,
+    QuiverError,
     is_two_acyclic,
     matrix_from_quiver,
     mutate_matrix,
@@ -345,10 +347,58 @@ def test_explore_text_pinned_on_corpus_mutations_and_type_a_classes():
     assert h.hexdigest() == EXPLORE_CORPUS_SHA256
 
 
+def random_three_cycle_qp(seed, order=4):
+    """A seeded 2-acyclic QP on 3 or 4 vertices, with parallel arrows and a
+    potential of 3-cycles.  About half the seeds give every 3-cycle the product
+    of random arrow signs, so a block of parallel arrows pairs with rank one
+    and a premutation keeps a 2-cycle; the others draw each coefficient from
+    -2..2, zero included."""
+    rng = random.Random("three-cycles:%d" % seed)
+    vertices = [str(v) for v in range(1, rng.choice((3, 4)) + 1)]
+    arrows = []
+    for i, j in itertools.combinations(vertices, 2):
+        tail, head = (i, j) if rng.random() < 0.5 else (j, i)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            arrows.append(Arrow("a%d" % len(arrows), tail, head))
+    quiver = Quiver(vertices, arrows)
+    sign = {a.name: rng.choice((-1, 1)) for a in arrows}
+    rank_one = rng.random() < 0.5
+    terms = {}
+    for x, y, z in itertools.product(arrows, repeat=3):
+        if x.head == y.tail and y.head == z.tail and z.head == x.tail:
+            c = (sign[x.name] * sign[y.name] * sign[z.name] if rank_one
+                 else rng.choice((-2, -1, 0, 1, 2)))
+            if c:
+                terms[Path(least_rotation((z.name, y.name, x.name)))] = c
+    return QP(quiver, AlgebraElement(quiver, order, terms), order)
+
+
+# sha256 over the explore text (report, then graph) of random_three_cycle_qp
+# for seeds 0-59 at depths 1-3 and order 4.  Four QPs report FAIL at every
+# depth, at depth 1 on nodes at the depth limit.  Recorded when every node's
+# QP was built, the depth limit's included.
+EXPLORE_THREE_CYCLES_SHA256 = "1386d167fd87c8f89a75145a57a5c75e1ba9d3dd68997e5218c585368d49f23a"
+
+
+def test_explore_text_pinned_on_degenerate_three_cycle_qps():
+    h = hashlib.sha256()
+    failed = 0
+    for seed in range(60):
+        qp = random_three_cycle_qp(seed)
+        for depth in (1, 2, 3):
+            rep, graph = explore_mutation_class(qp, depth, 4)
+            failed += not rep.passed
+            h.update(rep.to_text().encode())
+            h.update(graph.to_text().encode())
+    assert failed == 12
+    assert h.hexdigest() == EXPLORE_THREE_CYCLES_SHA256
+
+
 def test_mutated_qp_has_the_mutated_matrix():
     # explore finds a child's node from mutate_matrix before it builds the
-    # child's QP; check that identity on the QPs explore pops at depth 2 (the
-    # first QP to reach each node, in breadth-first order)
+    # child's QP, and builds only the quiver of a child at the depth limit;
+    # check both identities on the QPs explore pops at depth 2 (the first QP
+    # to reach each node, in breadth-first order)
     def node(q):
         return canonical_matrix_form(net_matrix(q.quiver))
 
@@ -366,6 +416,7 @@ def test_mutated_qp_has_the_mutated_matrix():
             for k in q.quiver.vertices:
                 child = mutate_qp(q, k)
                 assert net_matrix(child.quiver).rows == mutate_matrix(b, k).rows, (q, k)
+                assert mutated_quiver(q, k) == child.quiver, (q, k)
                 checked += 1
                 if dist < 2 and node(child) not in seen:
                     seen.add(node(child))
@@ -373,6 +424,76 @@ def test_mutated_qp_has_the_mutated_matrix():
     assert checked > 100
     # the zero-potential triangle keeps a 2-cycle after mutation, and still matches
     assert not is_two_acyclic(mutate_qp(starts[-1], "1").quiver)
+
+
+def _outcome(build, q, k):
+    """The quiver `build` gives for (q, k), or the type and text of its refusal."""
+    try:
+        return build(q, k)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_mutated_quiver_is_the_quiver_of_mutate_qp_on_random_qps():
+    # the QPs of random_three_cycle_qp at every vertex, and their children
+    # at every vertex: a child with a 2-cycle at k is refused by both
+    def quiver_of_mutate_qp(q, k):
+        return mutate_qp(q, k).quiver
+
+    kept, refused, parallel = 0, 0, 0
+    for seed in range(60):
+        start = random_three_cycle_qp(seed)
+        parallel += max(start.quiver.multiplicities().values(), default=0) > 1
+        qps = [start] + [mutate_qp(start, k) for k in start.quiver.vertices]
+        for q in qps:
+            for k in q.quiver.vertices:
+                got = _outcome(mutated_quiver, q, k)
+                assert got == _outcome(quiver_of_mutate_qp, q, k), (seed, q, k)
+                if not isinstance(got, Quiver):
+                    refused += 1
+                    continue
+                # a block of the premutation's degree-2 part with rank below
+                # its size keeps a 2-cycle on its vertex pair
+                pre = premutate_qp(q, k)
+                two_cycles = pre.potential.degree_part(2).terms
+                firsts = (pre.quiver.arrow(p.arrows[0]) for p in two_cycles)
+                mult = got.multiplicities()
+                kept += any(mult.get((a.tail, a.head)) and mult.get((a.head, a.tail))
+                            for a in firsts)
+    assert (parallel, refused, kept) == (44, 20, 16)
+    triangle = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                        Arrow("c", "3", "1")])
+    child = mutate_qp(QP(triangle, AlgebraElement(triangle, 4, {})), "1")
+    for q, k in ((start, "9"), (child, "2")):
+        got = _outcome(mutated_quiver, q, k)
+        assert got == _outcome(quiver_of_mutate_qp, q, k)
+        assert got[0] is QuiverError
+    assert _outcome(mutated_quiver, child, "2")[1] == "2-cycle incident to vertex '2'"
+
+
+def test_explore_searches_each_raw_matrix_once(monkeypatch):
+    # in the full A5 class every distinct raw matrix explore meets, the start's
+    # and each mutate_matrix result, goes to the canonical search exactly once
+    searched, met = [], set()
+
+    def counting_canonical(matrix):
+        searched.append(matrix.rows)
+        return canonical_matrix_form(matrix)
+
+    def recording_mutate(matrix, k):
+        out = mutate_matrix(matrix, k)
+        met.add(out.rows)
+        return out
+
+    monkeypatch.setattr(verify, "canonical_matrix_form", counting_canonical)
+    monkeypatch.setattr(verify, "mutate_matrix", recording_mutate)
+    qp = qp_of_triangulation(Triangulation.from_text(fan_polygon_text(8)), 6)
+    rep, graph = explore_mutation_class(qp, 99, 6)
+    met.add(net_matrix(qp.quiver).rows)
+    assert len(searched) == len(set(searched)) == len(met)
+    assert set(searched) == met
+    assert len(searched) < len(graph.edges)
+    assert (rep, graph) == full_type_a_class(5)
 
 
 def test_twice_punctured_hexagon_checks():
