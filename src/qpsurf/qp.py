@@ -119,45 +119,38 @@ class QP:
                                               ", ".join(lines)), exc.terms) from exc
 
 
-def _rotate_away_from(quiver, arrows, k):
-    """Least rotation of the cyclic word that does not begin at vertex k."""
-    cands = [arrows[i:] + arrows[:i] for i in range(len(arrows))
-             if quiver.arrow(arrows[i]).head != k]
-    if not cands:
-        raise QPError("cycle %r cannot avoid beginning at %r" % (arrows, k))
-    return min(cands)
-
-
 def premutate_qp(qp, k):
     """Premutation at vertex k.
 
-    Each potential term is rotated so it does not begin at k, every k-hook ab
-    inside it is replaced by the composite arrow [a.b], and the sum of
-    b* a* [a.b] over all k-hooks of the quiver is added.
+    Every k-hook ab inside a potential term is replaced by the composite
+    arrow [a.b], and the sum of b* a* [a.b] over all k-hooks of the quiver is
+    added.  A term is read from its first arrow that does not point into k,
+    so no hook is cut, and is written at its least rotation: the result is
+    in cyclic normal form as built.
+
+    A QP's term closes up in a loop-free quiver, so not every arrow points
+    into k, and the word read from there does not end inside a hook; the
+    refusal is for any other word.  In a composable word an arrow into k follows an arrow
+    out of k.  A word that is not, which `AlgebraElement(..., check=False)`
+    lets through, keeps an arrow at k under its old name, names a missing
+    hook or stays non-composable, and the checked premutation refuses it.
     """
     q = qp.quiver
     new_quiver = premutate_quiver(q, k)  # rejects an unknown vertex and 2-cycles at k
 
     terms = {}
     for p, c in qp.potential.terms.items():
-        arrows = _rotate_away_from(q, p.arrows, k)
-        word = []
-        i = 0
-        while i < len(arrows):
-            a = arrows[i]
-            if q.arrow(a).tail == k:
-                if i + 1 >= len(arrows):
-                    raise QPError("cycle %r begins at %r after rotation" % (arrows, k))
-                b = arrows[i + 1]
-                word.append(hook_name(a, b))
-                i += 2
-            else:
-                if q.arrow(a).head == k:
-                    raise QPError("arrow %r into %r outside a hook" % (a, k))
-                word.append(a)
-                i += 1
-        np = Path(tuple(word))
-        terms[np] = terms.get(np, Fraction(0)) + c
+        n = len(p.arrows)
+        i = next((i for i, a in enumerate(p.arrows) if q.arrow(a).head != k), n)
+        arrows = iter(p.arrows[i:] + p.arrows[:i])
+        if i == n or q.arrow(p.arrows[i - 1]).tail == k:
+            raise QPError("term %r cannot be read at %r: every arrow points into it"
+                          " or a hook runs off its end" % (p.arrows, k), [p])
+        # an arrow out of k takes the next arrow, into k, as its hook
+        word = tuple(hook_name(a, next(arrows)) if q.arrow(a).tail == k else a
+                     for a in arrows)
+        key = Path(least_rotation(word))
+        terms[key] = terms.get(key, Fraction(0)) + c
 
     for a in q.arrows:
         if a.tail != k:
@@ -165,11 +158,10 @@ def premutate_qp(qp, k):
         for b in q.arrows:
             if b.head != k:
                 continue
-            p = arrow_path(b.name + "*", a.name + "*", hook_name(a.name, b.name))
-            terms[p] = terms.get(p, Fraction(0)) + 1
+            key = Path(least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name))))
+            terms[key] = terms.get(key, Fraction(0)) + 1
 
-    potential = cyclic_normal_form(AlgebraElement(new_quiver, qp.order, terms))
-    return QP(new_quiver, potential, qp.order)
+    return QP(new_quiver, AlgebraElement(new_quiver, qp.order, terms), qp.order)
 
 
 class SplitResult(Record):
@@ -235,34 +227,33 @@ def _diagonal_pairing(s2):
 def _normalize_pairing(s):
     """Arrow basis change making the degree-2 part a sum of distinct 2-cycles.
 
-    Each block of `_diagonal_pairing` changes only its own arrows.  The
-    potential must be in cyclic normal form.  Returns the transformed
-    potential, the substitution used, and the list of trivial pairs (a_j, b_j).
+    Each block of `_diagonal_pairing` changes only its own arrows, and an
+    arrow gets an image only where that image is not the arrow itself.  When
+    no arrow moves, as with no degree-2 part or blocks that are already E_r,
+    the potential is returned as it is.  The potential must be in cyclic
+    normal form.  Returns the transformed potential, the substitution used,
+    and the list of trivial pairs (a_j, b_j).
     """
     q = s.quiver
-    s2 = s.degree_part(2)
-    if s2.is_zero():
-        return s, Substitution.identity(q, s.order), []
-
-    blocks, pairs = _diagonal_pairing(s2)
+    blocks, pairs = _diagonal_pairing(s.degree_part(2))
     images = {}
     for xs, ys, p_ops, q_ops in blocks:
         # p_ops @ m @ q_ops = E_r, so send x_i to sum_i' p_ops[i'][i] x_i'
         # and y_j to sum_j' q_ops[j][j'] y_j'.
-        for i, x in enumerate(xs):
-            img = {arrow_path(xs[i2]): p_ops[i2][i] for i2 in range(len(xs))}
-            images[x] = AlgebraElement(q, s.order, img)
-        for j, y in enumerate(ys):
-            img = {arrow_path(ys[j2]): q_ops[j][j2] for j2 in range(len(ys))}
-            images[y] = AlgebraElement(q, s.order, img)
+        columns = [(x, xs, [row[i] for row in p_ops]) for i, x in enumerate(xs)]
+        columns += [(y, ys, q_ops[j]) for j, y in enumerate(ys)]
+        for name, names, coeffs in columns:
+            img = AlgebraElement(q, s.order, {arrow_path(n): c for n, c in zip(names, coeffs)})
+            if img.terms != {arrow_path(name): 1}:
+                images[name] = img
 
     phi = Substitution(q, q, s.order, images)
-    new_s = cyclic_normal_form(apply_substitution(phi, s))
-
+    if images:
+        s = cyclic_normal_form(apply_substitution(phi, s))
     expect = {_two_cycle_rep(a, b): Fraction(1) for (a, b) in pairs}
-    if new_s.degree_part(2).terms != expect:
+    if s.degree_part(2).terms != expect:
         raise QPError("pairing normalisation failed")
-    return new_s, phi, pairs
+    return s, phi, pairs
 
 
 def _extract_factors(s, a_name, b_name, pair_rep):
@@ -313,24 +304,23 @@ def split_qp(qp):
     order = qp.order
     quiver = qp.quiver
 
-    if pairs:
-        reps = {(a, b): _two_cycle_rep(a, b) for (a, b) in pairs}
-        for sweep in range(order + 3):
-            changed = False
-            for (a, b) in pairs:
-                u, v = _extract_factors(s, a, b, reps[(a, b)])
-                if u.is_zero() and v.is_zero():
-                    continue
-                changed = True
-                img_a = AlgebraElement.from_word(quiver, order, [a]) - v
-                img_b = AlgebraElement.from_word(quiver, order, [b]) - u
-                phi = Substitution(quiver, quiver, order, {a: img_a, b: img_b})
-                s = cyclic_normal_form(apply_substitution(phi, s))
-                steps.append(phi)
-            if not changed:
-                break
-        else:
-            raise QPError("splitting did not converge within the truncation order")
+    reps = {(a, b): _two_cycle_rep(a, b) for (a, b) in pairs}
+    for sweep in range(order + 3):
+        changed = False
+        for (a, b) in pairs:
+            u, v = _extract_factors(s, a, b, reps[(a, b)])
+            if u.is_zero() and v.is_zero():
+                continue
+            changed = True
+            img_a = AlgebraElement.from_word(quiver, order, [a]) - v
+            img_b = AlgebraElement.from_word(quiver, order, [b]) - u
+            phi = Substitution(quiver, quiver, order, {a: img_a, b: img_b})
+            s = cyclic_normal_form(apply_substitution(phi, s))
+            steps.append(phi)
+        if not changed:
+            break
+    else:
+        raise QPError("splitting did not converge within the truncation order")
 
     trivial_arrows = {name for pair in pairs for name in pair}
     triv_terms = {}

@@ -112,14 +112,18 @@ class Side(FrozenRecord):
         return self.ends[0] == self.ends[1]
 
 
-def _options(tokens, keys):
-    """The key=value tokens of a line; a key outside `keys` or given twice is refused."""
+def _options(tokens, keys, required=False):
+    """The key=value tokens of a line; a key outside `keys` or given twice is
+    refused, and so is an absent key when `required`."""
     opts = {}
     for token in tokens:
         key, eq, val = token.partition("=")
         if not eq or key not in keys or key in opts:
             raise ValueError("unexpected %r" % token)
         opts[key] = val
+    missing = [key for key in keys if key not in opts]
+    if required and missing:
+        raise ValueError("missing %s=" % missing[0])
     return opts
 
 
@@ -198,10 +202,12 @@ class Triangulation:
                 if kind == "surface":
                     if genus is not None:
                         raise ValueError("repeated surface line")
-                    opts = _options(parts[1:], ("genus", "boundary"))
+                    opts = _options(parts[1:], ("genus", "boundary"), required=True)
                     genus = int(opts["genus"])
                     boundary = int(opts["boundary"])
                 elif kind == "marked":
+                    if len(parts) < 3:
+                        raise ValueError("missing kind 'puncture' or 'boundary='")
                     name = parts[1]
                     if name in locations:
                         raise ValueError("repeated marked point %r" % name)
@@ -216,8 +222,10 @@ class Triangulation:
                     else:
                         raise ValueError("unexpected %r" % parts[2])
                 elif kind in ("bseg", "arc"):
+                    if len(parts) < 4:
+                        raise ValueError("missing end point")
                     if kind == "bseg":
-                        opts = _options(parts[4:], ("on",))
+                        opts = _options(parts[4:], ("on",), required=True)
                         side = Side(parts[1], kind, (parts[2], parts[3]), int(opts["on"]))
                     else:
                         _options(parts[4:], ())
@@ -498,9 +506,6 @@ class Analysis:
             else:
                 ok = False
                 self.problems.append("rotation around puncture %r does not close" % p)
-            if ok and self._ccw_next(cycle[-1]) != start:
-                self.problems.append("rotation around puncture %r does not close" % p)
-                ok = False
             if ok and sorted(cycle) != corners:
                 self.problems.append("rotation around puncture %r misses corners" % p)
                 ok = False

@@ -203,10 +203,20 @@ PENTAGON = example_text("pentagon")  # 16 lines
 
 
 @pytest.mark.parametrize("text, bad_line", [
-    ("surface genus=0 boundary=1\nmarked p\n", "line 2"),
-    ("surface genus=0\n", "line 1"),
-    ("surface genus=0 boundary=1\nmarked p puncture scalar=1/0\n", "line 2"),
-    ("surface genus=0 boundary=1\nmarked A boundary=0\nbseg AB A\n", "line 3"),
+    ("surface genus=0 boundary=1\nmarked p\n",
+     "bad marked line 2: 'marked p' (ValueError: missing kind 'puncture' or 'boundary=')"),
+    ("surface genus=0\n",
+     "bad surface line 1: 'surface genus=0' (ValueError: missing boundary=)"),
+    ("surface genus=0 boundary=1\nmarked p puncture scalar=1/0\n",
+     "bad marked line 2: 'marked p puncture scalar=1/0' (ZeroDivisionError: Fraction(1, 0))"),
+    ("surface genus=0 boundary=1\nmarked A boundary=0\nbseg AB A\n",
+     "bad bseg line 3: 'bseg AB A' (ValueError: missing end point)"),
+    (PENTAGON + "arc 1 A\n",
+     "bad arc line 17: 'arc 1 A' (ValueError: missing end point)"),
+    (PENTAGON.replace("bseg AB A B on=0\n", "bseg AB A B\n"),
+     "bad bseg line 7: 'bseg AB A B' (ValueError: missing on=)"),
+    ("surface boundary=1\n",
+     "bad surface line 1: 'surface boundary=1' (ValueError: missing genus=)"),
     (PENTAGON.replace("marked A boundary=0\n", "marked A boundary=0\nmarked A puncture\n"),
      "bad marked line 3: 'marked A puncture' (ValueError: repeated marked point 'A')"),
     (PENTAGON + "surface genus=1 boundary=0\n",
@@ -232,7 +242,8 @@ PENTAGON = example_text("pentagon")  # 16 lines
     (PENTAGON + "tri 1 X 2\n",
      "bad tri line 17: 'tri 1 X 2' (ValueError: unknown side 'X')"),
 ], ids=["marked-without-kind", "surface-without-boundary", "zero-denominator-scalar",
-        "short-bseg", "repeated-marked", "repeated-surface", "extra-arc-token",
+        "short-bseg", "short-arc", "bseg-without-on", "surface-without-genus",
+        "repeated-marked", "repeated-surface", "extra-arc-token",
         "extra-tri-token", "extra-marked-option", "repeated-bseg-option",
         "unknown-puncture-option", "unknown-marked-kind", "unknown-line-kind", "short-tri",
         "repeated-side-id", "unknown-tri-side"])

@@ -1,4 +1,8 @@
 import hashlib
+import itertools
+import random
+import re
+import types
 import warnings
 from fractions import Fraction
 
@@ -6,11 +10,13 @@ import pytest
 
 from qpsurf.algebra import (
     AlgebraElement,
+    Path,
     Substitution,
     apply_substitution,
     arrow_path,
     cyclic_normal_form,
     cyclically_equivalent,
+    least_rotation,
     substitution_is_isomorphism,
 )
 from qpsurf.examples_data import CORPUS, example_text
@@ -97,6 +103,31 @@ def test_premutate_rejects_two_cycle_at_vertex():
     q = Quiver(["1", "2"], [Arrow("a", "1", "2"), Arrow("b", "2", "1")])
     with pytest.raises(Exception):
         premutate_qp(QP(q, word(q, 6, "a", "b")), "1")
+
+
+@pytest.mark.parametrize("names, error", [
+    (("a", "c", "b", "a", "b", "c"), "unknown arrow id '\\[b.a\\]'"),
+    (("a", "a", "b", "c", "b", "c"), "non-composable path"),
+], ids=["into-k-outside-a-hook", "hooks-intact"])
+def test_premutation_refuses_a_non_composable_word_through_k(names, error):
+    # the QP checks only that a term closes up; the premutated quiver
+    # renames the arrows at k, so the checked premutation refuses the word
+    q = cycle_quiver()
+    qp = QP(q, AlgebraElement(q, 6, {arrow_path(*names): 1}, check=False))
+    with pytest.raises(ValueError, match=error):
+        premutate_qp(qp, "2")
+
+
+@pytest.mark.parametrize("names", [("c",), ("a", "b")], ids=["all-into-k", "ends-in-hook"])
+def test_premutation_refuses_a_word_it_cannot_read(names):
+    # no QP holds such a word, since it does not close up in a loop-free
+    # quiver; the refusal stands in for the hook reading running off its end
+    q = cycle_quiver()
+    qp = types.SimpleNamespace(quiver=q, order=6, potential=AlgebraElement(
+        q, 6, {arrow_path(*names): 1}, check=False))
+    with pytest.raises(QPError, match="^term %s cannot be read at '2': every arrow points into it"
+                       " or a hook runs off its end$" % re.escape(repr(names))):
+        premutate_qp(qp, "2")
 
 
 def test_split_already_reduced():
@@ -270,6 +301,72 @@ def test_split_witness_images_are_pinned():
     assert h.hexdigest() == WITNESS_IMAGES_ORDER_6
 
 
+# the degree-2 block on a paired vertex pair, as the matrix of x_i y_j
+PAIRING_BLOCKS = [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[3, 0], [0, Fraction(-1, 2)]],
+                  [[1, 2], [2, 4]]]
+
+
+def random_split_qp(seed):
+    """A seeded QP on four vertices: one or two vertex pairs carry two arrows
+    each way, paired by an identity, permuted, scaled or rank-deficient block
+    (by seed), and every other pair one arrow; the potential adds random
+    3- and 4-cycles."""
+    rng = random.Random("split:%d" % seed)
+    block = sum(PAIRING_BLOCKS[seed % 4], [])
+    vertices = ["1", "2", "3", "4"]
+    pairs = list(itertools.combinations(vertices, 2))
+    paired = rng.sample(pairs, rng.choice((1, 2)))
+    arrows, terms = [], {}
+    for i, j in pairs:
+        if (i, j) in paired:
+            xs = [Arrow("x%s%s%d" % (i, j, n), i, j) for n in range(2)]
+            ys = [Arrow("y%s%s%d" % (i, j, n), j, i) for n in range(2)]
+            arrows += xs + ys
+            for (x, y), c in zip(itertools.product(xs, ys), block):
+                if c:
+                    terms[arrow_path(x.name, y.name)] = c
+        else:
+            tail, head = (i, j) if rng.random() < 0.5 else (j, i)
+            arrows.append(Arrow("z%s%s" % (i, j), tail, head))
+    words = [(a,) for a in arrows]
+    for length in (2, 3, 4):
+        words = [w + (b,) for w in words for b in arrows if b.head == w[-1].tail]
+        for w in words:
+            names = tuple(a.name for a in w)
+            if (length > 2 and w[-1].tail == w[0].head and names == least_rotation(names)
+                    and rng.random() < 0.3):
+                terms[Path(names)] = rng.choice((-1, 1, 2))
+    quiver = Quiver(vertices, arrows)
+    return QP(quiver, AlgebraElement(quiver, 6, terms), 6)
+
+
+def test_split_witness_and_pairing_on_random_blocks(monkeypatch):
+    # the witness carries W to trivial + reduced, and the pairing step
+    # substitutes only when one of its images moves an arrow
+    calls = []
+
+    def counting(f, x):
+        calls.append(f)
+        return apply_substitution(f, x)
+
+    monkeypatch.setattr("qpsurf.qp.apply_substitution", counting)
+    moved = 0
+    for seed in range(40):
+        qp = random_split_qp(seed)
+        del calls[:]
+        res = split_qp(qp)
+        still = res.steps[0].is_identity()
+        moved += not still
+        assert calls == res.steps[still:], seed
+        assert is_trivial_qp(res.trivial)
+        assert substitution_is_isomorphism(res.witness)
+        image = apply_substitution(res.witness, qp.potential)
+        recombined = AlgebraElement(qp.quiver, 6, {**res.trivial.potential.terms,
+                                                   **res.reduced.potential.terms})
+        assert cyclically_equivalent(image, recombined), seed
+    assert moved == 30  # all but the identity blocks
+
+
 def test_restrict_full_and_empty():
     q = cycle_quiver()
     qp = QP(q, word(q, 6, "a", "b", "c"))
@@ -312,3 +409,73 @@ def test_qp_text_roundtrip():
     again = QP.from_text(qp.to_text())
     assert again == qp
     assert again.order == 6
+
+
+def random_premutation_qp(seed):
+    """A seeded QP on 3 to 5 vertices with parallel arrows, 2-cycles away from
+    vertex '1', and a potential of closed walks that pass through '1' up to
+    three times.  Each term is stored at a random rotation, so some begin
+    inside a hook at '1'."""
+    rng = random.Random("premutation:%d" % seed)
+    vertices = [str(v) for v in range(1, rng.choice((3, 4, 5)) + 1)]
+    arrows = []
+    for i, j in itertools.combinations(vertices, 2):
+        both = i != "1" and rng.random() < 0.4
+        for tail, head in [(i, j), (j, i)] if both else [rng.choice(((i, j), (j, i)))]:
+            for _ in range(rng.choice((1, 1, 2))):
+                arrows.append(Arrow("a%d" % len(arrows), tail, head))
+    quiver = Quiver(vertices, arrows)
+    leaving = {v: [a for a in arrows if a.tail == v] for v in vertices}
+    order = 9
+    terms, seen = {}, set()
+    for _ in range(40):
+        start = v = rng.choice(vertices)
+        walk = []  # in traversal order, so the word is its reverse
+        while leaving[v] and len(walk) < order:
+            a = rng.choice(leaving[v])
+            walk.append(a.name)
+            v = a.head
+            if v == start and rng.random() < 0.6:
+                break
+        if not walk or v != start or sum(quiver.arrow(a).head == "1" for a in walk) > 3:
+            continue
+        r = rng.randrange(len(walk))
+        term = tuple(reversed(walk[r:] + walk[:r]))
+        if least_rotation(term) not in seen:
+            seen.add(least_rotation(term))
+            terms[Path(term)] = rng.choice((-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 4)))
+    return QP(quiver, AlgebraElement(quiver, order, terms), order)
+
+
+# sha256 over the premutation text of random_premutation_qp for seeds 0-79 at
+# every vertex, or the type and text of its refusal; recorded when each term
+# was rewritten from its least rotation that avoids beginning at k and the
+# result was put into cyclic normal form afterwards
+PREMUTATION_SHA256 = "263b58f8ab7aa669928ee60ef8d642f880e3a02c2a61291eeca3f07c933bd9d7"
+
+
+def test_premutation_text_pinned_on_random_qps():
+    # at each vertex k premutated, count the terms whose least rotation
+    # begins with an arrow into k, where a hook wraps around the word's end
+    h = hashlib.sha256()
+    parallel, two_cycles, premutated, wraps, visits = 0, 0, 0, 0, set()
+    for seed in range(80):
+        qp = random_premutation_qp(seed)
+        q = qp.quiver
+        parallel += max(q.multiplicities().values()) > 1
+        two_cycles += sum(len(p) == 2 for p in qp.potential.terms)
+        visits.update([q.arrow(a).head for a in p.arrows].count("1")
+                      for p in qp.potential.terms)
+        for k in q.vertices:
+            try:
+                text = premutate_qp(qp, k).to_text()
+            except ValueError as exc:
+                text = "%s: %s\n" % (type(exc).__name__, exc)
+            else:
+                premutated += 1
+                wraps += sum(q.arrow(least_rotation(p.arrows)[0]).head == k
+                             for p in qp.potential.terms)
+            h.update(("%d %s\n%s" % (seed, k, text)).encode())
+    assert (parallel, two_cycles, premutated, wraps) == (63, 130, 162, 448)
+    assert visits == {0, 1, 2, 3}
+    assert h.hexdigest() == PREMUTATION_SHA256

@@ -149,6 +149,23 @@ def test_restriction_square_co_size_one():
             assert rep.passed, (drop, k, rep.to_text())
 
 
+def test_restriction_premutates_each_route_once(monkeypatch):
+    # one premutation per route, restricted-then-premutated first; the
+    # reduced parts and the exact comparison both come from these two
+    calls = []
+
+    def counting(qp, k):
+        calls.append(len(qp.quiver.arrows))
+        return premutate_qp(qp, k)
+
+    monkeypatch.setattr("qpsurf.qp.premutate_qp", counting)
+    monkeypatch.setattr(verify, "premutate_qp", counting)
+    qp = load_qp("torus")
+    rep = check_restriction_commutes(qp, ["1", "2"], "2", 6)
+    assert rep.passed, rep.to_text()
+    assert calls == [2, 6]
+
+
 def test_explore_depth_zero_single_node():
     rep, graph = explore_mutation_class(load_qp("torus"), 0, 6)
     assert rep.passed
