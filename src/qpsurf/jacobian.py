@@ -1,6 +1,8 @@
 """Truncated Jacobian ideals: quotient dimensions, rigidity, finite-dimension evidence."""
 
-from itertools import accumulate
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, count
 from math import lcm
 
 from .algebra import Path, cyclic_derivative
@@ -90,63 +92,122 @@ class DimensionReport(Record):
         return "\n".join(lines) + "\n"
 
 
+def _reduce(terms, lead, lens, order):
+    """The normal form of a sum of (word, coefficient) terms, cut at `order`.
+
+    `lead` maps each leading word l to the other terms of its monic basis
+    element g, and `lens` lists the lengths of the leading words.  The least
+    word goes first: a normal one is kept, and u*l*v becomes u*(l - g)*v,
+    whose words are larger than u*l*v, so none of them was taken yet.
+    """
+    poly, heap, out = {}, [], {}
+    while True:
+        for x, e in terms:
+            if len(x) > order:
+                continue
+            if x in poly:
+                poly[x] += e
+            else:
+                poly[x] = e
+                heappush(heap, (len(x), x))
+        if not heap:
+            return out
+        n, w = heappop(heap)
+        c = poly.pop(w)
+        terms = ()
+        hit = c and next(((i, i + k) for i in range(n) for k in lens
+                          if i + k <= n and w[i:i + k] in lead), None)
+        if hit:
+            i, j = hit
+            terms = [(w[:i] + t + w[j:], -c * e) for t, e in lead[w[i:j]]]
+        elif c:
+            out[w] = c
+
+
 def truncated_quotient_dim(qp, order):
     """Per-degree dimensions of the quotient by the derivative ideal.
 
-    dim_d is the dimension of (paths of length <= d) modulo the ideal span
-    and all longer paths.  Columns run through the paths shortest first, so
-    cutting the ideal down to degree d projects its span onto an initial
-    segment of the columns, and rank_d is the number of echelon pivots of
-    length <= d.  The paths of length d lie in the span plus longer paths
-    exactly when every one of them is a pivot column; that is `absorbed[d]`.
+    With D = `order`, m the arrow ideal and I the ideal of the d_a W in
+    A = kQ/m^(D+1), dim_d is the dimension of A/(I + m^(d+1)), read off a
+    Groebner basis of I (Bergman's diamond lemma, 1978; Green,
+    "Noncommutative Groebner bases, and projective resolutions", 1999).
+    Words go by length, then arrow names, an order that products keep, and
+    an element leads with its *least* word.  Rewriting the leading word l
+    of a monic basis element g as l - g gives larger words, and words longer
+    than D are zero, so rewriting ends.  By the diamond lemma the normal
+    words (no leading word inside) are a basis of A/I once no leading word
+    lies inside another and each overlap a = a'x, b = xb' (x, a', b'
+    nonempty) reduces g_a*b' - a'*g_b to zero.  The terms of a basis
+    element are no shorter than its leading word, so an overlap longer than
+    D, or with a word of length D + 1, has only words longer than D: the
+    truncation adds no ambiguity.
 
-    The certificate fires at the first absorbed d < order, and every longer
-    path is absorbed too: a path of length c + 1 is q * r for an arrow r and
-    a path q that is a sum of rows u * d_a W * s plus longer paths, and the
-    cut of that row times r is the cut of the row u * d_a W * (s * r).  The
-    top degree alone certifies nothing, as no column extends it.
+    The pass reduces the d_a W at their least degree and the overlaps at
+    degree |a'xb'|, least degree first, and adds each nonzero result; an
+    element whose leading word contains the new one is reduced again.  The
+    terms of an S-polynomial are no shorter than its overlap, so once degree
+    d is done the leading words of length <= d are final.  An f in
+    I + m^(d+1) whose least word has length <= d agrees up to length d with
+    its part in I, so both lead with that word: dim_d counts the normal
+    words of length <= d.  Extending them on the right, degree by degree,
+    only a suffix can be a new leading word.
 
-    One pass feeds the rows u * d_a W * s, cut at `order`, in order of their
-    least degree |u| + gmin(a) + |s|.  Reduction never moves a row's pivot
-    below its least degree, so once the rows of least degree <= d are in,
-    the pivots of length <= d are final.  The pass stops at the certificate
-    and fills every higher degree by counting, with a pivot for each of its
-    paths.
+    Degree d is absorbed when no word of length d is normal; then no longer
+    word is, as it contains one of length d.  The certificate is the first
+    absorbed d < order, where the pass stops and fills the higher degrees;
+    the top degree alone certifies nothing, as no longer word is counted.
+    Path counts come from a transfer count, and rank_d = #paths - dim_d.
     """
     _require_order(qp, order)
-    levels = paths_by_length(qp.quiver, order)
-    index = {}
-    by_tail, by_head = {}, {}
-    for col, (w, tail, head) in enumerate(p for level in levels for p in level):
-        index[w] = col
-        by_tail.setdefault((tail, len(w)), []).append(w)
-        by_head.setdefault((head, len(w)), []).append(w)
-    counts = [len(level) for level in levels]
-    path_counts = list(accumulate(counts))
-    generators = _integer_generators(qp)
+    into = {v: [] for v in qp.quiver.vertices}
+    for x in qp.quiver.arrows:
+        into[x.head].append(x)
+    per = dict.fromkeys(into, 1)  # paths of one length, by head
+    counts = [len(per)]
+    for _ in range(order):
+        per = {v: sum(per[x.tail] for x in into[v]) for v in per}
+        counts.append(sum(per.values()))
 
-    elim = SparseEliminator()
-    pivots = [0] * (order + 1)
-    certified_order = None
+    seq = count()
+    queue = [(gmin, next(seq), terms, ()) for _, terms, gmin in _integer_generators(qp)]
+    heapify(queue)
+    lead, lens = {}, []
+    level = [((), v) for v in into]
+    normal = [len(level)]
     for d in range(1, order + 1):
-        for a, terms, gmin in generators:
-            room = order - d + gmin
-            for lu in range(d - gmin + 1):
-                for u in by_tail.get((a.tail, lu), ()):
-                    for s in by_head.get((a.head, d - gmin - lu), ()):
-                        elim.add_row({index[u + t + s]: c for t, c in terms if len(t) <= room})
-        pivots[d] = sum(map(elim.basis.__contains__, range(path_counts[d - 1], path_counts[d])))
-        if d < order and pivots[d] == counts[d]:
-            certified_order = d
-            pivots[d + 1:] = counts[d + 1:]
+        while queue and queue[0][0] <= d:
+            _, _, terms, guard = heappop(queue)  # guard: the basis elements it came from
+            f = all(lead.get(l) is t for l, t in guard) and _reduce(terms, lead, lens, order)
+            if not f:
+                continue
+            l = min(f, key=lambda w: (len(w), w))
+            c = f.pop(l)
+            tail = [(w, Fraction(e) / c) for w, e in f.items()]
+            for b in [b for b in lead if len(b) > len(l) and any(
+                    b[i:i + len(l)] == l for i in range(len(b) - len(l) + 1))]:
+                heappush(queue, (len(b), next(seq), [(b, 1)] + lead.pop(b), ()))
+            lead[l] = tail
+            lens = sorted({len(b) for b in lead})
+            for b, tb in lead.items():
+                for x, tx, y, ty in [(l, tail, b, tb), (b, tb, l, tail)][:1 + (b != l)]:
+                    for k in range(max(1, len(x) + len(y) - order), min(len(x), len(y))):
+                        if x[-k:] == y[:k]:
+                            terms = ([(t + y[k:], e) for t, e in tx]
+                                     + [(x[:-k] + t, -e) for t, e in ty])
+                            heappush(queue, (len(x) + len(y) - k, next(seq), terms,
+                                             ((x, tx), (y, ty))))
+        level = [(w, x.tail) for u, v in level for x in into[v] for w in [u + (x.name,)]
+                 if not any(w[-k:] in lead for k in lens if k <= d)]
+        normal.append(len(level))
+        if d < order and not level:
             break
 
-    ranks = list(accumulate(pivots))
-    dims = [n - r for n, r in zip(path_counts, ranks)]
-    absorbed = [False] + [pivots[d] == counts[d] for d in range(1, order + 1)]
-    return DimensionReport(order=order, dims=dims, path_counts=path_counts,
-                           ranks=ranks, certified=certified_order is not None,
-                           certified_order=certified_order, absorbed=absorbed)
+    certified_order = len(normal) - 1 if len(normal) <= order else None
+    normal += [0] * (order + 1 - len(normal))
+    dims, path_counts = list(accumulate(normal)), list(accumulate(counts))
+    return DimensionReport(order, dims, path_counts, [n - m for n, m in zip(path_counts, dims)],
+                           certified_order is not None, certified_order,
+                           [False] + [not n for n in normal[1:]])
 
 
 class RigidityReport(Record):

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Dense routines for the small per-vertex-pair blocks used in reduction, and a
-sparse incremental eliminator, fraction-free on integer rows, for the large
-path-indexed systems used by the dimension and rigidity computations.
+sparse incremental eliminator, fraction-free on integer rows, for the
+rigidity test and the triviality test of a QP.
 """
 
 from fractions import Fraction
@@ -119,13 +119,6 @@ class SparseEliminator:
     basis row stored there, which only touches larger columns, until the row
     vanishes (it lies in the span) or its least column has no basis row (it
     does not).  Basis rows are not reduced against each other.
-
-    Because the basis is in echelon form, its rows with least column in an
-    initial segment of the column order project onto that segment as a basis
-    of the projected span; the other rows project to zero.  So the rank of
-    the span cut down to the first n columns is the number of basis keys
-    among those columns.  The set of pivot columns of an echelon basis
-    depends only on the span, so it is the same as over the rationals.
     """
 
     def __init__(self):

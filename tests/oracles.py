@@ -3,8 +3,8 @@
 Everything here recomputes from first principles: raw enumeration of arrow
 words, the rotation formula for derivatives, dense rational elimination,
 rigidity over the whole truncated path space with every rotation difference,
-brute-force expansion of substitutions, and the least entry table over every
-vertex order.
+brute-force expansion of substitutions, the least entry table over every
+vertex order, and the path count of a gentle algebra.
 None of it shares code with the library's sparse machinery.
 """
 
@@ -106,6 +106,27 @@ def oracle_dims(qp, max_order):
             columns.extend(paths[ln])
             npaths += len(paths[ln])
         dims.append(npaths - oracle_rank(rows, columns))
+    return dims
+
+
+def oracle_gentle_dims(arrows, triangles, order):
+    """Quotient dimensions of a gentle Jacobian algebra, by counting paths.
+
+    `arrows` lists (name, tail, head) triples, every vertex on one of them,
+    and `triangles` the words (x, y, z) of a potential that is a sum of
+    3-cycles, no arrow in two of them.  Each derivative is then one path xy,
+    yz or zx, so dims[d] counts the paths of length <= d with no two
+    consecutive arrows of one 3-cycle (Assem, Bruestle, Charbonneau-Jodoin,
+    Plamondon, arXiv:0903.3347).  Paths are counted by their last arrow.
+    """
+    arrows = list(arrows)
+    banned = {(w[i], w[(i + 1) % 3]) for w in triangles for i in range(3)}
+    dims = [len({v for _, t, h in arrows for v in (t, h)})]
+    ways = {name: 1 for name, _, _ in arrows}
+    for _ in range(order):
+        dims.append(dims[-1] + sum(ways.values()))
+        ways = {x: sum(ways[a] for a, t, _ in arrows if t == hx and (a, x) not in banned)
+                for x, _, hx in arrows}
     return dims
 
 

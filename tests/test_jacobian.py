@@ -1,10 +1,12 @@
 import hashlib
 import random
+import warnings
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 from oracles import oracle_dims, oracle_is_rigid, oracle_paths
+from test_qp import random_premutation_qp
 
 from qpsurf.algebra import (
     AlgebraElement,
@@ -21,10 +23,10 @@ from qpsurf.jacobian import (
     jacobian_generators,
     truncated_quotient_dim,
 )
-from qpsurf.potential import qp_of_triangulation
+from qpsurf.potential import PotentialBuildWarning, qp_of_triangulation
 from qpsurf.qp import QP, mutate_qp
 from qpsurf.quiver import Arrow, Quiver
-from qpsurf.surface import Triangulation
+from qpsurf.surface import SurfaceError, Triangulation, flip
 
 
 def load_qp(name, order=6):
@@ -97,6 +99,19 @@ def two_degree_certificate(dims, order):
                  if dims[c] == dims[c - 1] and dims[c + 1] == dims[c]), None)
 
 
+def flip_or_none(tri, arc):
+    """The flip, or None where it is undefined, or where the QP does not fit
+    order 9 or leaves a puncture without its cycle."""
+    try:
+        out = flip(tri, arc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PotentialBuildWarning)
+            qp_of_triangulation(out, 9)
+    except (SurfaceError, PotentialBuildWarning):
+        return None
+    return out
+
+
 def assert_matches_oracle(qp, order, label):
     """One pass against one oracle call: dims, path counts, absorbed degrees
     (a degree is absorbed exactly when it adds nothing to the quotient), and
@@ -138,6 +153,23 @@ def test_certificate_matches_two_degree_rule_of_oracle():
     assert not rep.certified and rep.certified_order is None and rep.absorbed[7]
     rep = truncated_quotient_dim(torus, 8)
     assert rep.certified and rep.certified_order == 7
+
+
+def test_dims_match_oracle_where_the_basis_needs_overlaps():
+    # punctured surfaces and premutations have leading words that overlap, so
+    # S-polynomials add to the Groebner basis; unpunctured surfaces have none
+    # that matter.  Premutation seed 5 needs an S-polynomial by degree 3, and
+    # seeds 103, 113, 176 and 387 a new leading word inside an older one by
+    # degree 3, so that the older element must be reduced again.
+    for name, order in (("torus", 4), ("punctured-square-4", 5), ("punctured-square-sf", 5)):
+        tri = Triangulation.from_text(example_text(name))
+        rng = random.Random("overlaps:" + name)
+        for step in range(3):
+            assert_matches_oracle(qp_of_triangulation(tri, 9), order, (name, step))
+            tri = next(t for t in (flip_or_none(tri, rng.choice(tri.arcs)) for _ in range(99))
+                       if t is not None)
+    for seed in (5, 103, 113, 176, 387):
+        assert_matches_oracle(random_premutation_qp(seed), 3, seed)
 
 
 def test_torus_dims_match_oracle_smaller_order():
