@@ -309,21 +309,35 @@ def cyclically_equivalent(x, y):
     return cyclic_normal_form(x) == cyclic_normal_form(y)
 
 
+def word_derivatives(terms):
+    """The cyclic derivatives of a sum of cycles, all arrows in one pass.
+
+    `terms` are (arrow tuple, coefficient) pairs.  The result maps each
+    arrow to {rest word: coefficient}: an occurrence of the arrow at
+    position i of w adds the coefficient of w to w[i+1:] + w[:i].  An arrow
+    in no word is absent.  Words that are not rotations of one another give
+    no common rest word, so on a QP's potential no sum cancels.  The words
+    are not checked to be cycles, and a loop-free quiver gives no empty
+    rest word.
+    """
+    out = {}
+    for w, c in terms:
+        for i, a in enumerate(w):
+            d = out.get(a)
+            if d is None:
+                d = out[a] = {}
+            r = w[i + 1:] + w[:i]
+            d[r] = d.get(r, 0) + c
+    return out
+
+
 def cyclic_derivative(x, arrow_name):
     """Sum over occurrences of the arrow of the rotated remainder of each cycle."""
-    q = x.quiver
-    q.arrow(arrow_name)
+    x.quiver.arrow(arrow_name)
     if not is_cyclic_element(x):
         raise AlgebraError("cyclic derivative needs a cyclic element")
-    out = {}
-    for p, c in x.terms.items():
-        for i, name in enumerate(p.arrows):
-            if name != arrow_name:
-                continue
-            rest = p.arrows[i + 1:] + p.arrows[:i]
-            rp = Path(rest) if rest else vertex_path(q.arrow(arrow_name).tail)
-            out[rp] = out.get(rp, Fraction(0)) + c
-    return AlgebraElement(q, x.order, out, check=False)
+    d = word_derivatives((p.arrows, c) for p, c in x.terms.items()).get(arrow_name, {})
+    return AlgebraElement(x.quiver, x.order, {Path(r): c for r, c in d.items()}, check=False)
 
 
 # -- substitutions ---------------------------------------------------------

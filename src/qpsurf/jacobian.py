@@ -1,11 +1,12 @@
 """Truncated Jacobian ideals: quotient dimensions, rigidity, finite-dimension evidence."""
 
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
 from math import lcm
 
-from .algebra import Path, cyclic_derivative
+from .algebra import AlgebraElement, Path, word_derivatives
 from .linalg import SparseEliminator
 from .quiver import Record
 
@@ -43,24 +44,29 @@ def paths_by_length(quiver, max_len):
 
 def jacobian_generators(qp):
     """One cyclic derivative per arrow, in arrow order."""
-    return [cyclic_derivative(qp.potential, a.name) for a in qp.quiver.arrows]
+    ders = word_derivatives((p.arrows, c) for p, c in qp.potential.terms.items())
+    return [AlgebraElement(qp.quiver, qp.order,
+                           {Path(r): c for r, c in ders.get(a.name, {}).items()}, check=False)
+            for a in qp.quiver.arrows]
 
 
 def _integer_generators(qp):
-    """(arrow, terms, gmin) for each nonzero d_a W, scaled by its common denominator.
+    """(arrow, terms, gmin) for each arrow with a nonzero d_a W, in arrow order.
 
-    Terms are (arrow tuple, int) pairs, shortest first, and gmin is the
-    length of the shortest.  Scaling a generator leaves the ideal unchanged,
-    and it makes every row built from it integer.
+    W is scaled once by the common denominator of its coefficients, so the
+    terms are (arrow tuple, int) pairs, shortest first, and gmin is the
+    length of the shortest.  Scaling every generator by one factor leaves
+    the ideal unchanged, and it makes every row built from them integer.
     """
+    pot = qp.potential.terms
+    den = lcm(*(c.denominator for c in pot.values()))
+    ders = word_derivatives((p.arrows, c.numerator * (den // c.denominator))
+                            for p, c in pot.items())
     out = []
-    for a, gen in zip(qp.quiver.arrows, jacobian_generators(qp)):
-        if gen.is_zero():
-            continue
-        den = lcm(*(c.denominator for c in gen.terms.values()))
-        terms = sorted(((p.arrows, int(c * den)) for p, c in gen.terms.items()),
-                       key=lambda tc: len(tc[0]))
-        out.append((a, terms, len(terms[0][0])))
+    for a in qp.quiver.arrows:
+        if a.name in ders:
+            terms = sorted(ders[a.name].items(), key=lambda tc: len(tc[0]))
+            out.append((a, terms, len(terms[0][0])))
     return out
 
 
@@ -144,9 +150,13 @@ def truncated_quotient_dim(qp, order):
 
     The pass reduces the d_a W at their least degree and the overlaps at
     degree |a'xb'|, least degree first, and adds each nonzero result; an
-    element whose leading word contains the new one is reduced again.  The
-    terms of an S-polynomial are no shorter than its overlap, so once degree
-    d is done the leading words of length <= d are final.  An f in
+    element whose leading word contains the new one is reduced again.  A
+    new leading word l = a'x with |x| = k overlaps only words b = xb', which
+    start with l[-k], and l = xb' only words b = a'x, which end with
+    l[k-1]; so the leading words are kept by first and by last arrow, and l
+    is tested against those alone, itself included.  The terms of an
+    S-polynomial are no shorter than its overlap, so once degree d is done
+    the leading words of length <= d are final.  An f in
     I + m^(d+1) whose least word has length <= d agrees up to length d with
     its part in I, so both lead with that word: dim_d counts the normal
     words of length <= d.  Extending them on the right, degree by degree,
@@ -172,6 +182,7 @@ def truncated_quotient_dim(qp, order):
     queue = [(gmin, next(seq), terms, ()) for _, terms, gmin in _integer_generators(qp)]
     heapify(queue)
     lead, lens = {}, []
+    starts, ends = defaultdict(dict), defaultdict(dict)  # leading words by first, last arrow
     level = [((), v) for v in into]
     normal = [len(level)]
     for d in range(1, order + 1):
@@ -186,16 +197,19 @@ def truncated_quotient_dim(qp, order):
             for b in [b for b in lead if len(b) > len(l) and any(
                     b[i:i + len(l)] == l for i in range(len(b) - len(l) + 1))]:
                 heappush(queue, (len(b), next(seq), [(b, 1)] + lead.pop(b), ()))
-            lead[l] = tail
+                del starts[b[0]][b], ends[b[-1]][b]
+            lead[l] = starts[l[0]][l] = ends[l[-1]][l] = tail
             lens = sorted({len(b) for b in lead})
-            for b, tb in lead.items():
-                for x, tx, y, ty in [(l, tail, b, tb), (b, tb, l, tail)][:1 + (b != l)]:
-                    for k in range(max(1, len(x) + len(y) - order), min(len(x), len(y))):
-                        if x[-k:] == y[:k]:
-                            terms = ([(t + y[k:], e) for t, e in tx]
-                                     + [(x[:-k] + t, -e) for t, e in ty])
-                            heappush(queue, (len(x) + len(y) - k, next(seq), terms,
-                                             ((x, tx), (y, ty))))
+            for k in range(1, len(l)):  # x = a'z, y = zb' with |z| = k
+                for x, tx, y, ty in ([(l, tail, b, tb) for b, tb in starts[l[-k]].items()
+                                      if len(b) > k]
+                                     + [(b, tb, l, tail) for b, tb in ends[l[k - 1]].items()
+                                        if len(b) > k and b != l]):
+                    if len(x) + len(y) - k <= order and x[-k:] == y[:k]:
+                        terms = ([(t + y[k:], e) for t, e in tx]
+                                 + [(x[:-k] + t, -e) for t, e in ty])
+                        heappush(queue, (len(x) + len(y) - k, next(seq), terms,
+                                         ((x, tx), (y, ty))))
         level = [(w, x.tail) for u, v in level for x in into[v] for w in [u + (x.name,)]
                  if not any(w[-k:] in lead for k in lens if k <= d)]
         normal.append(len(level))

@@ -10,10 +10,10 @@ from .algebra import (
     apply_substitution,
     arrow_path,
     compose_substitutions,
-    cyclic_derivative,
     cyclic_normal_form,
     least_rotation,
     path_is_cycle,
+    word_derivatives,
 )
 from .quiver import Quiver, Record, hook_name, mutate_quiver, premutate_quiver
 from . import linalg
@@ -347,10 +347,9 @@ def is_trivial_qp(qp):
     if any(len(p) != 2 for p in qp.potential.terms):
         return False
     elim = linalg.SparseEliminator()
+    ders = word_derivatives((p.arrows, c) for p, c in qp.potential.terms.items())
     for a in qp.quiver.arrows:
-        d = cyclic_derivative(qp.potential, a.name)
-        row = {p.arrows[0]: c for p, c in d.terms.items() if len(p) == 1}
-        elim.add_row(row)
+        elim.add_row({r: c for (r,), c in ders.get(a.name, {}).items()})
     return elim.rank == len(qp.quiver.arrows)
 
 

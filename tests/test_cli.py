@@ -395,7 +395,10 @@ def test_outputs_do_not_depend_on_the_hash_seed(name):
         vertex = QP.from_text(qp_text).quiver.vertices[0]
         return [qp_text, cli_run(["quiver", "-", "--unreduced"], tri),
                 cli_run(["mutate", "-", vertex], qp_text),
-                cli_run(["explore", "-", "--depth", "2"], qp_text)]
+                cli_run(["explore", "-", "--depth", "2"], qp_text),
+                cli_run(["dim", "-", "--order", "6"], qp_text),
+                cli_run(["dim", "-", "--order", "6", "--stabilize"], qp_text),
+                cli_run(["rigid", "-", "--order", "6"], qp_text)]
 
     assert outputs("1") == outputs("2")
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from oracles import oracle_dims, oracle_is_rigid, oracle_paths
+from oracles import oracle_derivative, oracle_dims, oracle_is_rigid, oracle_paths
 from test_qp import random_premutation_qp
 
 from qpsurf.algebra import (
@@ -14,10 +14,12 @@ from qpsurf.algebra import (
     Substitution,
     apply_substitution,
     cyclic_normal_form,
+    least_rotation,
 )
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.jacobian import (
     JacobianError,
+    _integer_generators,
     finite_dim_evidence,
     is_rigid_up_to,
     jacobian_generators,
@@ -64,6 +66,52 @@ def test_torus_generator_literal():
     expect = (word(qp.quiver, 6, "2>3~t0", "1>2~t0")
               + x * word(qp.quiver, 6, "2>3~t1", "1>2~t0", "3>1~t1", "2>3~t0", "1>2~t1"))
     assert gens["3>1~t0"] == expect
+
+
+def assert_integer_generators_match_oracle(qp, label):
+    """Each entry is an integer multiple of the arrow's derivative by the
+    rotation formula, arrows with a zero derivative are left out, and the
+    terms go shortest first."""
+    terms = [(p.arrows, c) for p, c in qp.potential.terms.items()]
+    expect = [(a, oracle_derivative(qp.quiver, terms, a.name)) for a in qp.quiver.arrows]
+    expect = [(a, d) for a, d in expect if d]
+    gens = _integer_generators(qp)
+    assert [a for a, _, _ in gens] == [a for a, _ in expect], label
+    for (a, got, gmin), (_, d) in zip(gens, expect):
+        lengths = [len(w) for w, _ in got]
+        assert lengths == sorted(lengths) and gmin == lengths[0], (label, a.name)
+        assert all(type(c) is int for _, c in got), (label, a.name)
+        w0, c0 = got[0]
+        r = Fraction(c0) / d[w0]
+        assert r and dict(got) == {w: r * c for w, c in d.items()}, (label, a.name)
+
+
+def rotated_qp(qp):
+    """The QP read back from its text with every term rotated by one arrow."""
+    head, pot = qp.to_text().split("potential:\n")
+    rows = [line.split() for line in pot.splitlines()]
+    return QP.from_text(head + "potential:\n" + "".join(
+        " ".join([c] + w[1:] + w[:1]) + "\n" for c, *w in rows))
+
+
+def test_integer_generators_match_oracle():
+    for name in CORPUS:
+        qp = load_qp(name)
+        assert_integer_generators_match_oracle(qp, name)
+        for k in qp.quiver.vertices:
+            assert_integer_generators_match_oracle(mutate_qp(qp, k), (name, k))
+    for seed in range(40):
+        assert_integer_generators_match_oracle(random_premutation_qp(seed), seed)
+    torus = rotated_qp(load_qp("torus"))
+    assert any(p.arrows != least_rotation(p.arrows) for p in torus.potential.terms)
+    assert_integer_generators_match_oracle(torus, "rotated torus")
+    for name, x in (("torus", Fraction(2, 3)), ("punctured-square-sf", Fraction(5, 7))):
+        tri = Triangulation.from_text(example_text(name), {"p": x})
+        qp = qp_of_triangulation(tri, 6)
+        assert any(c.denominator > 1 for c in qp.potential.terms.values()), name
+        assert_integer_generators_match_oracle(qp, (name, x))
+        for k in qp.quiver.vertices:
+            assert_integer_generators_match_oracle(mutate_qp(qp, k), (name, x, k))
 
 
 # -- dimensions ---------------------------------------------------------------
@@ -160,7 +208,8 @@ def test_dims_match_oracle_where_the_basis_needs_overlaps():
     # S-polynomials add to the Groebner basis; unpunctured surfaces have none
     # that matter.  Premutation seed 5 needs an S-polynomial by degree 3, and
     # seeds 103, 113, 176 and 387 a new leading word inside an older one by
-    # degree 3, so that the older element must be reduced again.
+    # degree 3, so that the older element must be reduced again.  The two
+    # small QPs need the overlap of a leading word with itself.
     for name, order in (("torus", 4), ("punctured-square-4", 5), ("punctured-square-sf", 5)):
         tri = Triangulation.from_text(example_text(name))
         rng = random.Random("overlaps:" + name)
@@ -170,6 +219,8 @@ def test_dims_match_oracle_where_the_basis_needs_overlaps():
                        if t is not None)
     for seed in (5, 103, 113, 176, 387):
         assert_matches_oracle(random_premutation_qp(seed), 3, seed)
+    for seed in (261, 403):
+        assert_matches_oracle(random_small_qp(random.Random(seed), 5), 5, ("small", seed))
 
 
 def test_torus_dims_match_oracle_smaller_order():
@@ -355,6 +406,31 @@ def test_dim_text_pinned_at_every_order_to_nine():
                 h.update(truncated_quotient_dim(q, order).to_text().encode())
                 h.update(finite_dim_evidence(q, order).to_text().encode())
     assert h.hexdigest() == JACOBIAN_ORDERS_SHA256
+
+
+# sha256 of the dim and rigid text of 120 random_small_qp draws at orders 3-7
+# and of random_premutation_qp seeds 0-29 (dim at orders 6 and 7, rigid at
+# 6), recorded before the derivatives came from one pass over the potential
+# and the overlaps from an index of leading words
+RANDOM_JACOBIAN_SHA256 = "825f0b626c32bddac681d0bbe628fa8588bd8e1105dd030070fc74e8c6970c98"
+
+
+def test_jacobian_text_pinned_on_random_qps():
+    h = hashlib.sha256()
+    rng = random.Random("jacobian pin")
+    for i in range(120):
+        order = rng.randrange(3, 8)
+        qp = random_small_qp(rng, order)
+        h.update(("small %d %d\n" % (i, order)).encode())
+        h.update(truncated_quotient_dim(qp, order).to_text().encode())
+        h.update(is_rigid_up_to(qp, order).to_text().encode())
+    for seed in range(30):
+        qp = random_premutation_qp(seed)
+        for order in (6, 7):
+            h.update(("premutation %d %d\n" % (seed, order)).encode())
+            h.update(truncated_quotient_dim(qp, order).to_text().encode())
+        h.update(is_rigid_up_to(qp, 6).to_text().encode())
+    assert h.hexdigest() == RANDOM_JACOBIAN_SHA256
 
 
 def test_unpunctured_corpus_certified_by_ten():
