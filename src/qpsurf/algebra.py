@@ -346,8 +346,9 @@ def cyclic_derivative(x, arrow_name):
 class Substitution:
     """Vertex-fixing algebra map determined by images of the base arrows.
 
-    Arrows without an explicit image map to themselves, which requires an
-    arrow of the same name in the target quiver.  Every image term must be a
+    `images` holds the arrows the map moves, by name.  An arrow without an
+    image maps to the arrow of the same name in the target quiver, which
+    must exist with the same endpoints.  Every image term must be a
     positive-length path with the same endpoints as the arrow it replaces.
     """
 
@@ -357,8 +358,10 @@ class Substitution:
         self.base = base
         self.target = target
         self.order = int(order)
-        full = {}
         images = images or {}
+        for name in images:
+            if not base.has_arrow(name):
+                raise AlgebraError("image given for %r, which is not an arrow of the base" % name)
         for a in base.arrows:
             img = images.get(a.name)
             if img is None:
@@ -367,8 +370,6 @@ class Substitution:
                 t = target.arrow(a.name)
                 if t.tail != a.tail or t.head != a.head:
                     raise AlgebraError("image term of %r has wrong endpoints" % a.name)
-                full[a.name] = AlgebraElement(target, self.order, {Path((a.name,)): _ONE},
-                                              check=False)
                 continue
             if img.quiver != target or img.order != self.order:
                 raise AlgebraError("image of %r lives in the wrong algebra" % a.name)
@@ -377,31 +378,26 @@ class Substitution:
                     raise AlgebraError("image of %r has a degree-0 term" % a.name)
                 if path_tail(target, p) != a.tail or path_head(target, p) != a.head:
                     raise AlgebraError("image term of %r has wrong endpoints" % a.name)
-            full[a.name] = img
-        self.images = full
+        self.images = dict(images)
 
     @staticmethod
     def identity(quiver, order):
         return Substitution(quiver, quiver, order)
 
     def is_identity(self):
-        if self.base != self.target:
-            return False
-        for a in self.base.arrows:
-            img = self.images[a.name]
-            if list(img.terms.items()) != [(arrow_path(a.name), Fraction(1))]:
-                return False
-        return True
+        return self.base == self.target and all(
+            img.terms == {arrow_path(name): _ONE} for name, img in self.images.items())
 
 
 def apply_substitution(f, x):
     """Extend the arrow images multiplicatively and linearly, truncating at D.
 
-    Each image is read once as (arrow tuple, coefficient) pairs, and every
-    word of x is expanded on tuples into one dict; a product is dropped as
-    soon as it cannot stay within D.  The expanded words need no
-    composability check: `Substitution` gives every image term its arrow's
-    endpoints, so the images of a composable word compose.
+    Each image is read once as (arrow tuple, coefficient) pairs, shortest
+    first, and an arrow without an image as itself.  Every word of x is
+    expanded on tuples into one dict; a partial word stops taking image
+    terms at the first one that cannot stay within D.  The expanded words
+    need no composability check: `Substitution` gives every image term its
+    arrow's endpoints, so the images of a composable word compose.
     """
     if x.quiver != f.base or x.order != f.order:
         raise AlgebraError("element does not live over the substitution's base")
@@ -419,9 +415,18 @@ def apply_substitution(f, x):
         for name in arrows:
             img = words.get(name)
             if img is None:
-                img = words[name] = [(q.arrows, v) for q, v in f.images[name].terms.items()]
+                image = f.images.get(name)
+                img = words[name] = [((name,), _ONE)] if image is None else sorted(
+                    ((q.arrows, v) for q, v in image.terms.items()), key=lambda t: len(t[0]))
             room += 1
-            acc = [(w + u, a * b) for w, a in acc for u, b in img if len(w) + len(u) <= room]
+            grown = []
+            for w, a in acc:
+                fit = room - len(w)
+                for u, b in img:
+                    if len(u) > fit:
+                        break
+                    grown.append((w + u, a * b))
+            acc = grown
             if not acc:
                 break
         for w, a in acc:
@@ -436,7 +441,9 @@ def compose_substitutions(f, g):
     """Substitution acting as f after g."""
     if g.target != f.base or f.order != g.order:
         raise AlgebraError("substitutions do not compose")
-    images = {name: apply_substitution(f, img) for name, img in g.images.items()}
+    images = {name: img for name, img in f.images.items()
+              if name not in g.images and g.base.has_arrow(name)}
+    images.update((name, apply_substitution(f, img)) for name, img in g.images.items())
     return Substitution(g.base, f.target, f.order, images)
 
 
@@ -456,7 +463,8 @@ def substitution_is_isomorphism(f):
             return False
         if not rows:
             continue
-        m = [[f.images[r].coefficient(arrow_path(c)) for c in cols] for r in rows]
+        m = [[f.images[r].coefficient(arrow_path(c)) if r in f.images else int(r == c)
+              for c in cols] for r in rows]
         if linalg.rank(m) != len(rows):
             return False
     return True

@@ -10,27 +10,8 @@ from math import gcd, lcm
 
 
 def rank(matrix):
-    """Rank of a dense matrix given as a list of rows."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    """Rank of a dense matrix given as a list of rows: the r of `diagonalize_pairing`."""
+    return diagonalize_pairing(matrix)[2]
 
 
 def identity(n):

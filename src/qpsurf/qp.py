@@ -256,30 +256,37 @@ def _normalize_pairing(s):
     return s, phi, pairs
 
 
-def _extract_factors(s, a_name, b_name, pair_rep):
-    """Factors u (after a_j) and v (before b_j) collected from the potential.
+def _pair_images(s, a_name, b_name, pair_rep):
+    """The images a_j - v and b_j - u that clear the pair's cross terms.
 
     Terms other than the 2-cycle itself that contain a_j are rotated to start
     with a_j and contribute the remainder to u; terms containing b_j but not
-    a_j are rotated to end with b_j and contribute the prefix to v.
+    a_j are rotated to end with b_j and contribute the prefix to v.  u and v
+    hold words of length >= 2, since the degree-2 part is the pair 2-cycles
+    alone, so neither meets its arrow's own term.  Returns None when both
+    vanish.
     """
-    u_terms = {}
-    v_terms = {}
+    img_a = {arrow_path(a_name): 1}
+    img_b = {arrow_path(b_name): 1}
     for p, c in s.terms.items():
         if p == pair_rep:
             continue
         arrows = p.arrows
-        if a_name in arrows:
+        if a_name in arrows:  # u goes into b's image, v into a's
             i = arrows.index(a_name)
-            rest = Path(arrows[i + 1:] + arrows[:i])
-            u_terms[rest] = u_terms.get(rest, Fraction(0)) + c
+            img = img_b
         elif b_name in arrows:
             i = arrows.index(b_name)
-            rest = Path(arrows[i + 1:] + arrows[:i])
-            v_terms[rest] = v_terms.get(rest, Fraction(0)) + c
-    u = AlgebraElement(s.quiver, s.order, u_terms, check=False)
-    v = AlgebraElement(s.quiver, s.order, v_terms, check=False)
-    return u, v
+            img = img_a
+        else:
+            continue
+        rest = Path(arrows[i + 1:] + arrows[:i])
+        img[rest] = img.get(rest, 0) - c
+    img_a = AlgebraElement(s.quiver, s.order, img_a, check=False)
+    img_b = AlgebraElement(s.quiver, s.order, img_b, check=False)
+    if len(img_a.terms) == len(img_b.terms) == 1:
+        return None
+    return {a_name: img_a, b_name: img_b}
 
 
 def _reduced_quiver(quiver, pairs):
@@ -308,13 +315,11 @@ def split_qp(qp):
     for sweep in range(order + 3):
         changed = False
         for (a, b) in pairs:
-            u, v = _extract_factors(s, a, b, reps[(a, b)])
-            if u.is_zero() and v.is_zero():
+            images = _pair_images(s, a, b, reps[(a, b)])
+            if images is None:
                 continue
             changed = True
-            img_a = AlgebraElement.from_word(quiver, order, [a]) - v
-            img_b = AlgebraElement.from_word(quiver, order, [b]) - u
-            phi = Substitution(quiver, quiver, order, {a: img_a, b: img_b})
+            phi = Substitution(quiver, quiver, order, images)
             s = cyclic_normal_form(apply_substitution(phi, s))
             steps.append(phi)
         if not changed:

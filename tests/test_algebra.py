@@ -147,6 +147,21 @@ def test_substitution_validates_endpoints():
         Substitution(q, q, 6, {"a": AlgebraElement.from_path(q, 6, vertex_path("1"))})
 
 
+def test_substitution_stores_only_the_images_it_is_given():
+    q = three_cycle()
+    assert Substitution.identity(q, 6).images == {}
+    f = Substitution(q, q, 6, {"a": 2 * word(q, 6, "a")})
+    assert f.images == {"a": 2 * word(q, 6, "a")}
+    assert Substitution(q, q, 6, {"b": word(q, 6, "b")}).is_identity()
+    assert not f.is_identity()
+
+
+def test_substitution_refuses_an_image_for_an_unknown_arrow():
+    q = three_cycle()
+    with pytest.raises(AlgebraError, match="'A'"):
+        Substitution(q, q, 6, {"A": 2 * word(q, 6, "a")})
+
+
 def test_substitution_is_isomorphism():
     q = square_quiver()
     assert substitution_is_isomorphism(square_reduction_witness(q, Fraction(2)))
@@ -162,6 +177,23 @@ def test_compose_substitutions():
     f = Substitution(q, q, 6, {"a": 2 * word(q, 6, "a")})
     g = Substitution(q, q, 6, {"a": 3 * word(q, 6, "a")})
     assert apply_substitution(compose_substitutions(f, g), word(q, 6, "a")) == 6 * word(q, 6, "a")
+
+
+def test_compose_substitutions_across_quivers():
+    # g renames a to d and fixes b, which f moves; the composite takes f's
+    # image of b and fixes c, which both fix
+    base = three_cycle()
+    mid = Quiver(base.vertices, [Arrow("d", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "3", "1")])
+    top = Quiver(base.vertices, [Arrow("e", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "3", "1")])
+    g = Substitution(base, mid, 6, {"a": word(mid, 6, "d")})
+    f_b = 2 * word(top, 6, "b") + word(top, 6, "b", "e", "c", "b")
+    f = Substitution(mid, top, 6, {"d": word(top, 6, "e"), "b": f_b})
+    h = compose_substitutions(f, g)
+    assert (h.base, h.target) == (base, top)
+    assert h.images == {"a": word(top, 6, "e"), "b": f_b}
+    assert substitution_is_isomorphism(h) and not h.is_identity()
+    x = word(base, 6, "c", "b", "a") + 3 * word(base, 6, "b", "a", "c", "b")
+    assert apply_substitution(h, x) == apply_substitution(f, apply_substitution(g, x))
 
 
 def test_truncate():
@@ -311,7 +343,9 @@ def random_words(rng, ends, length, count):
 
 def test_apply_substitution_matches_oracle_on_seeded_substitutions():
     # identity images, images with terms of degree 2-3 (and sometimes no
-    # degree-1 part), and orders 2-5, where truncation drops many products
+    # degree-1 part), and orders 2-5, where truncation drops many products;
+    # in odd trials each image's terms are shuffled, so they do not come
+    # shortest first
     rng = random.Random(20261018)
     for trial in range(150):
         n = rng.randrange(2, 5)
@@ -343,7 +377,10 @@ def test_apply_substitution_matches_oracle_on_seeded_substitutions():
             if not img:
                 img[(name,)] = Fraction(1)
             images[name] = img
-            explicit[name] = AlgebraElement(quiver, order, {Path(w): c for w, c in img.items()})
+            terms = [(Path(w), c) for w, c in img.items()]
+            if trial % 2:
+                random.Random("%d %s" % (trial, name)).shuffle(terms)
+            explicit[name] = AlgebraElement(quiver, order, dict(terms))
         f = Substitution(quiver, quiver, order, explicit)
 
         element = {}

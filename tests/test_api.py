@@ -1,7 +1,10 @@
 """The public names of the `qpsurf` package, checked in a fresh interpreter."""
 
+import ast
+import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -82,3 +85,24 @@ def test_package_names_follow_their_home_module(monkeypatch):
     monkeypatch.undo()
     assert qpsurf.flip is qpsurf.surface.flip is not patched
     assert "flip" not in vars(qpsurf)
+
+
+def test_every_traced_layer_names_a_library_function():
+    """bench/tracer.py wraps each (module, attribute) of its LAYERS by name.
+
+    The list is read from the tracer's source with `ast.literal_eval`, so no
+    benchmark module is imported; a `Class.method` entry resolves through the
+    class's own `__dict__`, as the tracer looks it up.
+    """
+    source = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    layers = [ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]]
+    assert len(layers) == 1 and layers[0]
+    for module, attribute, layer in layers[0]:
+        owner = importlib.import_module(module)
+        if "." in attribute:
+            cls, name = attribute.split(".")
+            assert name in vars(getattr(owner, cls)), (module, attribute, layer)
+        else:
+            assert callable(getattr(owner, attribute, None)), (module, attribute, layer)

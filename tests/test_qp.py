@@ -284,7 +284,8 @@ def test_split_witness_is_cached():
 
 # sha256 of the witness images of every split behind a one-step mutation of
 # the corpus at order 6, recorded when the witness was still composed inside
-# split_qp
+# split_qp and stored an image for every base arrow; a fixed arrow's image is
+# written out as the arrow itself
 WITNESS_IMAGES_ORDER_6 = "c1cb8179741e7cd9e8c9c5e65dcff297fb112106c9b065b9e6440e7ae67d10a1"
 
 
@@ -295,9 +296,10 @@ def test_split_witness_images_are_pinned():
         for name in CORPUS:
             qp = qp_of_triangulation(Triangulation.from_text(example_text(name)), 6)
             for k in qp.quiver.vertices:
-                images = split_qp(premutate_qp(qp, k)).witness.images
-                for a in sorted(images):
-                    h.update(("%s %s %s\n%s" % (name, k, a, images[a].to_text())).encode())
+                witness = split_qp(premutate_qp(qp, k)).witness
+                for a in sorted(x.name for x in witness.base.arrows):
+                    text = witness.images[a].to_text() if a in witness.images else "1/1 %s\n" % a
+                    h.update(("%s %s %s\n%s" % (name, k, a, text)).encode())
     assert h.hexdigest() == WITNESS_IMAGES_ORDER_6
 
 
@@ -365,6 +367,39 @@ def test_split_witness_and_pairing_on_random_blocks(monkeypatch):
                                                    **res.reduced.potential.terms})
         assert cyclically_equivalent(image, recombined), seed
     assert moved == 30  # all but the identity blocks
+
+
+# sha256 over the reduced text, the number of steps and the witness image of
+# every base arrow (written out as the arrow itself where the witness fixes
+# it) of the splits of random_split_qp for seeds 0-39 and of the premutations
+# of random_premutation_qp for seeds 0-4 at every vertex, or the text of a
+# refused premutation; recorded when a substitution stored an image for
+# every base arrow
+SPLIT_IDENTITY_SHA256 = "7698762a5a401aab52e0b5c0d7030fc1a507ba4fbc64f2676bbd4740898b6642"
+
+
+def test_split_text_steps_and_witness_pinned():
+    def record(label, qp):
+        res = split_qp(qp)
+        images = res.witness.images
+        h.update(("%s %d\n%s" % (label, len(res.steps), res.reduced.to_text())).encode())
+        for a in res.witness.base.arrows:
+            text = images[a.name].to_text() if a.name in images else "1/1 %s\n" % a.name
+            h.update(("%s\n%s" % (a.name, text)).encode())
+
+    h = hashlib.sha256()
+    for seed in range(40):
+        record("split %d" % seed, random_split_qp(seed))
+    for seed in range(5):
+        qp = random_premutation_qp(seed)
+        for k in qp.quiver.vertices:
+            try:
+                pre = premutate_qp(qp, k)
+            except ValueError as exc:
+                h.update(("%d %s %s\n" % (seed, k, exc)).encode())
+            else:
+                record("mutate %d %s" % (seed, k), pre)
+    assert h.hexdigest() == SPLIT_IDENTITY_SHA256
 
 
 def test_restrict_full_and_empty():
