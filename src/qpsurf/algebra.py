@@ -451,18 +451,12 @@ def substitution_is_isomorphism(f):
     """Check invertibility of the degree-1 part, blockwise over vertex pairs."""
     from . import linalg
 
-    pairs = set()
-    for a in f.base.arrows:
-        pairs.add((a.tail, a.head))
-    for a in f.target.arrows:
-        pairs.add((a.tail, a.head))
-    for (i, j) in sorted(pairs):
-        rows = [a.name for a in f.base.arrows if a.tail == i and a.head == j]
-        cols = [a.name for a in f.target.arrows if a.tail == i and a.head == j]
+    base, target = f.base.between, f.target.between
+    for key in sorted(base.keys() | target.keys()):
+        rows = [a.name for a in base.get(key, ())]
+        cols = [a.name for a in target.get(key, ())]
         if len(rows) != len(cols):
             return False
-        if not rows:
-            continue
         m = [[f.images[r].coefficient(arrow_path(c)) if r in f.images else int(r == c)
               for c in cols] for r in rows]
         if linalg.rank(m) != len(rows):

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Dense routines for the small per-vertex-pair blocks used in reduction, and a
-sparse incremental eliminator, fraction-free on integer rows, for the
-rigidity test and the triviality test of a QP.
+sparse incremental eliminator, fraction-free on integer rows, that serves the
+rigidity test alone.
 """
 
 from fractions import Fraction

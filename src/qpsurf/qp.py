@@ -13,9 +13,8 @@ from .algebra import (
     cyclic_normal_form,
     least_rotation,
     path_is_cycle,
-    word_derivatives,
 )
-from .quiver import Quiver, Record, hook_name, mutate_quiver, premutate_quiver
+from .quiver import Quiver, Record, hook_name, hooks, premutate_quiver
 from . import linalg
 
 
@@ -152,14 +151,9 @@ def premutate_qp(qp, k):
         key = Path(least_rotation(word))
         terms[key] = terms.get(key, Fraction(0)) + c
 
-    for a in q.arrows:
-        if a.tail != k:
-            continue
-        for b in q.arrows:
-            if b.head != k:
-                continue
-            key = Path(least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name))))
-            terms[key] = terms.get(key, Fraction(0)) + 1
+    for a, b in hooks(q, k):
+        key = Path(least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name))))
+        terms[key] = terms.get(key, Fraction(0)) + 1
 
     return QP(new_quiver, AlgebraElement(new_quiver, qp.order, terms), qp.order)
 
@@ -347,17 +341,6 @@ def split_qp(qp):
     return SplitResult(trivial=triv, reduced=red, steps=steps)
 
 
-def is_trivial_qp(qp):
-    """Degree-2 potential whose cyclic derivatives span the arrow space."""
-    if any(len(p) != 2 for p in qp.potential.terms):
-        return False
-    elim = linalg.SparseEliminator()
-    ders = word_derivatives((p.arrows, c) for p, c in qp.potential.terms.items())
-    for a in qp.quiver.arrows:
-        elim.add_row({r: c for (r,), c in ders.get(a.name, {}).items()})
-    return elim.rank == len(qp.quiver.arrows)
-
-
 def mutate_qp(qp, k):
     """QP-mutation: the reduced part of the premutation at k."""
     return split_qp(premutate_qp(qp, k)).reduced
@@ -372,18 +355,6 @@ def mutated_quiver(qp, k):
     """
     pre = premutate_qp(qp, k)
     return _reduced_quiver(pre.quiver, _diagonal_pairing(pre.potential.degree_part(2))[1])
-
-
-def quiver_mutation_matches(qp, k):
-    """Whether QP-mutation at k lands on the plainly mutated quiver.
-
-    The two can legitimately differ: the potential decides which 2-cycles of
-    the premutation get removed, so a degenerate pairing leaves 2-cycles that
-    plain quiver mutation would cancel.  Reported, never asserted.
-    """
-    got = mutated_quiver(qp, k).multiplicities()
-    want = mutate_quiver(qp.quiver, k).multiplicities()
-    return got == want
 
 
 def restrict_qp(qp, keep):

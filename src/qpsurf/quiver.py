@@ -1,7 +1,8 @@
 """Loop-free quivers, the skew-matrix correspondence, and quiver mutation.
 
 Also the rules other modules share: value semantics for record classes, the
-net arrow count of a quiver, and the pairing of opposite arrows.
+grouping of a quiver's arrows by endpoints and the net arrow count read from
+it, the list of k-hooks, and the pairing of opposite arrows.
 """
 
 from operator import attrgetter, neg
@@ -74,8 +75,10 @@ class Quiver:
     """Finite loop-free directed multigraph with named arrows.
 
     Vertices are opaque string ids, kept in lexicographic order.  Arrows are
-    kept sorted by name.  Instances are immutable; all operations return new
-    quivers.
+    kept sorted by name.  `between` maps each (tail, head) that carries an
+    arrow to the list of its arrows, in name order, with the keys in order
+    of first appearance among the arrows; it is built once, and callers must
+    not mutate its lists.  Instances are immutable; all operations return new quivers.
     """
 
     def __init__(self, vertices, arrows=()):
@@ -91,6 +94,7 @@ class Quiver:
         arr.sort(key=lambda a: a.name)
         self.arrows = tuple(arr)
         self._by_name = {}
+        self.between = {}
         for a in self.arrows:
             if a.name in self._by_name:
                 raise QuiverError("duplicate arrow id %r" % a.name)
@@ -99,6 +103,7 @@ class Quiver:
             if a.tail == a.head:
                 raise QuiverError("arrow %r is a loop" % a.name)
             self._by_name[a.name] = a
+            self.between.setdefault((a.tail, a.head), []).append(a)
 
     def arrow(self, name):
         try:
@@ -110,12 +115,8 @@ class Quiver:
         return name in self._by_name
 
     def multiplicities(self):
-        """Map (tail, head) -> number of parallel arrows."""
-        mult = {}
-        for a in self.arrows:
-            key = (a.tail, a.head)
-            mult[key] = mult.get(key, 0) + 1
-        return mult
+        """Map (tail, head) -> number of parallel arrows, keyed in the order of `between`."""
+        return {key: len(group) for key, group in self.between.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Quiver):
@@ -235,8 +236,7 @@ class IntegerMatrix:
 
 def is_two_acyclic(q):
     """True iff no ordered vertex pair carries arrows in both directions."""
-    mult = q.multiplicities()
-    return all((j, i) not in mult for (i, j) in mult)
+    return all((j, i) not in q.between for (i, j) in q.between)
 
 
 def quiver_from_matrix(b):
@@ -257,10 +257,10 @@ def net_matrix(q):
     index = {v: n for n, v in enumerate(q.vertices)}
     n = len(index)
     rows = [[0] * n for _ in range(n)]
-    for a in q.arrows:
-        i, j = index[a.tail], index[a.head]
-        rows[i][j] += 1
-        rows[j][i] -= 1
+    for (i, j), group in q.between.items():
+        i, j = index[i], index[j]
+        rows[i][j] += len(group)
+        rows[j][i] -= len(group)
     return IntegerMatrix(q.vertices, rows)
 
 
@@ -274,15 +274,21 @@ def matrix_from_quiver(q):
 def _check_mutable(q, k):
     if k not in q.vertices:
         raise QuiverError("unknown vertex %r" % k)
-    mult = q.multiplicities()
-    for (i, j) in mult:
-        if j == k and (k, i) in mult:
+    for (i, j) in q.between:
+        if j == k and (k, i) in q.between:
             raise QuiverError("2-cycle incident to vertex %r" % k)
 
 
 def hook_name(a, b):
     """Name of the composite arrow replacing the hook ab."""
     return "[%s.%s]" % (a, b)
+
+
+def hooks(q, k):
+    """The k-hooks of q: arrow pairs (a, b) with t(a) = k = h(b), in name order."""
+    outgoing = [a for a in q.arrows if a.tail == k]
+    incoming = [b for b in q.arrows if b.head == k]
+    return [(a, b) for a in outgoing for b in incoming]
 
 
 def premutate_quiver(q, k):
@@ -293,17 +299,9 @@ def premutate_quiver(q, k):
     named with a trailing '*'.
     """
     _check_mutable(q, k)
-    outgoing = [a for a in q.arrows if a.tail == k]
-    incoming = [a for a in q.arrows if a.head == k]
-    arrows = []
-    for a in q.arrows:
-        if a.tail == k or a.head == k:
-            arrows.append(Arrow(a.name + "*", a.head, a.tail))
-        else:
-            arrows.append(a)
-    for a in outgoing:
-        for b in incoming:
-            arrows.append(Arrow(hook_name(a.name, b.name), b.tail, a.head))
+    arrows = [Arrow(a.name + "*", a.head, a.tail) if k in (a.tail, a.head) else a
+              for a in q.arrows]
+    arrows += [Arrow(hook_name(a.name, b.name), b.tail, a.head) for a, b in hooks(q, k)]
     return Quiver(q.vertices, arrows)
 
 
@@ -322,18 +320,12 @@ def opposite_pairs(groups):
     return paired
 
 
-def _drop_opposite_pairs(q):
-    """Remove a maximal disjoint collection of 2-cycles, pairing smallest names first."""
-    names = {}
-    for a in q.arrows:  # sorted by name
-        names.setdefault((a.tail, a.head), []).append(a.name)
-    removed = opposite_pairs(names)
-    return Quiver(q.vertices, [a for a in q.arrows if a.name not in removed])
-
-
 def mutate_quiver(q, k):
-    """Quiver mutation: premutation followed by 2-cycle removal."""
-    return _drop_opposite_pairs(premutate_quiver(q, k))
+    """Quiver mutation: premutation, then the removal of a maximal disjoint
+    collection of 2-cycles, pairing smallest names first."""
+    pre = premutate_quiver(q, k)
+    removed = opposite_pairs(pre.between)
+    return Quiver(q.vertices, [a for a in pre.arrows if a not in removed])
 
 
 def mutate_matrix(b, k):

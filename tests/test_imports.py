@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private function, class and method is used somewhere in the package.
+"""Every name a module of the package imports is used in that module, every
+private function, class and method is used somewhere in the package, and the
+brute-force oracles import nothing of the package.
 
 Reads the sources with `ast` and imports no qpsurf module, so a deletion that
 leaves an import or a helper behind fails here whatever else the suite loads.
@@ -10,7 +11,9 @@ import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "qpsurf").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "qpsurf").glob("*.py"))
+ORACLES = [ROOT / "tests" / "oracles.py", ROOT / "bench" / "oracle.py"]
 
 
 def unused_imports(source):
@@ -25,6 +28,26 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def package_imports(source):
+    """(line, dotted name) of each import that reaches a `qpsurf` module.
+
+    Absolute and relative imports count alike: a name counts when any of its
+    dotted parts, the imported names of a `from` import included, is
+    `qpsurf`.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module + "." if node.module else "")
+            names = [base + alias.name for alias in node.names]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names if "qpsurf" in name.lstrip(".").split(".")]
+    return out
 
 
 def referenced_name(node):
@@ -90,3 +113,15 @@ def test_unreferenced_private_is_reported():
     }
     assert unreferenced_privates(sources) == [("a", 5, "_dead"), ("a", 9, "_Dead"),
                                               ("a", 14, "_m")]
+
+
+@pytest.mark.parametrize("path", ORACLES, ids=["tests/oracles.py", "bench/oracle.py"])
+def test_oracles_import_nothing_of_the_package(path):
+    assert package_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_import_is_reported():
+    source = ("import os, qpsurf.quiver\nfrom qpsurf import algebra\n"
+              "from ..src.qpsurf.qp import QP\nfrom .. import qpsurf\nfrom . import oracles\n")
+    assert package_imports(source) == [(1, "qpsurf.quiver"), (2, "qpsurf.algebra"),
+                                       (3, "..src.qpsurf.qp.QP"), (4, "..qpsurf")]

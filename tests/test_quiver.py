@@ -1,6 +1,11 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+
+from qpsurf.algebra import AlgebraElement, Path, Substitution, substitution_is_isomorphism
+from qpsurf.qp import QP, premutate_qp
 
 from qpsurf.quiver import (
     Arrow,
@@ -11,6 +16,7 @@ from qpsurf.quiver import (
     matrix_from_quiver,
     mutate_matrix,
     mutate_quiver,
+    net_matrix,
     premutate_quiver,
     quiver_from_matrix,
 )
@@ -200,3 +206,89 @@ def test_quiver_text_names_a_bad_line(text, bad_line):
 def test_quiver_text_roundtrip():
     q = quiver_from_matrix(MARKOV)
     assert Quiver.from_text(q.to_text()) == q
+
+
+def random_grouping_quiver(rng):
+    """A quiver on 1 to 5 vertices with 0 to 8 arrows between random ordered
+    pairs, so parallel and opposite arrows and isolated vertices all occur.
+    Names are drawn so that name order is not the order of the pairs."""
+    vertices = [str(v) for v in range(1, rng.randint(1, 5) + 1)]
+    pairs = [(i, j) for i in vertices for j in vertices if i != j]
+    names = rng.sample(["a", "b", "c", "d", "e", "x1", "x10", "x2", "y"], 9)
+    arrows = [Arrow(names[n], *rng.choice(pairs)) for n in range(rng.randint(0, 8) if pairs else 0)]
+    return Quiver(vertices, arrows)
+
+
+def random_linear_substitution(rng, q):
+    """A substitution of q moving some arrows to combinations of parallel
+    arrows, sometimes plus a longer path; the target is q, q with one arrow
+    renamed (which must then be moved), or q with one arrow more."""
+    target, renamed = q, None
+    shape = rng.choice(("same", "same", "renamed", "extra"))
+    if shape == "renamed" and q.arrows:
+        renamed = rng.choice(q.arrows)
+        target = Quiver(q.vertices, [Arrow("r", a.tail, a.head) if a is renamed else a
+                                     for a in q.arrows])
+    elif shape == "extra" and len(q.vertices) > 1:
+        target = Quiver(q.vertices, q.arrows + (Arrow("z", q.vertices[0], q.vertices[1]),))
+    order = 4
+    images = {}
+    for a in q.arrows:
+        if a is not renamed and rng.random() < 0.5:
+            continue
+        own = "r" if a is renamed else a.name
+        parallel = [b.name for b in target.arrows if (b.tail, b.head) == (a.tail, a.head)]
+        terms = {Path((n,)): rng.choice((-1, 0, 0, 1, 2, Fraction(1, 2))) for n in parallel}
+        back = [b.name for b in target.arrows if (b.tail, b.head) == (a.head, a.tail)]
+        if back and rng.random() < 0.3:
+            terms[Path((own, back[0], own))] = 1
+        images[a.name] = AlgebraElement(target, order, {p: c for p, c in terms.items() if c})
+    return Substitution(q, target, order, images)
+
+
+# sha256 over seeded random quivers of multiplicities() (with its key order),
+# the net matrix rows and is_two_acyclic; at every vertex the text of
+# premutate_quiver, mutate_quiver and the zero-potential premutate_qp, or the
+# type and text of the refusal; and substitution_is_isomorphism on seeded
+# linear substitutions.  Recorded while each rule grouped arrows by
+# (tail, head) on its own.
+GROUPING_SHA256 = "28eb392ec63000887c11cc95c69a6846680c7b47b453de3ce9da16c63f83ead9"
+
+
+def test_grouping_rules_pinned_on_random_quivers():
+    h = hashlib.sha256()
+    seen = dict.fromkeys(("parallel", "opposite", "isolated", "refused", "iso", "renamed-iso"), 0)
+
+    def record(*parts):
+        h.update(("\n".join(map(str, parts)) + "\n").encode())
+
+    def refused(call, *args):
+        try:
+            return call(*args).to_text()
+        except ValueError as exc:
+            seen["refused"] += 1
+            return "%s: %s" % (type(exc).__name__, exc)
+
+    for seed in range(800):
+        rng = random.Random("grouping:%d" % seed)
+        q = random_grouping_quiver(rng)
+        mult = q.multiplicities()
+        seen["parallel"] += max(mult.values(), default=0) > 1
+        seen["opposite"] += not is_two_acyclic(q)
+        seen["isolated"] += any(all(v not in (a.tail, a.head) for a in q.arrows)
+                                for v in q.vertices)
+        record(seed, q.to_text(), list(mult.items()), net_matrix(q).rows, is_two_acyclic(q))
+        zero = QP(q, AlgebraElement.zero(q, 4), 4)
+        for k in q.vertices:
+            record(k, refused(premutate_quiver, q, k), refused(mutate_quiver, q, k),
+                   refused(premutate_qp, zero, k))
+        for _ in range(2):
+            f = random_linear_substitution(rng, q)
+            iso = substitution_is_isomorphism(f)
+            seen["iso"] += iso
+            seen["renamed-iso"] += iso and f.target.has_arrow("r")
+            record(sorted((n, img.to_text()) for n, img in f.images.items()),
+                   f.target.to_text(), iso)
+    assert seen == {"parallel": 332, "opposite": 298, "isolated": 412, "refused": 1968,
+                    "iso": 895, "renamed-iso": 139}
+    assert h.hexdigest() == GROUPING_SHA256
