@@ -5,6 +5,7 @@ from functools import cached_property
 
 from .algebra import (
     AlgebraElement,
+    AlgebraError,
     Path,
     Substitution,
     apply_substitution,
@@ -118,39 +119,49 @@ class QP:
                                               ", ".join(lines)), exc.terms) from exc
 
 
-def premutate_qp(qp, k):
-    """Premutation at vertex k.
+def _read_terms(q, k, potential):
+    """The potential's terms as premutation at k reads them, summed at their least rotations.
 
-    Every k-hook ab inside a potential term is replaced by the composite
-    arrow [a.b], and the sum of b* a* [a.b] over all k-hooks of the quiver is
-    added.  A term is read from its first arrow that does not point into k,
-    so no hook is cut, and is written at its least rotation: the result is
-    in cyclic normal form as built.
+    A term is read from its first arrow that does not point into k, so no
+    hook is cut: an arrow out of k takes the next arrow, into k, as its hook
+    and becomes the composite arrow [a.b].  A term of length L that passes
+    through k v times reads as a word of length L - v.
 
     A QP's term closes up in a loop-free quiver, so not every arrow points
     into k, and the word read from there does not end inside a hook; the
-    refusal is for any other word.  In a composable word an arrow into k follows an arrow
-    out of k.  A word that is not, which `AlgebraElement(..., check=False)`
-    lets through, keeps an arrow at k under its old name, names a missing
-    hook or stays non-composable, and the checked premutation refuses it.
+    refusal is for any other word.
     """
-    q = qp.quiver
-    new_quiver = premutate_quiver(q, k)  # rejects an unknown vertex and 2-cycles at k
-
     terms = {}
-    for p, c in qp.potential.terms.items():
+    for p, c in potential.terms.items():
         n = len(p.arrows)
         i = next((i for i, a in enumerate(p.arrows) if q.arrow(a).head != k), n)
         arrows = iter(p.arrows[i:] + p.arrows[:i])
         if i == n or q.arrow(p.arrows[i - 1]).tail == k:
             raise QPError("term %r cannot be read at %r: every arrow points into it"
                           " or a hook runs off its end" % (p.arrows, k), [p])
-        # an arrow out of k takes the next arrow, into k, as its hook
         word = tuple(hook_name(a, next(arrows)) if q.arrow(a).tail == k else a
                      for a in arrows)
         key = Path(least_rotation(word))
         terms[key] = terms.get(key, Fraction(0)) + c
+    return terms
 
+
+def premutate_qp(qp, k):
+    """Premutation at vertex k.
+
+    Every k-hook ab inside a potential term is replaced by the composite
+    arrow [a.b], as `_read_terms` reads it, and the sum of b* a* [a.b] over
+    all k-hooks of the quiver is added.  Every term is written at its least
+    rotation: the result is in cyclic normal form as built.
+
+    In a composable word an arrow into k follows an arrow out of k.  A word
+    that is not, which `AlgebraElement(..., check=False)` lets through,
+    keeps an arrow at k under its old name, names a missing hook or stays
+    non-composable, and the checked premutation refuses it.
+    """
+    q = qp.quiver
+    new_quiver = premutate_quiver(q, k)  # rejects an unknown vertex and 2-cycles at k
+    terms = _read_terms(q, k, qp.potential)
     for a, b in hooks(q, k):
         key = Path(least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name))))
         terms[key] = terms.get(key, Fraction(0)) + 1
@@ -192,7 +203,9 @@ def _diagonal_pairing(s2):
     For each unordered vertex pair, exact operations bring the bilinear
     matrix m between the opposite arrows xs and ys that s2 names to
     p_ops @ m @ q_ops = E_r.  A block is (xs, ys, p_ops, q_ops); its
-    trivial pairs are (xs[t], ys[t]) for t < r.
+    trivial pairs are (xs[t], ys[t]) for t < r.  A block whose m is already
+    the identity is kept as it is, as (xs, ys, None, None) with r = len(xs):
+    Gauss-Jordan would return P = Q = I there.
     """
     q = s2.quiver
     blocks = {}
@@ -210,7 +223,10 @@ def _diagonal_pairing(s2):
         ys = sorted({name for p in coeffs for name in p.arrows
                      if q.arrow(name).tail == v})
         m = [[coeffs.get(_two_cycle_rep(x, y), Fraction(0)) for y in ys] for x in xs]
-        p_ops, q_ops, r = linalg.diagonalize_pairing(m)
+        if m == linalg.identity(len(ys)):
+            p_ops, q_ops, r = None, None, len(xs)
+        else:
+            p_ops, q_ops, r = linalg.diagonalize_pairing(m)
         if r == 0:
             raise QPError("degenerate degree-2 pairing on arrows it names")
         diagonal.append((xs, ys, p_ops, q_ops))
@@ -222,16 +238,19 @@ def _normalize_pairing(s):
     """Arrow basis change making the degree-2 part a sum of distinct 2-cycles.
 
     Each block of `_diagonal_pairing` changes only its own arrows, and an
-    arrow gets an image only where that image is not the arrow itself.  When
-    no arrow moves, as with no degree-2 part or blocks that are already E_r,
-    the potential is returned as it is.  The potential must be in cyclic
-    normal form.  Returns the transformed potential, the substitution used,
-    and the list of trivial pairs (a_j, b_j).
+    arrow gets an image only where that image is not the arrow itself; a
+    block kept as the identity gets none.  When no arrow moves, as with no
+    degree-2 part or blocks that are already E_r, the potential is returned
+    as it is.  The potential must be in cyclic normal form.  Returns the
+    transformed potential, the substitution used, and the list of trivial
+    pairs (a_j, b_j).
     """
     q = s.quiver
     blocks, pairs = _diagonal_pairing(s.degree_part(2))
     images = {}
     for xs, ys, p_ops, q_ops in blocks:
+        if p_ops is None:
+            continue
         # p_ops @ m @ q_ops = E_r, so send x_i to sum_i' p_ops[i'][i] x_i'
         # and y_j to sum_j' q_ops[j][j'] y_j'.
         columns = [(x, xs, [row[i] for row in p_ops]) for i, x in enumerate(xs)]
@@ -347,14 +366,23 @@ def mutate_qp(qp, k):
 
 
 def mutated_quiver(qp, k):
-    """`mutate_qp(qp, k).quiver`, arrow names included, without the split's sweeps.
+    """`mutate_qp(qp, k).quiver`, arrow names included, from the premutation's degree-2 part.
 
     The split drops the arrows of the trivial pairs, which the premutation's
     degree-2 part decides alone: the sweeps change the potential, never
-    which arrows are trivial.
+    which arrows are trivial.  That part comes from the potential's terms
+    that read as words of length 2; the hook terms b* a* [a.b] have length
+    3, so they are not built.  Every term is still read and checked as
+    `premutate_qp` does, and the hook terms are refused where it refuses
+    them, below order 3, so the two refuse alike.
     """
-    pre = premutate_qp(qp, k)
-    return _reduced_quiver(pre.quiver, _diagonal_pairing(pre.potential.degree_part(2))[1])
+    q = qp.quiver
+    new_quiver = premutate_quiver(q, k)
+    read = AlgebraElement(new_quiver, qp.order, _read_terms(q, k, qp.potential))
+    if qp.order < 3 and hooks(q, k):
+        raise AlgebraError("term of length 3 exceeds order %d" % qp.order)
+    s2 = QP(new_quiver, read, qp.order).potential.degree_part(2)
+    return _reduced_quiver(new_quiver, _diagonal_pairing(s2)[1])
 
 
 def restrict_qp(qp, keep):

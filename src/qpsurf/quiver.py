@@ -173,14 +173,24 @@ class Quiver:
 
 
 class IntegerMatrix:
-    """Square integer matrix whose rows/columns are indexed by vertex ids."""
+    """Square integer matrix whose rows/columns are indexed by vertex ids.
+
+    An entry x is stored as int(x); one with int(x) != x is refused, not
+    truncated.
+    """
 
     def __init__(self, vertices, rows):
         self.vertices = tuple(vertices)
         n = len(self.vertices)
-        rows = tuple(tuple(map(int, row)) for row in rows)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        given = [tuple(row) for row in rows]
+        if len(given) != n or any(len(r) != n for r in given):
             raise QuiverError("matrix shape does not match vertex count")
+        rows = tuple(tuple(map(int, row)) for row in given)
+        for i, (row, ints) in enumerate(zip(given, rows)):
+            if row != ints:
+                j, x = next((j, x) for j, (x, y) in enumerate(zip(row, ints)) if x != y)
+                raise QuiverError("matrix entry %r at row %r, column %r is not an integer"
+                                  % (x, self.vertices[i], self.vertices[j]))
         self.rows = rows
         self._index = {v: i for i, v in enumerate(self.vertices)}
 

@@ -133,7 +133,9 @@ def canonical_matrix_form(matrix):
       against the placed vertices, its diagonal entry, then its entries into
       each cell sorted ascending.  Only the candidates with the least such
       row are kept; placing one splits every cell by its entries, ascending,
-      which makes that row the table's row i.
+      which makes that row the table's row i.  One pass over the unplaced
+      vertices gives a candidate both its least row and its split cells,
+      and a kept candidate's branch starts from those cells.
     - Prefix pruning.  Rows 0..i are fixed once position i is filled, so a
       branch whose rows 0..i exceed the best table's rows 0..i is dropped.
     - Orbit pruning.  Two leaves with equal tables give an automorphism of
@@ -148,17 +150,6 @@ def canonical_matrix_form(matrix):
     n = len(rows)
     perm, table = [], []
     best, best_perm, autos = [], [], []
-
-    def refine(cells, v):
-        rv = rows[v]
-        out = []
-        for cell in cells:
-            parts = {}
-            for u in cell:
-                if u != v:
-                    parts.setdefault(rv[u], []).append(u)
-            out += [parts[x] for x in sorted(parts)]
-        return out
 
     def in_orbit(v, tried):
         fixing = [g for g in autos if all(g[p] == p for p in perm)]
@@ -186,28 +177,42 @@ def canonical_matrix_form(matrix):
             return next(j for j in range(n) if perm[j] != best_perm[j])
         least, kept = None, []
         for v in cells[0]:
+            # one pass gives v's least row and the cells once v is placed
             rv = rows[v]
             row = [rv[p] for p in perm]
             row.append(rv[v])
+            split = []
             for cell in cells:
-                row += sorted(rv[u] for u in cell if u != v)
+                if len(cell) == 1:
+                    if cell[0] != v:
+                        row.append(rv[cell[0]])
+                        split.append(cell)
+                    continue
+                parts = {}
+                for u in cell:
+                    if u != v:
+                        parts.setdefault(rv[u], []).append(u)
+                for x in sorted(parts):
+                    part = parts[x]
+                    row += [x] * len(part)
+                    split.append(part)
             row = tuple(row)
             if least is None or row < least:
-                least, kept = row, [v]
+                least, kept = row, [(v, split)]
             elif row == least:
-                kept.append(v)
+                kept.append((v, split))
         if not fresh:
             if least > best[i]:
                 return i - 1
             fresh = least < best[i]
         table.append(least)
         tried = []
-        for v in kept:
+        for v, split in kept:
             if autos and tried and in_orbit(v, tried):
                 continue
             tried.append(v)
             perm.append(v)
-            back = search(refine(cells, v), fresh)
+            back = search(split, fresh)
             perm.pop()
             fresh = False  # the first branch left its leaf as the best table
             if back < i:
@@ -281,10 +286,12 @@ def explore_mutation_class(qp, depth, order):
     For a 2-acyclic q that is the net matrix of `mutate_qp(q, k)`:
     premutation reverses the arrows at k and adds [b_ik]_+ [b_kj]_+ arrows
     i -> j, one per hook through k, and the split removes trivial arrows,
-    which come in opposite pairs.  At the depth limit, where no node is
-    expanded, only the child's quiver is built, by `mutated_quiver`.  A node
-    with a 2-cycle is never expanded.  `canonical_matrix_form` runs once
-    per distinct raw matrix.
+    which come in opposite pairs.  So an expanded node's B is the
+    `mutate_matrix` result that found it; only the start's is computed from
+    its quiver.  At the depth limit, where no node is expanded, only the
+    child's quiver is built, by `mutated_quiver`, from the premutation's
+    degree-2 terms.  A node with a 2-cycle is never expanded.
+    `canonical_matrix_form` runs once per distinct raw matrix.
     """
     _require_order(qp, order)
     if depth < 0:
@@ -318,25 +325,26 @@ def explore_mutation_class(qp, depth, order):
         node_of_rows[matrix.rows] = index[dig]
         return index[dig], new
 
-    # (quiver, QP or None at the depth limit, node number, distance)
-    frontier = deque([(qp.quiver, qp, visit(net_matrix(qp.quiver))[0], 0)])
+    # (quiver, QP or None at the depth limit, net matrix, node number, distance)
+    matrix = net_matrix(qp.quiver)
+    frontier = deque([(qp.quiver, qp, matrix, visit(matrix)[0], 0)])
     while frontier:
-        quiver, current, cur, dist = frontier.popleft()
+        quiver, current, matrix, cur, dist = frontier.popleft()
         if not is_two_acyclic(quiver):
             failures.append(digests[cur])
             continue
         if dist >= depth:
             continue
         expanded.append(cur)
-        matrix = net_matrix(quiver)
         for k in vertices:
-            dst, new = visit(mutate_matrix(matrix, k))
+            child_matrix = mutate_matrix(matrix, k)
+            dst, new = visit(child_matrix)
             targets.append(dst)
             if new and dist + 1 < depth:
                 child = mutate_qp(current, k)
-                frontier.append((child.quiver, child, dst, dist + 1))
+                frontier.append((child.quiver, child, child_matrix, dst, dist + 1))
             elif new:
-                frontier.append((mutated_quiver(current, k), None, dst, dist + 1))
+                frontier.append((mutated_quiver(current, k), None, None, dst, dist + 1))
 
     subs = [("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures),
             ("nodes", True, str(len(digests))),

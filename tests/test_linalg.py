@@ -35,6 +35,14 @@ def test_diagonalize_pairing_random():
         assert r == dense_rank(m)
 
 
+def test_diagonalize_pairing_keeps_an_identity_as_it_is():
+    # qp._diagonal_pairing skips Gauss-Jordan on an identity block, which is
+    # exact only because it would return P = Q = I and r = n there
+    for n in range(1, 5):
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert diagonalize_pairing(eye) == (eye, eye, n)
+
+
 def test_sparse_eliminator_membership():
     elim = SparseEliminator()
     assert elim.add_row({"x": Fraction(1), "y": Fraction(2)})

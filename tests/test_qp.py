@@ -25,6 +25,7 @@ from qpsurf.potential import qp_of_triangulation
 from qpsurf.qp import (
     QP,
     QPError,
+    _diagonal_pairing,
     mutate_qp,
     mutated_quiver,
     premutate_qp,
@@ -421,6 +422,30 @@ def test_split_text_steps_and_witness_pinned():
             else:
                 record("mutate %d %s" % (seed, k), pre)
     assert h.hexdigest() == SPLIT_IDENTITY_SHA256
+
+
+# sha256 over the reduced text and the number of steps of the split of each
+# corpus QP's premutation at every vertex, at order 6; recorded when every
+# degree-2 block went through Gauss-Jordan
+CORPUS_SPLIT_SHA256 = "6d268a5a5ffeb12a35681fe0823c2a768926722081f53e7c7b3d2bfc244e93d9"
+
+
+def test_identity_blocks_split_as_before_on_corpus_premutations():
+    h = hashlib.sha256()
+    identity_only = 0
+    for name in CORPUS:
+        qp = qp_of_triangulation(Triangulation.from_text(example_text(name)), 6)
+        for k in qp.quiver.vertices:
+            pre = premutate_qp(qp, k)
+            res = split_qp(pre)
+            h.update(res.reduced.to_text().encode())
+            h.update(b"%d\n" % len(res.steps))
+            blocks, pairs = _diagonal_pairing(pre.potential.degree_part(2))
+            if blocks and all(p_ops is None for _, _, p_ops, _ in blocks):
+                identity_only += 1
+                assert not res.steps[0].images
+    assert identity_only == 8
+    assert h.hexdigest() == CORPUS_SPLIT_SHA256
 
 
 def test_restrict_full_and_empty():

@@ -179,6 +179,16 @@ def test_matrix_and_quiver_mutation_agree():
             assert mutate_matrix(b, k) == via_quiver
 
 
+@pytest.mark.parametrize("entry", [Fraction(3, 2), 1.5], ids=["fraction", "float"])
+def test_integer_matrix_refuses_a_non_integral_entry(entry):
+    # int() would truncate the entry to 1, and the truncated matrix is skew
+    with pytest.raises(QuiverError, match=r"^matrix entry .* at row '1', column '2' is not"
+                                          r" an integer$"):
+        IntegerMatrix(["1", "2"], [[0, entry], [-entry, 0]])
+    whole = IntegerMatrix(["1", "2"], [[0, Fraction(2)], [-2.0, 0]])
+    assert whole.rows == ((0, 2), (-2, 0)) and all(type(x) is int for x in whole.rows[1])
+
+
 def test_matrix_text_roundtrip():
     text = MARKOV.to_text()
     again = IntegerMatrix.from_text(text)

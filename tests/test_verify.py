@@ -3,12 +3,13 @@ import hashlib
 import itertools
 import random
 import time
+import types
 
 import pytest
 from oracles import oracle_canonical_form
 
 from qpsurf import verify
-from qpsurf.algebra import AlgebraElement, Path, least_rotation
+from qpsurf.algebra import AlgebraElement, AlgebraError, Path, arrow_path, least_rotation
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.jacobian import truncated_quotient_dim
 from qpsurf.potential import qp_of_triangulation
@@ -340,6 +341,25 @@ def test_canonical_form_fast_on_symmetric_matrices():
         assert canonical_matrix_form(_matrix(_relabelled(rows, rng))) == form
 
 
+# sha256 over repr of the canonical forms of a rank-42 matrix and of its 42
+# children; the matrix is that of fan_polygon_text(45) after 30 mutate_matrix
+# steps at vertices drawn by random.Random(0).  Recorded when each candidate
+# vertex was refined once for its row and again after it was placed.
+RANK_42_FORMS_SHA256 = "3aea4ea5527683f1e30be7715e50e1f6e4448fefa48053e3a4270953e7bf5a05"
+
+
+def test_canonical_forms_pinned_at_rank_42():
+    qp = qp_of_triangulation(Triangulation.from_text(fan_polygon_text(45)), 6)
+    m = net_matrix(qp.quiver)
+    rng = random.Random(0)
+    for _ in range(30):
+        m = mutate_matrix(m, rng.choice(m.vertices))
+    forms = [canonical_matrix_form(m)] + [canonical_matrix_form(mutate_matrix(m, k))
+                                          for k in m.vertices]
+    assert len(forms) == 43
+    assert hashlib.sha256(repr(forms).encode()).hexdigest() == RANK_42_FORMS_SHA256
+
+
 def test_explore_graph_shapes():
     qp = load_qp("hexagon-central")
     _rep, graph = explore_mutation_class(qp, 2, 6)
@@ -528,6 +548,89 @@ def test_mutated_quiver_is_the_quiver_of_mutate_qp_on_random_qps():
         assert got == _outcome(quiver_of_mutate_qp, q, k)
         assert got[0] is QuiverError
     assert _outcome(mutated_quiver, child, "2")[1] == "2-cycle incident to vertex '2'"
+
+
+def _closed_walks(quiver, length):
+    """Every composable cycle of the given length, as an arrow word."""
+    walks = [(a.name,) for a in quiver.arrows]
+    for _ in range(length - 1):
+        walks = [(*w, a.name) for w in walks for a in quiver.arrows
+                 if quiver.arrow(w[-1]).tail == a.head]
+    return [w for w in walks if quiver.arrow(w[0]).head == quiver.arrow(w[-1]).tail]
+
+
+def random_long_term_qp(seed):
+    """A seeded QP on 4 or 5 vertices whose potential holds cycles of length
+    5-6 that pass through one vertex two or three times, next to 3-cycles.
+    About a third of the seeds add such a cycle with one inner arrow
+    replaced at random, a word that need not be composable and that only
+    `check=False` lets through."""
+    rng = random.Random("long-terms:%d" % seed)
+    vertices = [str(v) for v in range(1, rng.choice((4, 5)) + 1)]
+    arrows = [Arrow("a%d" % n, i, j)
+              for n, (i, j) in enumerate(itertools.permutations(vertices, 2))
+              if rng.random() < 0.35]
+    quiver = Quiver(vertices, arrows)
+
+    def visits(word):
+        return max(sum(quiver.arrow(a).tail == v for a in word) for v in vertices)
+
+    long_walks = [w for n in (5, 6) for w in _closed_walks(quiver, n) if visits(w) >= 2]
+    short_walks = _closed_walks(quiver, 3)
+    words = rng.sample(long_walks, min(3, len(long_walks)))
+    words += rng.sample(short_walks, min(2, len(short_walks)))
+    terms = {Path(least_rotation(w)): rng.choice((-2, -1, 1, 2)) for w in words}
+    if long_walks and rng.random() < 0.35:
+        # kept as drawn, since a rotation of it need not close up
+        word = list(rng.choice(long_walks))
+        word[rng.randrange(1, len(word) - 1)] = rng.choice(arrows).name
+        if Path(least_rotation(tuple(word))) not in terms:
+            terms[Path(tuple(word))] = 1
+    return QP(quiver, AlgebraElement(quiver, 6, terms, check=False), 6)
+
+
+def test_mutated_quiver_refuses_exactly_where_mutate_qp_does():
+    from test_qp import cycle_quiver
+
+    def quiver_of_mutate_qp(q, k):
+        return mutate_qp(q, k).quiver
+
+    def agree(q, k):
+        got = _outcome(mutated_quiver, q, k)
+        assert got == _outcome(quiver_of_mutate_qp, q, k), (q, k)
+        return got
+
+    # the words tests/test_qp.py refuses: two non-composable through '2', and
+    # two that cannot be read at '2', which no QP holds
+    q = cycle_quiver()
+    for names in (("a", "c", "b", "a", "b", "c"), ("a", "a", "b", "c", "b", "c")):
+        qp = QP(q, AlgebraElement(q, 6, {arrow_path(*names): 1}, check=False))
+        assert not isinstance(agree(qp, "2"), Quiver)
+    for names in (("c",), ("a", "b")):
+        qp = types.SimpleNamespace(quiver=q, order=6, potential=AlgebraElement(
+            q, 6, {arrow_path(*names): 1}, check=False))
+        assert "cannot be read at '2'" in agree(qp, "2")[1]
+    # below order 3 the hook terms do not fit
+    fan = load_qp("hexagon-fan", 2)
+    assert agree(fan, "2") == (AlgebraError, "term of length 3 exceeds order 2")
+    assert isinstance(agree(fan, "1"), Quiver)
+
+    # 17 accepted cases keep a term of length 5-6 through k twice, which the
+    # premutation reads as a word of length 3-4; most refusals are 2-cycles
+    # at k, and one is a drawn word that reads as a non-cyclic term
+    through, refused, accepted = 0, 0, 0
+    for seed in range(80):
+        qp = random_long_term_qp(seed)
+        for k in qp.quiver.vertices:
+            got = agree(qp, k)
+            if isinstance(got, Quiver):
+                accepted += 1
+                through += any(len(p) >= 5 and sum(qp.quiver.arrow(a).tail == k
+                                                   for a in p.arrows) >= 2
+                               for p in qp.potential.terms)
+            else:
+                refused += 1
+    assert (through, refused, accepted) == (17, 164, 190)
 
 
 def test_explore_searches_each_raw_matrix_once(monkeypatch):
