@@ -290,19 +290,31 @@ def is_cyclic_element(x):
     return all(path_is_cycle(x.quiver, p) for p in x.terms)
 
 
+def merge_rotations(terms):
+    """Sum (word, coefficient) pairs at their least rotations.
+
+    A zero coefficient is skipped and a zero sum dropped; the words come out
+    in order of first appearance.  The words are not checked to be cycles.
+    """
+    out = {}
+    for w, c in terms:
+        if c:
+            r = least_rotation(w)
+            out[r] = out[r] + c if r in out else c
+    return {r: c for r, c in out.items() if c}
+
+
 def cyclic_normal_form(x):
     """Rotate every term to its least rotation and merge equal paths.
 
     Two potentials are cyclically equivalent at a given order exactly when
-    their normal forms agree.
+    their normal forms agree.  The element must be cyclic: a non-cyclic or
+    degree-0 term is refused.  The merge is `merge_rotations`.
     """
     if not is_cyclic_element(x):
         raise AlgebraError("element has a non-cyclic or degree-0 term")
-    terms = {}
-    for p, c in x.terms.items():
-        r = Path(least_rotation(p.arrows))
-        terms[r] = terms.get(r, Fraction(0)) + c
-    return AlgebraElement(x.quiver, x.order, terms, check=False)
+    terms = merge_rotations((p.arrows, c) for p, c in x.terms.items())
+    return AlgebraElement(x.quiver, x.order, {Path(r): c for r, c in terms.items()}, check=False)
 
 
 def cyclically_equivalent(x, y):
@@ -389,52 +401,74 @@ class Substitution:
             img.terms == {arrow_path(name): _ONE} for name, img in self.images.items())
 
 
-def apply_substitution(f, x):
-    """Extend the arrow images multiplicatively and linearly, truncating at D.
+def _word_length(term):
+    return len(term[0])
 
-    Each image is read once as (arrow tuple, coefficient) pairs, shortest
-    first, and an arrow without an image as itself.  Every word of x is
-    expanded on tuples into one dict; a partial word stops taking image
-    terms at the first one that cannot stay within D.  The expanded words
-    need no composability check: `Substitution` gives every image term its
-    arrow's endpoints, so the images of a composable word compose.
+
+def substitute_words(images, terms, order):
+    """Expand (word, coefficient) pairs under arrow images, truncating at `order`.
+
+    `images` maps a moved arrow to its image as (word, coefficient) pairs,
+    read once and sorted shortest first; an arrow without an image is
+    appended as it is, with no coefficient product, and a word that moves
+    no arrow is taken whole.  Returns {word: coefficient}, zero sums
+    included, in order of first appearance.  A partial word stops taking
+    image terms at the first one that cannot stay within `order`, and a
+    word longer than `order` is dropped.  The words must have positive
+    length; nothing is checked.
     """
-    if x.quiver != f.base or x.order != f.order:
-        raise AlgebraError("element does not live over the substitution's base")
-    order = f.order
-    words = {}
+    images = {name: sorted(img, key=_word_length) for name, img in images.items()}
     out = {}
-    terms = {}
-    for p, c in x.terms.items():
-        arrows = p.arrows
-        if not arrows:
-            terms[p] = c
+    for w, c in terms:
+        room = order - len(w)
+        if room < 0:
+            continue
+        if images.keys().isdisjoint(w):
+            out[w] = out[w] + c if w in out else c
             continue
         acc = [((), c)]
-        room = order - len(arrows)
-        for name in arrows:
-            img = words.get(name)
-            if img is None:
-                image = f.images.get(name)
-                img = words[name] = [((name,), _ONE)] if image is None else sorted(
-                    ((q.arrows, v) for q, v in image.terms.items()), key=lambda t: len(t[0]))
+        for name in w:
             room += 1
+            img = images.get(name)
+            if img is None:
+                # every partial word fits its room, so the arrow itself fits too
+                acc = [(v + (name,), a) for v, a in acc]
+                continue
             grown = []
-            for w, a in acc:
-                fit = room - len(w)
+            for v, a in acc:
+                fit = room - len(v)
                 for u, b in img:
                     if len(u) > fit:
                         break
-                    grown.append((w + u, a * b))
+                    grown.append((v + u, a * b))
             acc = grown
             if not acc:
                 break
-        for w, a in acc:
-            out[w] = out[w] + a if w in out else a
+        for v, a in acc:
+            out[v] = out[v] + a if v in out else a
+    return out
+
+
+def apply_substitution(f, x):
+    """Extend the arrow images multiplicatively and linearly, truncating at D.
+
+    The images, as (arrow tuple, coefficient) pairs, expand the
+    positive-length words of x by `substitute_words`; a degree-0 term is
+    kept as it is.  The expanded words need no composability check:
+    `Substitution` gives every image term its arrow's endpoints, so the
+    images of a composable word compose.
+    """
+    if x.quiver != f.base or x.order != f.order:
+        raise AlgebraError("element does not live over the substitution's base")
+    images = {name: [(p.arrows, c) for p, c in img.terms.items()]
+              for name, img in f.images.items()}
+    terms = {p: c for p, c in x.terms.items() if not p.arrows}
+    out = substitute_words(images, ((p.arrows, c) for p, c in x.terms.items() if p.arrows),
+                           f.order)
     for w, a in out.items():
         if a:
             terms[Path(w)] = a
-    return AlgebraElement(f.target, order, terms, check=False)
+    return AlgebraElement(f.target, f.order, terms, check=False)
 
 
 def compose_substitutions(f, g):

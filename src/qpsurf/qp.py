@@ -8,12 +8,12 @@ from .algebra import (
     AlgebraError,
     Path,
     Substitution,
-    apply_substitution,
-    arrow_path,
     compose_substitutions,
     cyclic_normal_form,
     least_rotation,
+    merge_rotations,
     path_is_cycle,
+    substitute_words,
 )
 from .quiver import Quiver, Record, hook_name, hooks, premutate_quiver
 from . import linalg
@@ -193,36 +193,31 @@ class SplitResult(Record):
         return witness
 
 
-def _two_cycle_rep(x_name, y_name):
-    return Path(least_rotation((x_name, y_name)))
+def _diagonal_pairing(quiver, terms):
+    """The blocks of a potential's degree-2 part, diagonalised, and its trivial pairs.
 
-
-def _diagonal_pairing(s2):
-    """The blocks of a degree-2 part s2, diagonalised, and its trivial pairs.
-
-    For each unordered vertex pair, exact operations bring the bilinear
-    matrix m between the opposite arrows xs and ys that s2 names to
+    `terms` are the potential's (word, coefficient) pairs in cyclic normal
+    form, of which only the words of length 2 are read.  For each unordered
+    vertex pair, exact operations bring the bilinear matrix m between the
+    opposite arrows xs and ys that those words name to
     p_ops @ m @ q_ops = E_r.  A block is (xs, ys, p_ops, q_ops); its
     trivial pairs are (xs[t], ys[t]) for t < r.  A block whose m is already
     the identity is kept as it is, as (xs, ys, None, None) with r = len(xs):
     Gauss-Jordan would return P = Q = I there.
     """
-    q = s2.quiver
     blocks = {}
-    for p, c in s2.terms.items():
-        x = q.arrow(p.arrows[0])
-        pair = tuple(sorted((x.tail, x.head)))
-        blocks.setdefault(pair, {})[p] = c
+    for w, c in terms:
+        if len(w) == 2:
+            x = quiver.arrow(w[0])
+            blocks.setdefault(tuple(sorted((x.tail, x.head))), {})[w] = c
 
     diagonal = []
     pairs = []
     for (u, v) in sorted(blocks):
         coeffs = blocks[(u, v)]
-        xs = sorted({name for p in coeffs for name in p.arrows
-                     if q.arrow(name).tail == u})
-        ys = sorted({name for p in coeffs for name in p.arrows
-                     if q.arrow(name).tail == v})
-        m = [[coeffs.get(_two_cycle_rep(x, y), Fraction(0)) for y in ys] for x in xs]
+        xs = sorted({name for w in coeffs for name in w if quiver.arrow(name).tail == u})
+        ys = sorted({name for w in coeffs for name in w if quiver.arrow(name).tail == v})
+        m = [[coeffs.get(least_rotation((x, y)), Fraction(0)) for y in ys] for x in xs]
         if m == linalg.identity(len(ys)):
             p_ops, q_ops, r = None, None, len(xs)
         else:
@@ -234,19 +229,29 @@ def _diagonal_pairing(s2):
     return diagonal, pairs
 
 
-def _normalize_pairing(s):
-    """Arrow basis change making the degree-2 part a sum of distinct 2-cycles.
+def _split_words(quiver, terms, order):
+    """The split of a potential held as {word: coefficient} in cyclic normal form.
 
-    Each block of `_diagonal_pairing` changes only its own arrows, and an
-    arrow gets an image only where that image is not the arrow itself; a
-    block kept as the identity gets none.  When no arrow moves, as with no
-    degree-2 part or blocks that are already E_r, the potential is returned
-    as it is.  The potential must be in cyclic normal form.  Returns the
-    transformed potential, the substitution used, and the list of trivial
-    pairs (a_j, b_j).
+    First an arrow basis change makes the degree-2 part a sum of distinct
+    2-cycles a b, one per trivial pair: each block of `_diagonal_pairing`
+    changes only its own arrows, an arrow gets an image only where that
+    image is not the arrow itself, and a block kept as the identity gets
+    none.  Then the pairs are handled one at a time.  For the pair (a, b),
+    the terms other than a b that contain a, rotated to start with a, give
+    their rests to u; those that contain b but not a, rotated to end with b,
+    give their prefixes to v.  The unitriangular substitution a -> a - v,
+    b -> b - u removes the cross terms a u and v b and pushes any new ones
+    into strictly higher degree, since u and v hold words of length >= 2.
+    Sweeping over the pairs until no pair moves terminates at the
+    truncation order.  Each substitution is applied by `substitute_words`
+    and `merge_rotations`, so the terms stay in cyclic normal form.
+
+    Returns the reduced terms, the trivial terms (the pairs' 2-cycles), the
+    pairs and each step's images as {arrow: [(word, coefficient), ...]}:
+    the pairing's first, empty when no arrow moves, then one per
+    substitution a sweep applied.
     """
-    q = s.quiver
-    blocks, pairs = _diagonal_pairing(s.degree_part(2))
+    blocks, pairs = _diagonal_pairing(quiver, terms.items())
     images = {}
     for xs, ys, p_ops, q_ops in blocks:
         if p_ops is None:
@@ -256,113 +261,107 @@ def _normalize_pairing(s):
         columns = [(x, xs, [row[i] for row in p_ops]) for i, x in enumerate(xs)]
         columns += [(y, ys, q_ops[j]) for j, y in enumerate(ys)]
         for name, names, coeffs in columns:
-            img = AlgebraElement(q, s.order, {arrow_path(n): c for n, c in zip(names, coeffs)})
-            if img.terms != {arrow_path(name): 1}:
+            img = [((n,), c) for n, c in zip(names, coeffs) if c]
+            if img != [((name,), 1)]:
                 images[name] = img
-
-    phi = Substitution(q, q, s.order, images)
     if images:
-        s = cyclic_normal_form(apply_substitution(phi, s))
-    expect = {_two_cycle_rep(a, b): Fraction(1) for (a, b) in pairs}
-    if s.degree_part(2).terms != expect:
+        terms = merge_rotations(substitute_words(images, terms.items(), order).items())
+    reps = {pair: least_rotation(pair) for pair in pairs}
+    if {w: c for w, c in terms.items() if len(w) == 2} != dict.fromkeys(reps.values(), 1):
         raise QPError("pairing normalisation failed")
-    return s, phi, pairs
+    steps = [images]
 
-
-def _pair_images(s, a_name, b_name, pair_rep):
-    """The images a_j - v and b_j - u that clear the pair's cross terms.
-
-    Terms other than the 2-cycle itself that contain a_j are rotated to start
-    with a_j and contribute the remainder to u; terms containing b_j but not
-    a_j are rotated to end with b_j and contribute the prefix to v.  u and v
-    hold words of length >= 2, since the degree-2 part is the pair 2-cycles
-    alone, so neither meets its arrow's own term.  Returns None when both
-    vanish.
-    """
-    img_a = {arrow_path(a_name): 1}
-    img_b = {arrow_path(b_name): 1}
-    for p, c in s.terms.items():
-        if p == pair_rep:
-            continue
-        arrows = p.arrows
-        if a_name in arrows:  # u goes into b's image, v into a's
-            i = arrows.index(a_name)
-            img = img_b
-        elif b_name in arrows:
-            i = arrows.index(b_name)
-            img = img_a
-        else:
-            continue
-        rest = Path(arrows[i + 1:] + arrows[:i])
-        img[rest] = img.get(rest, 0) - c
-    img_a = AlgebraElement(s.quiver, s.order, img_a, check=False)
-    img_b = AlgebraElement(s.quiver, s.order, img_b, check=False)
-    if len(img_a.terms) == len(img_b.terms) == 1:
-        return None
-    return {a_name: img_a, b_name: img_b}
-
-
-def _reduced_quiver(quiver, pairs):
-    """The quiver less the arrows of the trivial pairs."""
-    trivial = {name for pair in pairs for name in pair}
-    return Quiver(quiver.vertices, [a for a in quiver.arrows if a.name not in trivial])
-
-
-def split_qp(qp):
-    """Split a QP into its trivial and reduced parts with an explicit witness.
-
-    After the degree-2 pairing is normalised, the trivial 2-cycles are
-    handled one at a time: for the pair (a, b) the unitriangular substitution
-    a -> a - v, b -> b - u removes the cross terms a u and v b, pushing any
-    new cross terms into strictly higher degree.  Sweeping over the pairs
-    until nothing changes terminates at the truncation order.  The result
-    keeps the substitutions; its witness, their composite, is composed on
-    first access.
-    """
-    s, phi0, pairs = _normalize_pairing(cyclic_normal_form(qp.potential))
-    steps = [phi0]
-    order = qp.order
-    quiver = qp.quiver
-
-    reps = {(a, b): _two_cycle_rep(a, b) for (a, b) in pairs}
-    for sweep in range(order + 3):
+    for _ in range(order + 3):
         changed = False
-        for (a, b) in pairs:
-            images = _pair_images(s, a, b, reps[(a, b)])
-            if images is None:
+        for (a, b), rep in reps.items():
+            img_a, img_b = {(a,): 1}, {(b,): 1}
+            for w, c in terms.items():
+                if w == rep:
+                    continue
+                if a in w:  # u goes into b's image, v into a's
+                    i = w.index(a)
+                    img = img_b
+                elif b in w:
+                    i = w.index(b)
+                    img = img_a
+                else:
+                    continue
+                rest = w[i + 1:] + w[:i]
+                img[rest] = img.get(rest, 0) - c
+            images = {a: [t for t in img_a.items() if t[1]], b: [t for t in img_b.items() if t[1]]}
+            if len(images[a]) == len(images[b]) == 1:
                 continue
             changed = True
-            phi = Substitution(quiver, quiver, order, images)
-            s = cyclic_normal_form(apply_substitution(phi, s))
-            steps.append(phi)
+            terms = merge_rotations(substitute_words(images, terms.items(), order).items())
+            steps.append(images)
         if not changed:
             break
     else:
         raise QPError("splitting did not converge within the truncation order")
 
     trivial_arrows = {name for pair in pairs for name in pair}
-    triv_terms = {}
-    red_terms = {}
-    for p, c in s.terms.items():
-        if set(p.arrows) & trivial_arrows:
-            if len(p) != 2:
-                raise QPError("trivial arrow leaked into a higher-degree term")
-            triv_terms[p] = c
+    trivial = {}
+    reduced = {}
+    for w, c in terms.items():
+        if trivial_arrows.isdisjoint(w):
+            reduced[w] = c
+        elif len(w) != 2:
+            raise QPError("trivial arrow leaked into a higher-degree term")
         else:
-            red_terms[p] = c
-
-    triv_quiver = Quiver(quiver.vertices, [a for a in quiver.arrows if a.name in trivial_arrows])
-    red_quiver = _reduced_quiver(quiver, pairs)
-    triv = QP(triv_quiver, AlgebraElement(triv_quiver, order, triv_terms), order)
-    red = QP(red_quiver, AlgebraElement(red_quiver, order, red_terms), order)
-    if not red.potential.degree_part(2).is_zero():
+            trivial[w] = c
+    if any(len(w) == 2 for w in reduced):
         raise QPError("reduced part kept a degree-2 term")
-    return SplitResult(trivial=triv, reduced=red, steps=steps)
+    return reduced, trivial, pairs, steps
+
+
+def _reduced_quiver(quiver, pairs):
+    """The quiver less the arrows of the trivial pairs."""
+    trivial = {name for pair in pairs for name in pair}
+    return quiver._with_arrows(tuple(a for a in quiver.arrows if a.name not in trivial))
+
+
+def _element(quiver, order, terms):
+    """The checked element of (word, coefficient) pairs."""
+    return AlgebraElement(quiver, order, {Path(w): c for w, c in terms})
+
+
+def split_qp(qp):
+    """Split a QP into its trivial and reduced parts with an explicit witness.
+
+    The potential is brought to cyclic normal form and split by
+    `_split_words`: the degree-2 pairing is normalised, then sweeps of
+    unitriangular substitutions clear each trivial pair's cross terms.  The
+    images of each step are wrapped into a checked `Substitution`; the
+    witness, their composite, is composed on first access.
+    """
+    quiver, order = qp.quiver, qp.order
+    s = cyclic_normal_form(qp.potential)
+    reduced, trivial, pairs, steps = _split_words(
+        quiver, {p.arrows: c for p, c in s.terms.items()}, order)
+    steps = [Substitution(quiver, quiver, order, {
+        name: _element(quiver, order, img) for name, img in images.items()}) for images in steps]
+    names = {name for pair in pairs for name in pair}
+    triv_quiver = quiver._with_arrows(tuple(a for a in quiver.arrows if a.name in names))
+    red_quiver = _reduced_quiver(quiver, pairs)
+    return SplitResult(trivial=QP(triv_quiver, _element(triv_quiver, order, trivial.items()), order),
+                       reduced=QP(red_quiver, _element(red_quiver, order, reduced.items()), order),
+                       steps=steps)
 
 
 def mutate_qp(qp, k):
-    """QP-mutation: the reduced part of the premutation at k."""
-    return split_qp(premutate_qp(qp, k)).reduced
+    """QP-mutation: the reduced part of the premutation at k.
+
+    The premutation, checked and in cyclic normal form as `premutate_qp`
+    builds it, is split by `_split_words`, the core `split_qp` runs, and
+    only the reduced quiver and QP are built: no trivial part and no
+    substitution.  The sweep images are rests of the premutation's own
+    cycles, so their endpoints hold by construction.
+    """
+    pre = premutate_qp(qp, k)
+    reduced, _, pairs, _ = _split_words(
+        pre.quiver, {p.arrows: c for p, c in pre.potential.terms.items()}, pre.order)
+    red_quiver = _reduced_quiver(pre.quiver, pairs)
+    return QP(red_quiver, _element(red_quiver, pre.order, reduced.items()), pre.order)
 
 
 def mutated_quiver(qp, k):
@@ -381,8 +380,9 @@ def mutated_quiver(qp, k):
     read = AlgebraElement(new_quiver, qp.order, _read_terms(q, k, qp.potential))
     if qp.order < 3 and hooks(q, k):
         raise AlgebraError("term of length 3 exceeds order %d" % qp.order)
-    s2 = QP(new_quiver, read, qp.order).potential.degree_part(2)
-    return _reduced_quiver(new_quiver, _diagonal_pairing(s2)[1])
+    s = QP(new_quiver, read, qp.order).potential
+    pairs = _diagonal_pairing(new_quiver, ((p.arrows, c) for p, c in s.terms.items()))[1]
+    return _reduced_quiver(new_quiver, pairs)
 
 
 def restrict_qp(qp, keep):

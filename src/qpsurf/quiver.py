@@ -105,6 +105,19 @@ class Quiver:
             self._by_name[a.name] = a
             self.between.setdefault((a.tail, a.head), []).append(a)
 
+    def _with_arrows(self, arrows):
+        """A quiver on the same vertices; `arrows` is a sub-tuple of `self.arrows`.
+
+        The arrows are already sorted and checked, so none is checked again.
+        """
+        out = object.__new__(Quiver)
+        out.vertices, out.arrows = self.vertices, arrows
+        out._by_name = {a.name: a for a in arrows}
+        out.between = {}
+        for a in arrows:
+            out.between.setdefault((a.tail, a.head), []).append(a)
+        return out
+
     def arrow(self, name):
         try:
             return self._by_name[name]

@@ -15,6 +15,8 @@ from qpsurf.algebra import (
     cyclic_derivative,
     cyclic_normal_form,
     cyclically_equivalent,
+    merge_rotations,
+    substitute_words,
     substitution_is_isomorphism,
     truncate,
     vertex_path,
@@ -100,6 +102,57 @@ def test_cyclic_normal_form_rejects_open_paths():
     q = three_cycle()
     with pytest.raises(AlgebraError):
         cyclic_normal_form(word(q, 6, "b", "a"))
+
+
+@pytest.mark.parametrize("term", [("b", "a"), ("c",)], ids=["open", "arrow"])
+def test_cyclic_normal_form_refuses_a_non_cyclic_or_degree_0_term(term):
+    # the check stays with cyclic_normal_form; merge_rotations checks nothing
+    q = three_cycle()
+    for p in (arrow_path(*term), vertex_path("1")):
+        x = word(q, 6, "c", "b", "a") + AlgebraElement.from_path(q, 6, p)
+        with pytest.raises(AlgebraError, match="^element has a non-cyclic or degree-0 term$"):
+            cyclic_normal_form(x)
+
+
+def test_merge_rotations_sums_in_order_of_first_appearance():
+    terms = [(("b", "a"), 1), (("c",), 0), (("x", "y", "z"), 2), (("a", "b"), 3),
+             (("y", "z", "x"), -2), (("b", "c"), Fraction(1, 2))]
+    assert list(merge_rotations(terms).items()) == [(("a", "b"), 4), (("b", "c"), Fraction(1, 2))]
+
+
+class Tally:
+    """A coefficient that counts the products it takes part in."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        Tally.products += 1
+        return Tally(self.value * other)
+
+
+def test_substitute_words_multiplies_only_at_moved_arrows():
+    Tally.products = 0
+    images = {"a": [(("y", "z"), 3), (("x",), 2)]}
+    terms = [(("c", "b", "a"), Tally(1)), (("c", "b"), Tally(5)), (("a", "a", "c", "b"), Tally(1))]
+    out = substitute_words(images, terms, 4)
+    assert Tally.products == 4  # two for c b a, two for a a c b, none for c b
+    assert {w: t.value for w, t in out.items()} == {
+        ("c", "b", "x"): 2, ("c", "b", "y", "z"): 3, ("c", "b"): 5,
+        ("x", "x", "c", "b"): 4}
+    # a word longer than the order is dropped, even when it moves no arrow
+    assert substitute_words(images, [(("c", "b", "c"), 1)], 2) == {}
+
+
+def test_apply_substitution_refuses_an_element_off_its_base():
+    q = three_cycle()
+    f = Substitution(q, q, 6, {"a": 2 * word(q, 6, "a")})
+    other = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3")])
+    for x in (word(q, 5, "a"), word(other, 6, "a")):
+        with pytest.raises(AlgebraError, match="^element does not live over the substitution's base$"):
+            apply_substitution(f, x)
 
 
 def square_quiver():

@@ -18,6 +18,7 @@ from qpsurf.algebra import (
     cyclic_normal_form,
     cyclically_equivalent,
     least_rotation,
+    substitute_words,
     substitution_is_isomorphism,
 )
 from qpsurf.examples_data import CORPUS, example_text
@@ -364,16 +365,23 @@ def random_split_qp(seed):
     return QP(quiver, AlgebraElement(quiver, 6, terms), 6)
 
 
+def word_images(phi):
+    """A substitution's images as the (word, coefficient) lists the split kernel reads."""
+    return {name: [(p.arrows, c) for p, c in img.terms.items()]
+            for name, img in phi.images.items()}
+
+
 def test_split_witness_and_pairing_on_random_blocks(monkeypatch):
-    # the witness carries W to trivial + reduced, and the pairing step
-    # substitutes only when one of its images moves an arrow
+    # the witness carries W to trivial + reduced, and each step goes through
+    # the shared kernel once, with its own images, except a pairing step
+    # that moves no arrow
     calls = []
 
-    def counting(f, x):
-        calls.append(f)
-        return apply_substitution(f, x)
+    def counting(images, terms, order):
+        calls.append(images)
+        return substitute_words(images, terms, order)
 
-    monkeypatch.setattr("qpsurf.qp.apply_substitution", counting)
+    monkeypatch.setattr("qpsurf.qp.substitute_words", counting)
     moved = 0
     for seed in range(40):
         qp = random_split_qp(seed)
@@ -381,7 +389,8 @@ def test_split_witness_and_pairing_on_random_blocks(monkeypatch):
         res = split_qp(qp)
         still = res.steps[0].is_identity()
         moved += not still
-        assert calls == res.steps[still:], seed
+        assert calls == [word_images(phi) for phi in res.steps[still:]], seed
+        assert all(phi.images for phi in res.steps[1:]), seed
         assert is_trivial_qp(res.trivial)
         assert substitution_is_isomorphism(res.witness)
         image = apply_substitution(res.witness, qp.potential)
@@ -389,6 +398,32 @@ def test_split_witness_and_pairing_on_random_blocks(monkeypatch):
                                                    **res.reduced.potential.terms})
         assert cyclically_equivalent(image, recombined), seed
     assert moved == 30  # all but the identity blocks
+
+
+def split_text(res):
+    """The reduced text, each step's images and the witness images of a split."""
+    out = [res.reduced.to_text()]
+    for phi in res.steps + [res.witness]:
+        out += ["%s\n%s" % (name, phi.images[name].to_text()) for name in sorted(phi.images)]
+        out.append("--\n")
+    return "".join(out)
+
+
+def test_split_normalises_terms_stored_at_other_rotations():
+    # a QP may store a term at any rotation; only premutation output, which
+    # is built at least rotations, may skip the normal form
+    rng = random.Random("rotated")
+    rotated = 0
+    for seed in range(40):
+        qp = random_split_qp(seed)
+        terms = {}
+        for p, c in qp.potential.terms.items():
+            r = rng.randrange(len(p))
+            terms[Path(p.arrows[r:] + p.arrows[:r])] = c
+            rotated += r > 0
+        stored = QP(qp.quiver, AlgebraElement(qp.quiver, 6, terms), 6)
+        assert split_text(split_qp(stored)) == split_text(split_qp(qp)), seed
+    assert rotated > 100
 
 
 # sha256 over the reduced text, the number of steps and the witness image of
@@ -440,7 +475,8 @@ def test_identity_blocks_split_as_before_on_corpus_premutations():
             res = split_qp(pre)
             h.update(res.reduced.to_text().encode())
             h.update(b"%d\n" % len(res.steps))
-            blocks, pairs = _diagonal_pairing(pre.potential.degree_part(2))
+            blocks, pairs = _diagonal_pairing(
+                pre.quiver, [(p.arrows, c) for p, c in pre.potential.terms.items()])
             if blocks and all(p_ops is None for _, _, p_ops, _ in blocks):
                 identity_only += 1
                 assert not res.steps[0].images
@@ -560,3 +596,41 @@ def test_premutation_text_pinned_on_random_qps():
     assert (parallel, two_cycles, premutated, wraps) == (63, 130, 162, 448)
     assert visits == {0, 1, 2, 3}
     assert h.hexdigest() == PREMUTATION_SHA256
+
+
+# sha256 over the mutate_qp text, or the type and text of its refusal, of
+# the corpus QPs at order 6 and their one-step mutations, random_premutation_qp
+# for seeds 0-59 and random_split_qp for seeds 0-39, at every vertex;
+# recorded when mutate_qp returned split_qp(premutate_qp(qp, k)).reduced
+MUTATE_SHA256 = "b091bb80b44b05f146d987e70c124ae8180db7363ca0cda0136ab17f8d322a38"
+
+
+def test_mutate_qp_is_the_reduced_part_of_the_split_premutation():
+    def outcome(f, qp, k):
+        try:
+            return f(qp, k).to_text()
+        except ValueError as exc:
+            return "%s: %s\n" % (type(exc).__name__, exc)
+
+    def split_reduced(qp, k):
+        return split_qp(premutate_qp(qp, k)).reduced
+
+    inputs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in CORPUS:
+            qp = qp_of_triangulation(Triangulation.from_text(example_text(name)), 6)
+            inputs.append((name, qp))
+            inputs += [("%s %s" % (name, k), mutate_qp(qp, k)) for k in qp.quiver.vertices]
+    inputs += [("premutation %d" % seed, random_premutation_qp(seed)) for seed in range(60)]
+    inputs += [("split %d" % seed, random_split_qp(seed)) for seed in range(40)]
+    h = hashlib.sha256()
+    refused = 0
+    for label, qp in inputs:
+        for k in qp.quiver.vertices:
+            text = outcome(mutate_qp, qp, k)
+            assert text == outcome(split_reduced, qp, k), (label, k)
+            refused += not text.startswith("truncation:")
+            h.update(("%s %s\n%s" % (label, k, text)).encode())
+    assert refused == 220
+    assert h.hexdigest() == MUTATE_SHA256
