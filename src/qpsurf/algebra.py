@@ -89,15 +89,23 @@ def path_head(quiver, p):
     return quiver.arrow(p.arrows[0]).head
 
 
-def path_is_composable(quiver, p):
-    for j in range(len(p.arrows) - 1):
-        if quiver.arrow(p.arrows[j]).tail != quiver.arrow(p.arrows[j + 1]).head:
-            return False
-    return True
-
-
 def path_is_cycle(quiver, p):
     return len(p) >= 1 and path_head(quiver, p) == path_tail(quiver, p)
+
+
+def check_word(quiver, order, word):
+    """Refuse a positive-length term's word: longer than `order`, naming an
+    unknown arrow, or not composable, checked in that order.
+
+    Returns the word's arrows, so a caller can read its endpoints.
+    """
+    if len(word) > order:
+        raise AlgebraError("term of length %d exceeds order %d" % (len(word), order))
+    arrows = [quiver.arrow(name) for name in word]
+    for x, y in zip(arrows, arrows[1:]):
+        if x.tail != y.head:
+            raise AlgebraError("non-composable path %r" % (word,))
+    return arrows
 
 
 def least_rotation(arrows):
@@ -128,16 +136,10 @@ class AlgebraElement:
             if c == 0:
                 continue
             if check:
-                if len(p) > self.order:
-                    raise AlgebraError("term of length %d exceeds order %d" % (len(p), self.order))
-                if len(p) == 0:
-                    if p.vertex not in quiver.vertices:
-                        raise AlgebraError("unknown vertex %r" % p.vertex)
-                else:
-                    for name in p.arrows:
-                        quiver.arrow(name)
-                    if not path_is_composable(quiver, p):
-                        raise AlgebraError("non-composable path %r" % (p.arrows,))
+                if p.arrows:
+                    check_word(quiver, self.order, p.arrows)
+                elif p.vertex not in quiver.vertices:
+                    raise AlgebraError("unknown vertex %r" % p.vertex)
             clean[p] = c
         self.terms = clean
 

@@ -8,6 +8,7 @@ from .algebra import (
     AlgebraError,
     Path,
     Substitution,
+    check_word,
     compose_substitutions,
     cyclic_normal_form,
     least_rotation,
@@ -17,6 +18,8 @@ from .algebra import (
 )
 from .quiver import Quiver, Record, hook_name, hooks, premutate_quiver
 from . import linalg
+
+_ONE = Fraction(1)
 
 
 class QPError(ValueError):
@@ -119,54 +122,68 @@ class QP:
                                               ", ".join(lines)), exc.terms) from exc
 
 
-def _read_terms(q, k, potential):
-    """The potential's terms as premutation at k reads them, summed at their least rotations.
+def _premutation(qp, k):
+    """The premutated quiver at k and the premutated potential as {word: coefficient}.
 
     A term is read from its first arrow that does not point into k, so no
     hook is cut: an arrow out of k takes the next arrow, into k, as its hook
     and becomes the composite arrow [a.b].  A term of length L that passes
-    through k v times reads as a word of length L - v.
+    through k v times reads as a word of length L - v.  The words are
+    summed at their least rotations, and a zero sum is dropped; then the
+    word b* a* [a.b] of each k-hook ab is added at its least rotation.  No
+    read word holds the starred name of an arrow at k, since
+    `premutate_quiver` refuses an old arrow of that name, so no hook word
+    meets a read one.
 
     A QP's term closes up in a loop-free quiver, so not every arrow points
     into k, and the word read from there does not end inside a hook; the
-    refusal is for any other word.
+    refusal is for any other word.  The read words are then checked as the
+    premutation's element and QP would check them: first each word's
+    length, arrows and composability (`check_word`), then the hook words'
+    length, then that each read word is a cycle.  In a composable word an
+    arrow into k follows an arrow out of k; a word that is not, which
+    `AlgebraElement(..., check=False)` lets through, keeps an arrow at k
+    under its old name, names a missing hook or stays non-composable.
     """
-    terms = {}
-    for p, c in potential.terms.items():
-        n = len(p.arrows)
-        i = next((i for i, a in enumerate(p.arrows) if q.arrow(a).head != k), n)
-        arrows = iter(p.arrows[i:] + p.arrows[:i])
-        if i == n or q.arrow(p.arrows[i - 1]).tail == k:
+    q, order = qp.quiver, qp.order
+    quiver = premutate_quiver(q, k)  # rejects an unknown vertex, 2-cycles at k, name collisions
+    read = []
+    for p, c in qp.potential.terms.items():
+        w = p.arrows
+        n = len(w)
+        i = next((i for i, a in enumerate(w) if q.arrow(a).head != k), n)
+        if i == n or q.arrow(w[i - 1]).tail == k:
             raise QPError("term %r cannot be read at %r: every arrow points into it"
-                          " or a hook runs off its end" % (p.arrows, k), [p])
-        word = tuple(hook_name(a, next(arrows)) if q.arrow(a).tail == k else a
-                     for a in arrows)
-        key = Path(least_rotation(word))
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return terms
+                          " or a hook runs off its end" % (w, k), [p])
+        arrows = iter(w[i:] + w[:i])
+        read.append((tuple(hook_name(a, next(arrows)) if q.arrow(a).tail == k else a
+                           for a in arrows), c))
+    words = merge_rotations(read)
+    word_arrows = [check_word(quiver, order, w) for w in words]
+    k_hooks = hooks(q, k)
+    if k_hooks and order < 3:
+        raise AlgebraError("term of length 3 exceeds order %d" % order)
+    for w, arrows in zip(words, word_arrows):
+        if arrows[0].head != arrows[-1].tail:
+            raise QPError("potential has a non-cyclic term %r" % (w,), [Path(w)])
+    for a, b in k_hooks:
+        words[least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name)))] = _ONE
+    return quiver, words
 
 
 def premutate_qp(qp, k):
     """Premutation at vertex k.
 
     Every k-hook ab inside a potential term is replaced by the composite
-    arrow [a.b], as `_read_terms` reads it, and the sum of b* a* [a.b] over
+    arrow [a.b], as `_premutation` reads it, and the sum of b* a* [a.b] over
     all k-hooks of the quiver is added.  Every term is written at its least
-    rotation: the result is in cyclic normal form as built.
-
-    In a composable word an arrow into k follows an arrow out of k.  A word
-    that is not, which `AlgebraElement(..., check=False)` lets through,
-    keeps an arrow at k under its old name, names a missing hook or stays
-    non-composable, and the checked premutation refuses it.
+    rotation: the result is in cyclic normal form as built.  A word the
+    premutation cannot read or that its quiver does not hold is refused.
     """
-    q = qp.quiver
-    new_quiver = premutate_quiver(q, k)  # rejects an unknown vertex and 2-cycles at k
-    terms = _read_terms(q, k, qp.potential)
-    for a, b in hooks(q, k):
-        key = Path(least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name))))
-        terms[key] = terms.get(key, Fraction(0)) + 1
-
-    return QP(new_quiver, AlgebraElement(new_quiver, qp.order, terms), qp.order)
+    quiver, words = _premutation(qp, k)
+    potential = AlgebraElement(quiver, qp.order, {Path(w): c for w, c in words.items()},
+                               check=False)
+    return QP(quiver, potential, qp.order)
 
 
 class SplitResult(Record):
@@ -351,17 +368,17 @@ def split_qp(qp):
 def mutate_qp(qp, k):
     """QP-mutation: the reduced part of the premutation at k.
 
-    The premutation, checked and in cyclic normal form as `premutate_qp`
-    builds it, is split by `_split_words`, the core `split_qp` runs, and
-    only the reduced quiver and QP are built: no trivial part and no
-    substitution.  The sweep images are rests of the premutation's own
-    cycles, so their endpoints hold by construction.
+    The premutation's words, checked and in cyclic normal form as
+    `_premutation` reads them, are split by `_split_words`, the core
+    `split_qp` runs, and only the reduced quiver and QP are built: no
+    premutated QP, no trivial part and no substitution.  The sweep images
+    are rests of the premutation's own cycles, so their endpoints hold by
+    construction.
     """
-    pre = premutate_qp(qp, k)
-    reduced, _, pairs, _ = _split_words(
-        pre.quiver, {p.arrows: c for p, c in pre.potential.terms.items()}, pre.order)
-    red_quiver = _reduced_quiver(pre.quiver, pairs)
-    return QP(red_quiver, _element(red_quiver, pre.order, reduced.items()), pre.order)
+    quiver, words = _premutation(qp, k)
+    reduced, _, pairs, _ = _split_words(quiver, words, qp.order)
+    red_quiver = _reduced_quiver(quiver, pairs)
+    return QP(red_quiver, _element(red_quiver, qp.order, reduced.items()), qp.order)
 
 
 def mutated_quiver(qp, k):
@@ -369,20 +386,12 @@ def mutated_quiver(qp, k):
 
     The split drops the arrows of the trivial pairs, which the premutation's
     degree-2 part decides alone: the sweeps change the potential, never
-    which arrows are trivial.  That part comes from the potential's terms
-    that read as words of length 2; the hook terms b* a* [a.b] have length
-    3, so they are not built.  Every term is still read and checked as
-    `premutate_qp` does, and the hook terms are refused where it refuses
-    them, below order 3, so the two refuse alike.
+    which arrows are trivial.  That part is the premutation's words of
+    length 2, which `_premutation` reads and checks as for `mutate_qp`, so
+    the two refuse alike; its hook words have length 3 and are not read.
     """
-    q = qp.quiver
-    new_quiver = premutate_quiver(q, k)
-    read = AlgebraElement(new_quiver, qp.order, _read_terms(q, k, qp.potential))
-    if qp.order < 3 and hooks(q, k):
-        raise AlgebraError("term of length 3 exceeds order %d" % qp.order)
-    s = QP(new_quiver, read, qp.order).potential
-    pairs = _diagonal_pairing(new_quiver, ((p.arrows, c) for p, c in s.terms.items()))[1]
-    return _reduced_quiver(new_quiver, pairs)
+    quiver, words = _premutation(qp, k)
+    return _reduced_quiver(quiver, _diagonal_pairing(quiver, words.items())[1])
 
 
 def restrict_qp(qp, keep):

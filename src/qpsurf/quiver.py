@@ -8,6 +8,7 @@ it, the list of k-hooks, and the pairing of opposite arrows.
 from operator import attrgetter, neg
 
 _setattr = object.__setattr__
+_name = attrgetter("name")
 
 
 class QuiverError(ValueError):
@@ -91,7 +92,7 @@ class Quiver:
             if not isinstance(a, Arrow):
                 a = Arrow(*a)
             arr.append(a)
-        arr.sort(key=lambda a: a.name)
+        arr.sort(key=_name)
         self.arrows = tuple(arr)
         self._by_name = {}
         self.between = {}
@@ -106,9 +107,12 @@ class Quiver:
             self.between.setdefault((a.tail, a.head), []).append(a)
 
     def _with_arrows(self, arrows):
-        """A quiver on the same vertices; `arrows` is a sub-tuple of `self.arrows`.
+        """A quiver on the same vertices; `arrows` is a tuple of sorted, checked
+        arrows on those vertices.
 
-        The arrows are already sorted and checked, so none is checked again.
+        No endpoint, loop or name is checked again: `_by_name` keeps one
+        arrow of a repeated name, so a caller that may repeat one compares
+        its length with `arrows`.
         """
         out = object.__new__(Quiver)
         out.vertices, out.arrows = self.vertices, arrows
@@ -223,8 +227,13 @@ class IntegerMatrix:
                 out[(i, j)] = self.entry(i, j)
         return out
 
+    _skew = None  # is_skew_symmetric's answer, once asked or known
+
     def is_skew_symmetric(self):
-        return self.rows == tuple(zip(*[map(neg, row) for row in self.rows]))
+        """Computed once per matrix, which is immutable."""
+        if self._skew is None:
+            self._skew = self.rows == tuple(zip(*[map(neg, row) for row in self.rows]))
+        return self._skew
 
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
@@ -320,12 +329,23 @@ def premutate_quiver(q, k):
     A k-hook is a length-2 path ab with t(a) = k = h(b); it yields a new arrow
     [a.b] : t(b) -> h(a).  Arrows incident to k get replaced by reversals
     named with a trailing '*'.
+
+    The arrows of q are checked, so only the new names are: a '*' or hook
+    name that an old arrow already holds is refused.  No endpoint or loop
+    check is needed.  The vertices do not change, a reversed arrow keeps its
+    endpoints, and a hook arrow would be a loop only through a 2-cycle at k,
+    which `_check_mutable` refuses.
     """
     _check_mutable(q, k)
     arrows = [Arrow(a.name + "*", a.head, a.tail) if k in (a.tail, a.head) else a
               for a in q.arrows]
     arrows += [Arrow(hook_name(a.name, b.name), b.tail, a.head) for a, b in hooks(q, k)]
-    return Quiver(q.vertices, arrows)
+    arrows.sort(key=_name)
+    out = q._with_arrows(tuple(arrows))
+    if len(out._by_name) < len(arrows):
+        raise QuiverError("duplicate arrow id %r" % next(
+            x.name for x, y in zip(arrows, arrows[1:]) if x.name == y.name))
+    return out
 
 
 def opposite_pairs(groups):
@@ -374,4 +394,6 @@ def mutate_matrix(b, k):
             row = tuple(row)
         rows.append(row)
     rows[ki] = tuple(map(neg, row_k))
-    return b._with_rows(tuple(rows))
+    out = b._with_rows(tuple(rows))
+    out._skew = True  # mutation keeps a matrix skew-symmetric
+    return out

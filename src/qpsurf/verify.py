@@ -300,7 +300,7 @@ def explore_mutation_class(qp, depth, order):
     digest = _digest(qp.to_text(), str(depth), str(order))
     vertices = qp.quiver.vertices
     digests = []
-    index = {}
+    index = {}  # canonical table -> node number
     node_of_rows = {}
     row_number = {}
     rows = array("i")
@@ -312,18 +312,18 @@ def explore_mutation_class(qp, depth, order):
         if matrix.rows in node_of_rows:
             return node_of_rows[matrix.rows], False
         canon = canonical_matrix_form(matrix)
-        dig = _digest(repr(canon))
-        new = dig not in index
+        node = index.get(canon)
+        new = node is None
         if new:
-            index[dig] = len(digests)
-            digests.append(dig)
+            node = index[canon] = len(digests)
+            digests.append(_digest(repr(canon)))
             for row in canon:
                 if row not in row_number:
                     row_number[row] = len(row_number)
                     rows.extend(row)
                 tables.append(row_number[row])
-        node_of_rows[matrix.rows] = index[dig]
-        return index[dig], new
+        node_of_rows[matrix.rows] = node
+        return node, new
 
     # (quiver, QP or None at the depth limit, net matrix, node number, distance)
     matrix = net_matrix(qp.quiver)

@@ -253,6 +253,32 @@ def test_malformed_triangulation_exits_two_without_traceback(tmp_path, capsys, t
     assert_input_error(capsys, ["validate", str(path)], bad_line)
 
 
+SELF_FOLDED = example_text("punctured-square-sf")  # tri L f f, with f from A to p
+
+
+@pytest.mark.parametrize("text, problem", [
+    (PENTAGON.replace("arc 1 A C\n", "arc 1 A Z\n"), "side '1' ends at unknown point 'Z'"),
+    (SELF_FOLDED.replace("arc f A p\n", "arc f A A\n"),
+     "folded side 'f' of triangle 0 is a loop"),
+    (SELF_FOLDED.replace("arc f A p\n", "arc f A B\n"),
+     "folded side 'f' must end at an interior puncture"),
+    (PENTAGON.replace("surface genus=0", "surface genus=1"),
+     "arc count 2 does not match the rank 8 of the surface; Euler characteristic mismatch (1)"),
+    (PENTAGON.replace("bseg EA E A on=0\n", "bseg EA E B on=0\n"),
+     "boundary component 0 is not partitioned into a cycle"),
+    (example_text("punctured-square-2").replace("bseg DA D A on=0\n", "bseg DA D p on=0\n"),
+     "boundary segment 'DA' endpoint 'p' not on component 0"),
+], ids=["unknown-end-point", "folded-side-is-a-loop", "folded-side-ends-on-the-boundary",
+        "euler-characteristic", "boundary-not-a-cycle", "puncture-on-the-boundary"])
+def test_invalid_triangulation_exits_two_without_traceback(tmp_path, capsys, text, problem):
+    # each text parses; validation names the problem
+    path = tmp_path / "bad.tri"
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: %s\n" % problem
+
+
 def test_malformed_triangulation_exits_two_in_a_fresh_process(tmp_path):
     # the other input-error rows run in process; this one keeps the exit
     # status of a real `python -m qpsurf.cli` covered

@@ -11,6 +11,7 @@ import pytest
 from oracles import oracle_derivative, oracle_rank
 from qpsurf.algebra import (
     AlgebraElement,
+    AlgebraError,
     Path,
     Substitution,
     apply_substitution,
@@ -33,7 +34,7 @@ from qpsurf.qp import (
     restrict_qp,
     split_qp,
 )
-from qpsurf.quiver import Arrow, Quiver, mutate_quiver
+from qpsurf.quiver import Arrow, Quiver, QuiverError, mutate_quiver, premutate_quiver
 from qpsurf.surface import Triangulation
 
 
@@ -137,8 +138,9 @@ def test_premutation_refuses_a_non_composable_word_through_k(names, error):
     # renames the arrows at k, so the checked premutation refuses the word
     q = cycle_quiver()
     qp = QP(q, AlgebraElement(q, 6, {arrow_path(*names): 1}, check=False))
-    with pytest.raises(ValueError, match=error):
-        premutate_qp(qp, "2")
+    for call in (premutate_qp, mutate_qp, mutated_quiver):
+        with pytest.raises(ValueError, match=error):
+            call(qp, "2")
 
 
 @pytest.mark.parametrize("names", [("c",), ("a", "b")], ids=["all-into-k", "ends-in-hook"])
@@ -148,9 +150,67 @@ def test_premutation_refuses_a_word_it_cannot_read(names):
     q = cycle_quiver()
     qp = types.SimpleNamespace(quiver=q, order=6, potential=AlgebraElement(
         q, 6, {arrow_path(*names): 1}, check=False))
-    with pytest.raises(QPError, match="^term %s cannot be read at '2': every arrow points into it"
-                       " or a hook runs off its end$" % re.escape(repr(names))):
-        premutate_qp(qp, "2")
+    for call in (premutate_qp, mutate_qp, mutated_quiver):
+        with pytest.raises(QPError, match="^term %s cannot be read at '2': every arrow points"
+                           " into it or a hook runs off its end$" % re.escape(repr(names))):
+            call(qp, "2")
+
+
+# the refusals of premutate_qp, mutate_qp and mutated_quiver at vertex 2 of
+# cycle_quiver(), recorded when the premutation built a checked
+# AlgebraElement and QP; no QP holds a non-cyclic word, so the words are
+# kept as given.  The element checks come first, then the hook terms'
+# length, then cyclicity.
+PREMUTATION_REFUSALS = [
+    (6, [("a", "b", "c"), ("a",)], QPError, "potential has a non-cyclic term ('a',)"),
+    (6, [("b", "c")], QPError, "potential has a non-cyclic term ('[b.c]',)"),
+    (2, [], AlgebraError, "term of length 3 exceeds order 2"),
+    (2, [("a",)], AlgebraError, "term of length 3 exceeds order 2"),
+    (3, [("a",), ("a", "b", "c", "a", "b", "c")],
+     AlgebraError, "term of length 4 exceeds order 3"),
+    (6, [("a",), ("a", "a", "b", "c", "b", "c")],
+     AlgebraError, "non-composable path ('[b.c]', '[b.c]', 'a', 'a')"),
+]
+
+
+@pytest.mark.parametrize("order, words, error, message", PREMUTATION_REFUSALS, ids=[
+    "non-cyclic", "non-cyclic-through-k", "hook-term-above-order-2",
+    "non-cyclic-and-hook-term-above-order-2", "non-cyclic-and-too-long",
+    "non-cyclic-and-non-composable"])
+def test_premutation_refusals_are_those_of_the_checked_premutation(order, words, error, message):
+    q = cycle_quiver()
+    qp = types.SimpleNamespace(quiver=q, order=order, potential=AlgebraElement(
+        q, order, {arrow_path(*w): 1 for w in words}, check=False))
+    for call in (premutate_qp, mutate_qp, mutated_quiver):
+        with pytest.raises(ValueError) as info:
+            call(qp, "2")
+        assert (type(info.value), str(info.value)) == (error, message), call.__name__
+
+
+@pytest.mark.parametrize("arrow", [Arrow("b*", "1", "3"), Arrow("[b.c]", "3", "1")],
+                         ids=["star-name", "hook-name"])
+def test_premutation_refuses_a_new_name_an_old_arrow_holds(arrow):
+    q = Quiver(["1", "2", "3"], cycle_quiver().arrows + (arrow,))
+    qp = QP(q, word(q, 6, "a", "b", "c"))
+    calls = [lambda qp, k: premutate_quiver(qp.quiver, k), premutate_qp, mutate_qp,
+             mutated_quiver]
+    message = "^duplicate arrow id %s$" % re.escape(repr(arrow.name))
+    for call in calls:
+        with pytest.raises(QuiverError, match=message):
+            call(qp, "2")
+
+
+def test_premutation_drops_a_zero_sum_before_checking_it():
+    # two rotations of one word, with opposite signs, sum to zero where the
+    # premutation reads them, so the non-composable word is never checked
+    q = cycle_quiver()
+    hooks_only = premutate_qp(QP(q, AlgebraElement.zero(q, 6)), "2")
+    for w in (("a", "a", "c"), ("a", "b", "c")):
+        qp = types.SimpleNamespace(quiver=q, order=6, potential=AlgebraElement(
+            q, 6, {arrow_path(*w): 1, arrow_path(*w[1:], w[0]): -1}, check=False))
+        assert premutate_qp(qp, "2").to_text() == hooks_only.to_text()
+        assert mutate_qp(qp, "2").to_text() == hooks_only.to_text()
+        assert mutated_quiver(qp, "2") == hooks_only.quiver
 
 
 def test_split_already_reduced():

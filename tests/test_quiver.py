@@ -133,26 +133,35 @@ def test_mutate_matrix_literals():
     assert mutate_matrix(b, "1") == IntegerMatrix(["1", "2"], [[0, -1], [1, 0]])
 
 
+def mutation_rule(rows, k):
+    """The mutated entries, one at a time: b'_ij = -b_ij at k, else
+    b_ij + sgn(b_ik) [b_ik b_kj]_+."""
+    def entry(i, j):
+        if k in (i, j):
+            return -rows[i][j]
+        p = rows[i][k] * rows[k][j]
+        return rows[i][j] + (0 if p <= 0 else p if rows[i][k] > 0 else -p)
+    return [[entry(i, j) for j in range(len(rows))] for i in range(len(rows))]
+
+
+def random_skew_rows(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randrange(-3, 4)
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
 def test_mutate_matrix_matches_entrywise_rule_and_checks_input():
     rng = random.Random(2008)
     for _ in range(200):
         n = rng.randrange(1, 6)
         vs = [str(i) for i in range(n)]
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = rng.randrange(-3, 4)
-                rows[j][i] = -rows[i][j]
+        rows = random_skew_rows(rng, n)
         b = IntegerMatrix(vs, rows)
         k = rng.randrange(n)
-
-        def rule(i, j):  # b'_ij = -b_ij at k, else b_ij + sgn(b_ik) [b_ik b_kj]_+
-            if k in (i, j):
-                return -rows[i][j]
-            p = rows[i][k] * rows[k][j]
-            return rows[i][j] + (0 if p <= 0 else p if rows[i][k] > 0 else -p)
-
-        want = IntegerMatrix(vs, [[rule(i, j) for j in range(n)] for i in range(n)])
+        want = IntegerMatrix(vs, mutation_rule(rows, k))
         got = mutate_matrix(b, str(k))
         assert type(got) is IntegerMatrix and got.vertices == b.vertices
         assert got.rows == want.rows and got == want
@@ -163,6 +172,38 @@ def test_mutate_matrix_matches_entrywise_rule_and_checks_input():
         mutate_matrix(IntegerMatrix(["1"], [[1]]), "1")
     with pytest.raises(QuiverError, match="unknown vertex '4'"):
         mutate_matrix(MARKOV, "4")
+
+
+def test_mutate_matrix_chain_follows_the_entrywise_rule():
+    # each step mutates the previous result, which is known to be skew
+    # without a check; the rule is applied to plain lists
+    rng = random.Random(23)
+    vs = [str(i) for i in range(6)]
+    rows = random_skew_rows(rng, 6)
+    b = IntegerMatrix(vs, rows)
+    for _ in range(50):
+        k = rng.randrange(6)
+        rows = mutation_rule(rows, k)
+        b = mutate_matrix(b, vs[k])
+        built = IntegerMatrix(vs, rows)
+        assert b.rows == built.rows and b == built and built == b
+        assert repr(b) == repr(built) == "IntegerMatrix(('0', '1', '2', '3', '4', '5'))"
+        assert b.is_skew_symmetric() and built.is_skew_symmetric()
+
+
+def test_skew_check_is_made_for_each_constructed_matrix():
+    skew = mutate_matrix(MARKOV, "2")
+    assert skew.is_skew_symmetric() and skew == MARKOV_REV
+    # built after a skew matrix was mutated, with the same vertices and shape
+    bad = IntegerMatrix(MARKOV.vertices, [[0, 2, -2], [-2, 0, 2], [2, 2, 0]])
+    for _ in range(2):
+        with pytest.raises(QuiverError, match="^matrix is not skew-symmetric$"):
+            mutate_matrix(bad, "1")
+        assert not bad.is_skew_symmetric()
+    with pytest.raises(QuiverError, match="^matrix is not skew-symmetric$"):
+        quiver_from_matrix(bad)
+    assert MARKOV.is_skew_symmetric() and mutate_matrix(skew, "2") == MARKOV
+    assert bad != MARKOV and repr(bad) == repr(MARKOV) == "IntegerMatrix(('1', '2', '3'))"
 
 
 def test_matrix_and_quiver_mutation_agree():

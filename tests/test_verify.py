@@ -658,6 +658,26 @@ def test_explore_searches_each_raw_matrix_once(monkeypatch):
     assert (rep, graph) == full_type_a_class(5)
 
 
+def test_explore_keys_nodes_by_canonical_table_not_digest(monkeypatch):
+    # with every digest equal, the full A5 class still has its 19 nodes and
+    # the same edges; each new node's digest is taken once
+    qp = qp_of_triangulation(Triangulation.from_text(fan_polygon_text(8)), 6)
+    rep, graph = explore_mutation_class(qp, 99, 6)
+    digested = []
+
+    def colliding(*chunks):
+        digested.append(chunks)
+        return "0" * verify.DIGEST_CHARS
+
+    monkeypatch.setattr(verify, "_digest", colliding)
+    rep2, graph2 = explore_mutation_class(qp, 99, 6)
+    assert rep2.subresults == rep.subresults and rep.subresults[1] == ("nodes", True, "19")
+    assert (graph2.rows, graph2.tables, graph2.expanded, graph2.targets) == (
+        graph.rows, graph.tables, graph.expanded, graph.targets)
+    assert graph2.digests == "0" * verify.DIGEST_CHARS * 19
+    assert len(digested) == 1 + 19  # the report's inputs, then one per node
+
+
 def test_twice_punctured_hexagon_checks():
     from test_potential import TWICE_PUNCTURED_HEXAGON
 
