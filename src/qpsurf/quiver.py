@@ -211,21 +211,17 @@ class IntegerMatrix:
         self.rows = rows
         self._index = {v: i for i, v in enumerate(self.vertices)}
 
-    def _with_rows(self, rows):
-        """A matrix on the same vertices; `rows` is a tuple of n int tuples."""
+    @staticmethod
+    def _from_rows(vertices, rows, index=None):
+        """A matrix whose `rows`, a tuple of n int tuples, are not checked
+        again; `index` maps each vertex to its position, if the caller has it."""
         out = object.__new__(IntegerMatrix)
-        out.vertices, out.rows, out._index = self.vertices, rows, self._index
+        out.vertices, out.rows = tuple(vertices), rows
+        out._index = index if index is not None else {v: i for i, v in enumerate(out.vertices)}
         return out
 
     def entry(self, i, j):
         return self.rows[self._index[i]][self._index[j]]
-
-    def entries_by_id(self):
-        out = {}
-        for i in self.vertices:
-            for j in self.vertices:
-                out[(i, j)] = self.entry(i, j)
-        return out
 
     _skew = None  # is_skew_symmetric's answer, once asked or known
 
@@ -238,9 +234,14 @@ class IntegerMatrix:
     def __eq__(self, other):
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        if set(self.vertices) != set(other.vertices):
+        if self.vertices == other.vertices:
+            return self.rows == other.rows
+        if self._index.keys() != other._index.keys():
             return False
-        return self.entries_by_id() == other.entries_by_id()
+        # other's entries in this matrix's vertex order
+        perm = [other._index[v] for v in self.vertices]
+        return all(row == tuple(map(other.rows[p].__getitem__, perm))
+                   for row, p in zip(self.rows, perm))
 
     def __repr__(self):
         return "IntegerMatrix(%r)" % (self.vertices,)
@@ -293,7 +294,9 @@ def net_matrix(q):
         i, j = index[i], index[j]
         rows[i][j] += len(group)
         rows[j][i] -= len(group)
-    return IntegerMatrix(q.vertices, rows)
+    out = IntegerMatrix._from_rows(q.vertices, tuple(map(tuple, rows)), index)
+    out._skew = True  # each arrow adds to B[i][j] what it takes from B[j][i]
+    return out
 
 
 def matrix_from_quiver(q):
@@ -394,6 +397,6 @@ def mutate_matrix(b, k):
             row = tuple(row)
         rows.append(row)
     rows[ki] = tuple(map(neg, row_k))
-    out = b._with_rows(tuple(rows))
+    out = IntegerMatrix._from_rows(b.vertices, tuple(rows), b._index)
     out._skew = True  # mutation keeps a matrix skew-symmetric
     return out

@@ -10,7 +10,6 @@ rotating counter-clockwise around a point crosses the entry side of the next
 slot into the partner triangle.
 """
 
-import itertools
 from fractions import Fraction
 
 from .quiver import (
@@ -48,10 +47,8 @@ class MarkedSurface:
                 self.scalars[p] = Fraction(given[p])
             else:
                 self.scalars[p] = Fraction(next(primes))
-
-    @property
-    def boundary_marked(self):
-        return tuple(sorted(m for m, loc in self.locations.items() if loc is not None))
+        self.boundary_marked = tuple(sorted(m for m, loc in self.locations.items()
+                                            if loc is not None))
 
     def problems(self):
         out = []
@@ -127,18 +124,32 @@ def _options(tokens, keys, required=False):
     return opts
 
 
+def _across(ends, point):
+    """The other end of a side from its end `point`, or None if `point` is not an end."""
+    a, b = ends
+    return b if a == point else a if b == point else None
+
+
 def _bad_line(kind, lineno, raw, exc):
     return SurfaceError("bad %s line %d: %r (%s: %s)"
                         % (kind, lineno, raw, type(exc).__name__, exc))
 
 
 class Triangulation:
+    """Sides and clockwise side triples on a marked surface.
+
+    Treated as immutable: the sorted `arcs` and `bsegs` are computed once,
+    here, and the analysis is cached on the first valid check.
+    """
+
     def __init__(self, surface, sides, triangles):
         self.surface = surface
         sides = list(sides)
         self.sides = {s.name: s for s in sides}
         if len(self.sides) != len(sides):
             raise SurfaceError("duplicate side ids")
+        self.arcs = tuple(sorted(s.name for s in sides if s.is_arc))
+        self.bsegs = tuple(sorted(s.name for s in sides if not s.is_arc))
         self.triangles = [tuple(t) for t in triangles]
         for t in self.triangles:
             if len(t) != 3:
@@ -147,14 +158,6 @@ class Triangulation:
                 if s not in self.sides:
                     raise SurfaceError("triangle references unknown side %r" % s)
         self._analysis = None
-
-    @property
-    def arcs(self):
-        return tuple(sorted(s.name for s in self.sides.values() if s.is_arc))
-
-    @property
-    def bsegs(self):
-        return tuple(sorted(s.name for s in self.sides.values() if not s.is_arc))
 
     def analysis(self):
         problems = validate_triangulation(self)
@@ -263,7 +266,8 @@ class Analysis:
     Arrow-level structure is only built when the basic shape checks pass.
     A slot (t, m) is position m of triangle t.  The maps, one per fact:
 
-    - `slots_of`: side -> its slots, in triangle order;
+    - `slots_of`: side -> its slots, in triangle order; `segments_on`:
+      boundary component -> its segments, sorted;
     - `partner`: slot -> the other slot of its arc, or None on the boundary;
     - `corner_point`: slot -> the point where it ends and the next slot of
       its triangle starts, so slot (t, m) starts at corner (t, m - 1); the
@@ -298,24 +302,27 @@ class Analysis:
     def _shape_checks(self):
         tri = self.tri
         surf = tri.surface
+        sides = tri.sides
+        locations = surf.locations
         slots_of = {}
         for t, triple in enumerate(tri.triangles):
             for m, s in enumerate(triple):
                 slots_of.setdefault(s, []).append((t, m))
         self.slots_of = slots_of
 
-        for name, side in tri.sides.items():
-            n = len(slots_of.get(name, []))
-            if side.is_arc and n != 2:
+        for name, side in sides.items():
+            n = len(slots_of.get(name, ()))
+            is_arc = side.is_arc
+            if is_arc and n != 2:
                 self.problems.append("arc %r fills %d slots instead of 2" % (name, n))
-            if not side.is_arc and n != 1:
+            if not is_arc and n != 1:
                 self.problems.append("boundary segment %r fills %d slots instead of 1" % (name, n))
             for e in side.ends:
-                if e not in surf.locations:
+                if e not in locations:
                     self.problems.append("side %r ends at unknown point %r" % (name, e))
-            if not side.is_arc:
+            if not is_arc:
                 for e in side.ends:
-                    if surf.locations.get(e, None) != side.boundary:
+                    if locations.get(e, None) != side.boundary:
                         self.problems.append(
                             "boundary segment %r endpoint %r not on component %d"
                             % (name, e, side.boundary))
@@ -323,22 +330,18 @@ class Analysis:
             return
 
         self.self_folded = {}
-        self.fold = {name: name for name in tri.sides}
+        self.fold = {name: name for name in sides}
         self.fold_back = {}
         self.enclosed = {}
-        for t, triple in enumerate(tri.triangles):
-            counts = {}
-            for s in triple:
-                counts[s] = counts.get(s, 0) + 1
-            if len(counts) == 3:
+        for t, (s0, s1, s2) in enumerate(tri.triangles):
+            if s0 != s1 and s1 != s2 and s0 != s2:
                 continue
-            if sorted(counts.values()) != [1, 2]:
+            if s0 == s1 == s2:
                 self.problems.append("triangle %d repeats a side three times" % t)
                 continue
-            folded = next(s for s, n in counts.items() if n == 2)
-            loop = next(s for s, n in counts.items() if n == 1)
-            fs = tri.sides[folded]
-            ls = tri.sides[loop]
+            folded, loop = (s0, s2) if s0 == s1 else (s1, s0) if s1 == s2 else (s0, s1)
+            fs = sides[folded]
+            ls = sides[loop]
             if not (fs.is_arc and ls.is_arc):
                 self.problems.append("self-folded triangle %d with non-arc sides" % t)
                 continue
@@ -354,7 +357,7 @@ class Analysis:
                 self.problems.append(
                     "folded side %r does not join the loop base of triangle %d" % (folded, t))
                 continue
-            if surf.locations.get(other[0], 0) is not None:
+            if locations.get(other[0], 0) is not None:
                 self.problems.append("folded side %r must end at an interior puncture" % folded)
                 continue
             self.self_folded[t] = (folded, loop)
@@ -376,20 +379,27 @@ class Analysis:
             self.problems.append(
                 "boundary segment count %d does not match marked boundary points %d"
                 % (len(bsegs), c))
-        euler = len(tri.triangles) - (len(arcs) + len(bsegs)) + len(surf.locations)
+        euler = len(tri.triangles) - (len(arcs) + len(bsegs)) + len(locations)
         if euler != 2 - 2 * surf.genus - surf.boundary:
             self.problems.append("Euler characteristic mismatch (%d)" % euler)
 
+        points_on = {}  # boundary component -> its marked points
+        for m, loc in locations.items():
+            if loc is not None:
+                points_on.setdefault(loc, set()).add(m)
+        self.segments_on = segments_on = {}
+        for s in bsegs:
+            segments_on.setdefault(sides[s].boundary, []).append(s)
         for k in range(surf.boundary):
-            pts = {m for m, loc in surf.locations.items() if loc == k}
-            segs = [s for s in bsegs if tri.sides[s].boundary == k]
+            pts = points_on.get(k, ())
+            segs = segments_on.get(k, ())
             if len(segs) != len(pts):
                 self.problems.append("boundary component %d has %d segments for %d points"
                                      % (k, len(segs), len(pts)))
                 continue
             deg = {m: 0 for m in pts}
             for s in segs:
-                for e in tri.sides[s].ends:
+                for e in sides[s].ends:
                     if e in deg:
                         deg[e] += 1
                     else:
@@ -401,17 +411,15 @@ class Analysis:
         if not tri.triangles:
             self.problems.append("triangulation has no triangles")
             return
+        adj = {}  # every arc fills two slots by now
+        for name in arcs:
+            (a, _), (b, _) = slots_of[name]
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
         seen = {0}
         frontier = [0]
-        adj = {}
-        for name, slots in slots_of.items():
-            if tri.sides[name].is_arc and len(slots) == 2:
-                a, b = slots[0][0], slots[1][0]
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set()).add(a)
         while frontier:
-            t = frontier.pop()
-            for u in adj.get(t, ()):
+            for u in adj.get(frontier.pop(), ()):
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
@@ -422,56 +430,49 @@ class Analysis:
 
     def _solve_corners(self):
         tri = self.tri
+        sides = tri.sides
         cp = self.corner_point = {}
-        for t, triple in enumerate(tri.triangles):
-            ends = [tri.sides[s].ends for s in triple]
-            # slot m runs from end bits[m] of its side to the other end, where
-            # the next slot starts
+        for t, (s0, s1, s2) in enumerate(tri.triangles):
+            e0, e1, e2 = sides[s0].ends, sides[s1].ends, sides[s2].ends
+            # slot 0 runs from one end of its side to the other, where slot 1
+            # starts, and so on; the chain must close where slot 0 started
             profiles = set()
-            for bits in itertools.product((0, 1), repeat=3):
-                exits = tuple(ends[m][1 - bits[m]] for m in range(3))
-                if all(exits[m] == ends[(m + 1) % 3][bits[(m + 1) % 3]] for m in range(3)):
-                    profiles.add(exits)
+            for start, x0 in (e0, e0[::-1]):
+                x1 = _across(e1, x0)
+                x2 = _across(e2, x1)
+                if x2 == start:
+                    profiles.add((x0, x1, x2))
             if not profiles:
                 self.problems.append("sides of triangle %d do not chain into a triangle" % t)
                 continue
             if len(profiles) > 1:
                 self.problems.append("ambiguous corner assignment in triangle %d" % t)
                 continue
-            (exits,) = profiles
-            for m in range(3):
-                cp[(t, m)] = exits[m]
+            ((cp[(t, 0)], cp[(t, 1)], cp[(t, 2)]),) = profiles
         if self.problems:
             return
 
         # a slot enters at the corner of the slot before it and exits at its own
-        self.partner = {}
+        partner = self.partner = {}
         for name, slots in self.slots_of.items():
             if len(slots) != 2:
-                self.partner[slots[0]] = None
+                partner[slots[0]] = None
                 continue
             (t, m), (t2, m2) = slots
-            self.partner[(t, m)], self.partner[(t2, m2)] = (t2, m2), (t, m)
+            partner[(t, m)], partner[(t2, m2)] = (t2, m2), (t, m)
             if cp[(t, m)] != cp[(t2, (m2 - 1) % 3)] or cp[(t2, m2)] != cp[(t, (m - 1) % 3)]:
                 self.problems.append("sides of arc %r are glued without reversing" % name)
 
-        for k in range(self.tri.surface.boundary):
-            segs = [s for s in self.tri.bsegs if self.tri.sides[s].boundary == k]
-            succ = {}
-            for s in segs:
+        for k in range(tri.surface.boundary):
+            starts = set()
+            for s in self.segments_on.get(k, ()):
                 t, m = self.slots_of[s][0]
                 a = cp[(t, (m - 1) % 3)]
-                if a in succ:
+                if a in starts:
                     self.problems.append("boundary component %d is traversed inconsistently" % k)
                     return
-                succ[a] = cp[(t, m)]
-            pts = {m for m, loc in self.tri.surface.locations.items() if loc == k}
-            if set(succ) != pts or set(succ.values()) != pts:
-                self.problems.append("boundary component %d does not close up" % k)
-
-    def _ccw_next(self, corner):
-        t, m = corner
-        return self.partner.get((t, (m + 1) % 3))
+                starts.add(a)
+            # distinct starts close up: _shape_checks gives each point two segment ends
 
     def _walks(self):
         """Rotation structure around each marked point.
@@ -480,57 +481,46 @@ class Analysis:
         cycle; the side crossed after each corner is one arc end at the point.
         """
         tri = self.tri
-        corners_at = {}
+        partner = self.partner
+        corners_at = {}  # each list in (t, m) order, the order of corner_point
         for corner, pt in self.corner_point.items():
             corners_at.setdefault(pt, []).append(corner)
         self.puncture_cycle = {}
         for p in tri.surface.punctures:
-            corners = sorted(corners_at.get(p, []))
+            corners = corners_at.get(p)
             if not corners:
                 self.problems.append("puncture %r is not an endpoint of any side" % p)
                 continue
             start = corners[0]
             cycle = [start]
-            cur = start
-            ok = True
+            t, m = start
             for _ in range(len(corners)):
-                nxt = self._ccw_next(cur)
-                if nxt is None:
-                    self.problems.append("puncture %r touches the boundary" % p)
-                    ok = False
-                    break
+                # an arc's slot: _shape_checks refuses a boundary segment ending at a puncture
+                nxt = partner[(t, (m + 1) % 3)]
                 if nxt == start:
                     break
                 cycle.append(nxt)
-                cur = nxt
+                t, m = nxt
             else:
-                ok = False
                 self.problems.append("rotation around puncture %r does not close" % p)
-            if ok and sorted(cycle) != corners:
+                continue
+            if sorted(cycle) != corners:
                 self.problems.append("rotation around puncture %r misses corners" % p)
-                ok = False
-            if ok:
-                self.puncture_cycle[p] = cycle
+                continue
+            self.puncture_cycle[p] = cycle
         if self.problems:
             return
 
-        # Each crossing between consecutive corners of a cycle is an arc end.
-        self.puncture_ends = {}
-        for p, cycle in self.puncture_cycle.items():
-            ends = []
-            for corner in cycle:
-                t, m = corner
-                side = tri.triangles[t][(m + 1) % 3]
-                if not tri.sides[side].is_arc:
-                    self.problems.append("puncture %r meets a boundary segment" % p)
-                ends.append(side)
-            self.puncture_ends[p] = ends
+        # crossed sides, all arcs: _shape_checks refuses a boundary segment ending at a puncture
+        triangles = tri.triangles
+        self.puncture_ends = {p: [triangles[t][(m + 1) % 3] for t, m in cycle]
+                              for p, cycle in self.puncture_cycle.items()}
         for t, (folded, loop) in self.self_folded.items():
             q = self.enclosed[loop]
             if len(self.puncture_ends.get(q, ())) != 1:
                 self.problems.append(
                     "puncture %r inside a self-folded triangle has extra incidences" % q)
-        for t, triple in enumerate(self.tri.triangles):
+        for t, triple in enumerate(triangles):
             if t in self.self_folded:
                 continue
             loops = sum(1 for s in set(triple) if s in self.enclosed)
@@ -539,29 +529,25 @@ class Analysis:
 
     # -- arrows ----------------------------------------------------------------
 
-    def _preimages(self, side):
-        """The side and the folded side it encloses, if any, in sorted order."""
-        return sorted({side, self.fold_back.get(side, side)})
-
     def _arrows(self):
         tri = self.tri
+        # each arc and the folded side it encloses, if any, in sorted order
+        preimages = {s: (s,) for s in tri.arcs}
+        for loop, folded in self.fold_back.items():
+            preimages[loop] = tuple(sorted((loop, folded)))
+        # made in (triangle, slot) order, the order in which they pair off
         contributions = []
+        by_pair = {}
         for t, triple in enumerate(tri.triangles):
             if t in self.self_folded:
                 continue
-            for m in range(3):
-                a_side = triple[m]
-                b_side = triple[(m + 1) % 3]
-                if not (tri.sides[a_side].is_arc and tri.sides[b_side].is_arc):
-                    continue
-                for i in self._preimages(a_side):
-                    for j in self._preimages(b_side):
-                        contributions.append((i, j, t, m))
-
-        # made in (triangle, slot) order, the order in which they pair off
-        by_pair = {}
-        for con in contributions:
-            by_pair.setdefault((con[0], con[1]), []).append(con)
+            for m, (a_side, b_side) in enumerate(zip(triple, triple[1:] + triple[:1])):
+                if a_side in preimages and b_side in preimages:
+                    for i in preimages[a_side]:
+                        for j in preimages[b_side]:
+                            con = (i, j, t, m)
+                            contributions.append(con)
+                            by_pair.setdefault((i, j), []).append(con)
         self.cancelled = opposite_pairs(by_pair)
 
         self.arrow_of = {}
@@ -680,7 +666,7 @@ def flip(tri, arc):
 
     expected = mutate_matrix(signed_adjacency(tri), arc)
     got = signed_adjacency(out)
-    relabeled = IntegerMatrix(
+    relabeled = IntegerMatrix._from_rows(
         [arc if vtx == new_arc else vtx for vtx in got.vertices], got.rows)
     if relabeled != expected:
         raise SurfaceError("flip of %r violates the matrix mutation rule" % arc)

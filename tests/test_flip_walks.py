@@ -1,5 +1,6 @@
 """Seeded random flip walks: every step re-validates and passes the oracles."""
 
+import hashlib
 import random
 import warnings
 
@@ -7,7 +8,7 @@ from qpsurf.algebra import cyclic_normal_form, truncate
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.potential import qp_of_triangulation
 from qpsurf.qp import mutate_qp
-from qpsurf.surface import Triangulation, flip
+from qpsurf.surface import SurfaceError, Triangulation, flip, validate_triangulation
 from qpsurf.verify import check_flip_compatibility
 
 
@@ -47,3 +48,29 @@ def test_results_stable_under_deeper_truncation():
             got = {p: c for p, c in cyclic_normal_form(md.potential).terms.items()
                    if len(p) <= 6}
             assert got == cyclic_normal_form(ms.potential).terms, (name, k)
+
+
+def analysis_record(tri):
+    """The text, the problems of a fresh parse, and every `Analysis` map."""
+    a = tri.analysis()
+    maps = [a.corner_point, a.partner, a.puncture_cycle, a.puncture_ends, a.fold,
+            a.self_folded, a.provenance]
+    return repr((tri.to_text(), validate_triangulation(Triangulation.from_text(tri.to_text())),
+                 [sorted(m.items()) for m in maps], a.unreduced.to_text()))
+
+
+def test_seeded_flip_walks_pinned():
+    # every step of a seeded walk from each corpus file: its text, its
+    # analysis and the refusal of each flip that raises (a folded side)
+    h = hashlib.sha256()
+    for name in CORPUS:
+        rng = random.Random("walk:" + name)
+        tri = load(name)
+        for _ in range(10):
+            h.update(analysis_record(tri).encode())
+            arc = rng.choice(tri.arcs)
+            try:
+                tri = flip(tri, arc)
+            except SurfaceError as exc:
+                h.update(("%s: %s" % (arc, exc)).encode())
+    assert h.hexdigest() == "a2d1048aedaf6a70b8557a42778fc3a3b95ac64d8e570c1ba4bc8a9233398bf9"

@@ -206,6 +206,26 @@ def test_skew_check_is_made_for_each_constructed_matrix():
     assert bad != MARKOV and repr(bad) == repr(MARKOV) == "IntegerMatrix(('1', '2', '3'))"
 
 
+def test_matrix_equality_reads_entries_by_vertex():
+    vs = ["a", "b", "c"]
+    rows = [[0, 1, -3], [-1, 0, 2], [3, -2, 0]]
+    b = IntegerMatrix(vs, rows)
+
+    def in_order(order, changed=None):
+        # b's entries with the vertices listed in `order`; `changed` adds 1 at a pair
+        return IntegerMatrix(order, [[rows[vs.index(i)][vs.index(j)] + ((i, j) == changed)
+                                      for j in order] for i in order])
+
+    for order in (["c", "a", "b"], ["b", "a", "c"], ["c", "b", "a"]):
+        assert b == in_order(order) and in_order(order) == b and not b != in_order(order)
+        for changed in (("a", "c"), ("c", "b"), ("b", "b")):
+            assert b != in_order(order, changed) and in_order(order, changed) != b
+    assert b == in_order(vs) and b != in_order(vs, ("a", "b"))
+    assert b != IntegerMatrix(["a", "b", "d"], rows)
+    assert b != IntegerMatrix(["a", "b"], [[0, 1], [-1, 0]])
+    assert b.__eq__(rows) is NotImplemented and b != rows and b != "abc"
+
+
 def test_matrix_and_quiver_mutation_agree():
     mats = [
         MARKOV,

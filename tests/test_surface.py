@@ -78,6 +78,17 @@ def test_fold_map_self_folded_square():
     assert all(fm[s] == s for s in fm if s != "f")
 
 
+def test_self_folded_triangle_read_in_each_rotation():
+    # the folded side f may be listed at slots 0-1, 1-2 or 2-0 of the triple
+    base = load("punctured-square-sf")
+    for triple in ("L f f", "f L f", "f f L"):
+        tri = Triangulation.from_text(example_text("punctured-square-sf").replace(
+            "tri L f f", "tri " + triple))
+        a = tri.analysis()
+        assert a.self_folded == {0: ("f", "L")} and a.fold == fold_map(base), triple
+        assert signed_adjacency(tri) == signed_adjacency(base), triple
+
+
 def test_signed_adjacency_hexagon_central():
     tri = load("hexagon-central")
     m = signed_adjacency(tri)
