@@ -6,7 +6,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
 from math import lcm
 
-from .algebra import AlgebraElement, Path, word_derivatives
+from .algebra import AlgebraElement, Path, least_rotation, word_derivatives
 from .linalg import SparseEliminator
 from .quiver import Record
 
@@ -22,24 +22,6 @@ def _require_order(qp, order):
     if order > qp.order:
         raise JacobianError(
             "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
-
-
-def paths_by_length(quiver, max_len):
-    """Paths of each length 0..max_len as (arrow tuple, tail, head) triples.
-
-    Level 0 holds the empty word of each vertex, level 1 the arrows, and each
-    further level extends the words of the level before it on the right; the
-    arrows go in `quiver.arrows` order, which is by name.
-    """
-    levels = [[((), v, v) for v in quiver.vertices]]
-    if max_len >= 1:
-        levels.append([((a.name,), a.tail, a.head) for a in quiver.arrows])
-    into = {v: [] for v in quiver.vertices}
-    for a in quiver.arrows:
-        into[a.head].append(((a.name,), a.tail))
-    for _ in range(2, max_len + 1):
-        levels.append([(w + x, t, h) for w, tail, h in levels[-1] for x, t in into[tail]])
-    return levels
 
 
 def jacobian_generators(qp):
@@ -130,23 +112,27 @@ def _reduce(terms, lead, lens, order):
             out[w] = c
 
 
-def truncated_quotient_dim(qp, order):
-    """Per-degree dimensions of the quotient by the derivative ideal.
+def _groebner(qp, order):
+    """A Groebner basis of the derivative ideal in kQ/m^(order+1), and its normal words.
+
+    Returns (lead, lens, levels, certified_order, into): the leading words
+    and their lengths, as `_reduce` reads them; the normal words of each
+    length d as (word, tail, head) triples; the degree where the pass stopped
+    at its certificate, or None; the arrows by head, which extend words.
 
     With D = `order`, m the arrow ideal and I the ideal of the d_a W in
-    A = kQ/m^(D+1), dim_d is the dimension of A/(I + m^(d+1)), read off a
-    Groebner basis of I (Bergman's diamond lemma, 1978; Green,
-    "Noncommutative Groebner bases, and projective resolutions", 1999).
-    Words go by length, then arrow names, an order that products keep, and
-    an element leads with its *least* word.  Rewriting the leading word l
-    of a monic basis element g as l - g gives larger words, and words longer
-    than D are zero, so rewriting ends.  By the diamond lemma the normal
-    words (no leading word inside) are a basis of A/I once no leading word
-    lies inside another and each overlap a = a'x, b = xb' (x, a', b'
-    nonempty) reduces g_a*b' - a'*g_b to zero.  The terms of a basis
-    element are no shorter than its leading word, so an overlap longer than
-    D, or with a word of length D + 1, has only words longer than D: the
-    truncation adds no ambiguity.
+    A = kQ/m^(D+1), the normal words (no leading word inside) are a basis of
+    A/I (Bergman's diamond lemma, 1978; Green, "Noncommutative Groebner
+    bases, and projective resolutions", 1999).  Words go by length, then
+    arrow names, an order that products keep, and an element leads with its
+    *least* word.  Rewriting the leading word l of a monic basis element g
+    as l - g gives larger words, and words longer than D are zero, so
+    rewriting ends.  By the diamond lemma the normal words are a basis once
+    no leading word lies inside another and each overlap a = a'x, b = xb'
+    (x, a', b' nonempty) reduces g_a*b' - a'*g_b to zero.  The terms of a
+    basis element are no shorter than its leading word, so an overlap longer
+    than D, or with a word of length D + 1, has only words longer than D:
+    the truncation adds no ambiguity.
 
     The pass reduces the d_a W at their least degree and the overlaps at
     degree |a'xb'|, least degree first, and adds each nonzero result; an
@@ -156,35 +142,27 @@ def truncated_quotient_dim(qp, order):
     l[k-1]; so the leading words are kept by first and by last arrow, and l
     is tested against those alone, itself included.  The terms of an
     S-polynomial are no shorter than its overlap, so once degree d is done
-    the leading words of length <= d are final.  An f in
-    I + m^(d+1) whose least word has length <= d agrees up to length d with
-    its part in I, so both lead with that word: dim_d counts the normal
-    words of length <= d.  Extending them on the right, degree by degree,
+    the leading words of length <= d are final, and the normal words of
+    length d are listed then.  Extending those of length d - 1 on the right,
     only a suffix can be a new leading word.
 
     Degree d is absorbed when no word of length d is normal; then no longer
-    word is, as it contains one of length d.  The certificate is the first
-    absorbed d < order, where the pass stops and fills the higher degrees;
-    the top degree alone certifies nothing, as no longer word is counted.
-    Path counts come from a transfer count, and rank_d = #paths - dim_d.
+    word is, as it contains one of length d, and every word of length >= d
+    reduces to zero.  The certificate is the first absorbed d < order, where
+    the pass stops; the top degree alone certifies nothing, as no longer
+    word is looked at.
     """
     _require_order(qp, order)
     into = {v: [] for v in qp.quiver.vertices}
     for x in qp.quiver.arrows:
         into[x.head].append(x)
-    per = dict.fromkeys(into, 1)  # paths of one length, by head
-    counts = [len(per)]
-    for _ in range(order):
-        per = {v: sum(per[x.tail] for x in into[v]) for v in per}
-        counts.append(sum(per.values()))
 
     seq = count()
     queue = [(gmin, next(seq), terms, ()) for _, terms, gmin in _integer_generators(qp)]
     heapify(queue)
     lead, lens = {}, []
     starts, ends = defaultdict(dict), defaultdict(dict)  # leading words by first, last arrow
-    level = [((), v) for v in into]
-    normal = [len(level)]
+    levels = [[((), v, v) for v in into]]
     for d in range(1, order + 1):
         while queue and queue[0][0] <= d:
             _, _, terms, guard = heappop(queue)  # guard: the basis elements it came from
@@ -193,7 +171,8 @@ def truncated_quotient_dim(qp, order):
                 continue
             l = min(f, key=lambda w: (len(w), w))
             c = f.pop(l)
-            tail = [(w, Fraction(e) / c) for w, e in f.items()]
+            tail = [(w, q.numerator if q.denominator == 1 else q)  # int arithmetic where exact
+                    for w, e in f.items() for q in [Fraction(e) / c]]
             for b in [b for b in lead if len(b) > len(l) and any(
                     b[i:i + len(l)] == l for i in range(len(b) - len(l) + 1))]:
                 heappush(queue, (len(b), next(seq), [(b, 1)] + lead.pop(b), ()))
@@ -210,14 +189,31 @@ def truncated_quotient_dim(qp, order):
                                  + [(x[:-k] + t, -e) for t, e in ty])
                         heappush(queue, (len(x) + len(y) - k, next(seq), terms,
                                          ((x, tx), (y, ty))))
-        level = [(w, x.tail) for u, v in level for x in into[v] for w in [u + (x.name,)]
-                 if not any(w[-k:] in lead for k in lens if k <= d)]
-        normal.append(len(level))
-        if d < order and not level:
-            break
+        levels.append([(w, x.tail, h) for u, v, h in levels[-1] for x in into[v]
+                       for w in [u + (x.name,)]
+                       if not any(w[-k:] in lead for k in lens if k <= d)])
+        if d < order and not levels[-1]:
+            return lead, lens, levels, d, into
+    return lead, lens, levels, None, into
 
-    certified_order = len(normal) - 1 if len(normal) <= order else None
-    normal += [0] * (order + 1 - len(normal))
+
+def truncated_quotient_dim(qp, order):
+    """Per-degree dimensions of the quotient by the derivative ideal.
+
+    dim_d is the dimension of A/(I + m^(d+1)), with A and I as in `_groebner`.
+    An f in I + m^(d+1) whose least word has length <= d agrees up to length
+    d with its part in I, so both lead with that word: dim_d counts the
+    normal words of length <= d, and none past a certificate.  Path counts
+    come from a transfer count, and rank_d = #paths - dim_d.
+    """
+    _, _, levels, certified_order, into = _groebner(qp, order)
+    per = dict.fromkeys(into, 1)  # paths of one length, by head
+    counts = [len(per)]
+    for _ in range(order):
+        per = {v: sum(per[x.tail] for x in into[v]) for v in per}
+        counts.append(sum(per.values()))
+
+    normal = [len(level) for level in levels] + [0] * (order + 1 - len(levels))
     dims, path_counts = list(accumulate(normal)), list(accumulate(counts))
     return DimensionReport(order, dims, path_counts, [n - m for n, m in zip(path_counts, dims)],
                            certified_order is not None, certified_order,
@@ -239,53 +235,62 @@ class RigidityReport(Record):
 
 
 def is_rigid_up_to(qp, order):
-    """Test every cycle against the ideal span plus all rotation differences.
+    """Test every cycle of length <= order against the Jacobian ideal J plus
+    the commutators, cut at length `order`.
 
-    The test runs modulo rotation, with one column per rotation class of
-    cycles of length <= order.  Every term of a row u * d_a W * s has the
-    endpoints of s u, so a row either touches only open paths, which no
-    rotation difference reaches and no cycle needs, or it is closed and
-    equals (s u) * d_a W up to rotation.  So a cycle lies in the span exactly
-    when its class lies in the span of the rows w * d_a W, one per arrow a
-    and path w from t(a) around to h(a), each term mapped to its class and
-    cut at length `order`.  The witness is the first class, by its least
-    rotation in (length, arrows) order, outside that span.
+    Work in A = kQ/(J + m^(order+1)), whose basis is the normal words of
+    `_groebner`; NF is `_reduce` against its leading words.  The cycles of
+    length >= 1 in A are spanned by the normal ones, and the commutators by
+    a*b - b*a for arrows a and words b such that a*b is a cycle:
+    - every rotation telescopes into one-arrow rotations, since
+      x1 x2...xn - x2...xn x1 is such a commutator, and so on around;
+    - J is two-sided, so b - NF(b) in J makes a*b - b*a = a*NF(b) - NF(b)*a
+      modulo J, and b may be taken normal.
+    So the relations are the rows NF(a*b) - NF(b*a), one per arrow a and
+    normal word b from h(a) to t(a) of length < order, over the normal
+    cycles, and the QP is rigid up to `order` exactly when their rank is the
+    number of normal cycles.  As b is normal, a leading word can only be a
+    prefix of a*b and a suffix of b*a, so a word with neither is its own NF.
+
+    Only when the rank falls short are cycles walked, by least rotation in
+    (length, arrows) order; the witness is the first whose NF lies outside
+    the span.  A cycle equals each of its rotations modulo the commutators,
+    so a normal rotation, when there is one, stands in for its NF.
 
     A failing cycle is a sound non-rigidity certificate: membership at every
     finite order is necessary for rigidity.
     """
-    _require_order(qp, order)
-    levels = paths_by_length(qp.quiver, order)
-    cls = {}
-    reps = []
-    around = {}
-    for level in levels:
-        for w, tail, head in level:
-            around.setdefault((tail, head), []).append(w)
-            if w and tail == head and w not in cls:
-                rots = [w[k:] + w[:k] for k in range(len(w))]
-                for r in rots:
-                    cls[r] = len(reps)
-                reps.append(min(rots))
+    lead, lens, levels, _, into = _groebner(qp, order)
+    around = defaultdict(list)  # normal words of length < order by (tail, head)
+    for level in levels[1:order]:
+        for b, t, h in level:
+            around[t, h].append(b)
+    cycles = {w for level in levels[1:] for w, t, h in level if t == h}
+
+    def nf(w, hit):  # hit: w may contain a leading word
+        return _reduce([(w, 1)], lead, lens, order) if hit else {w: 1}
 
     elim = SparseEliminator()
-    for a, terms, gmin in _integer_generators(qp):
-        for w in around.get((a.tail, a.head), ()):
-            room = order - len(w)
-            if room < gmin:
-                break
-            row = {}
-            for t, c in terms:
-                if len(t) > room:
-                    break
-                k = cls[w + t]
-                row[k] = row.get(k, 0) + c
+    for a in qp.quiver.arrows:
+        for b in around[a.head, a.tail]:
+            ab, ba = (a.name,) + b, b + (a.name,)
+            row = nf(ab, any(ab[:k] in lead for k in lens))
+            for w, e in nf(ba, any(ba[-k:] in lead for k in lens)).items():
+                row[w] = row.get(w, 0) - e
             elim.add_row(row)
+    if elim.rank == len(cycles):
+        return RigidityReport(max_order=order, rigid=True, witness=None)
 
-    for rep in sorted(reps, key=lambda w: (len(w), w)):
-        if not elim.contains({cls[rep]: 1}):
-            return RigidityReport(max_order=order, rigid=False, witness=Path(rep))
-    return RigidityReport(max_order=order, rigid=True, witness=None)
+    paths = [((a.name,), a.tail, a.head) for a in qp.quiver.arrows]
+    for _ in range(order):  # a least rotation starts with its least arrow
+        for c, t, h in paths:
+            if t == h and c == least_rotation(c):
+                r = next((r for k in range(len(c)) for r in [c[k:] + c[:k]] if r in cycles),
+                         None)
+                if not elim.contains({r: 1} if r else nf(c, True)):
+                    return RigidityReport(max_order=order, rigid=False, witness=Path(c))
+        paths = [(w + (x.name,), x.tail, h) for w, t, h in paths for x in into[t]
+                 if x.name >= w[0]]
 
 
 def finite_dim_evidence(qp, dmax):

@@ -399,12 +399,8 @@ class Analysis:
                 continue
             deg = {m: 0 for m in pts}
             for s in segs:
-                for e in sides[s].ends:
-                    if e in deg:
-                        deg[e] += 1
-                    else:
-                        self.problems.append(
-                            "segment %r leaves its boundary component" % s)
+                for e in sides[s].ends:  # on component k, or "not on component" returned above
+                    deg[e] += 1
             if any(d != 2 for d in deg.values()):
                 self.problems.append("boundary component %d is not partitioned into a cycle" % k)
 
@@ -445,9 +441,7 @@ class Analysis:
             if not profiles:
                 self.problems.append("sides of triangle %d do not chain into a triangle" % t)
                 continue
-            if len(profiles) > 1:
-                self.problems.append("ambiguous corner assignment in triangle %d" % t)
-                continue
+            # one profile: p-q closes both ways only if side 1 is q-p and side 2 loops at p and q
             ((cp[(t, 0)], cp[(t, 1)], cp[(t, 2)]),) = profiles
         if self.problems:
             return
@@ -494,6 +488,7 @@ class Analysis:
             start = corners[0]
             cycle = [start]
             t, m = start
+            # arcs glue reversing, so the step permutes p's corners and closes within their number
             for _ in range(len(corners)):
                 # an arc's slot: _shape_checks refuses a boundary segment ending at a puncture
                 nxt = partner[(t, (m + 1) % 3)]
@@ -501,9 +496,6 @@ class Analysis:
                     break
                 cycle.append(nxt)
                 t, m = nxt
-            else:
-                self.problems.append("rotation around puncture %r does not close" % p)
-                continue
             if sorted(cycle) != corners:
                 self.problems.append("rotation around puncture %r misses corners" % p)
                 continue

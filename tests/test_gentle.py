@@ -11,7 +11,7 @@ import random
 from oracles import oracle_gentle_dims
 
 from qpsurf.examples_data import example_text
-from qpsurf.jacobian import truncated_quotient_dim
+from qpsurf.jacobian import is_rigid_up_to, truncated_quotient_dim
 from qpsurf.potential import qp_of_triangulation
 from qpsurf.qp import mutate_qp
 from qpsurf.surface import Triangulation, flip
@@ -71,7 +71,8 @@ def test_gentle_count_after_every_flip_and_mutation():
 
 
 def test_rank_57_disc_certifies_at_its_gentle_dimension():
-    # 1.17 million paths of length <= 25, and a quotient of dimension 441
+    # 1.17 million paths of length <= 25, and a quotient of dimension 441; the
+    # disc has boundary, so the paper's second theorem says its QP is rigid
     tri = seeded_disc(60, 1, 60)
     qp = qp_of_triangulation(tri, 26)
     assert len(qp.quiver.vertices) == 57
@@ -80,3 +81,4 @@ def test_rank_57_disc_certifies_at_its_gentle_dimension():
     assert rep.dims == gentle_dims(qp, 26)
     assert rep.dimension == 441
     assert not truncated_quotient_dim(qp, 25).certified
+    assert is_rigid_up_to(qp, 26).rigid

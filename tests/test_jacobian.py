@@ -19,6 +19,7 @@ from qpsurf.algebra import (
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.jacobian import (
     JacobianError,
+    _groebner,
     _integer_generators,
     finite_dim_evidence,
     is_rigid_up_to,
@@ -371,6 +372,33 @@ def test_rigidity_matches_oracle_on_random_small_qps():
     assert outcomes.count(False) * 3 >= len(outcomes)
 
 
+def normal_rotations(qp, order, word):
+    """The rotations of `word` that are normal words of the Groebner basis."""
+    normal = {w for level in _groebner(qp, order)[2] for w, _, _ in level}
+    return [r for k in range(len(word)) for r in [word[k:] + word[:k]] if r in normal]
+
+
+def test_witness_with_a_normal_rotation_matches_oracle():
+    # W = a b a b leads with a b a and b a b, so a b and b a stay normal, and
+    # the commutator a b - b a spans one of the two
+    qp = QP.from_text("truncation: 4\nv 1\nv 2\na a 1 2\na b 2 1\n"
+                      "potential:\n3/2 a b a b\n")
+    assert not assert_rigidity_matches_oracle(qp, 4, "abab")
+    witness = is_rigid_up_to(qp, 4).witness.arrows
+    assert witness == ("a", "b") and normal_rotations(qp, 4, witness) == [("a", "b"), ("b", "a")]
+
+
+def test_witness_without_a_normal_rotation_matches_oracle():
+    # W = a1 a2 + 2 a2 a3 makes a2 zero and a1 = -2 a3, so neither rotation of
+    # the witness a0 a1 is normal and its normal form -2 a0 a3 comes from the
+    # reduction; the commutators span only a0 a3 - a3 a0, which misses it
+    qp = QP.from_text("truncation: 3\nv 1\nv 2\na a0 1 2\na a1 2 1\na a2 1 2\na a3 2 1\n"
+                      "potential:\n1 a1 a2\n2 a2 a3\n")
+    assert not assert_rigidity_matches_oracle(qp, 3, "a1 a2 + 2 a2 a3")
+    witness = is_rigid_up_to(qp, 3).witness.arrows
+    assert witness == ("a0", "a1") and normal_rotations(qp, 3, witness) == []
+
+
 # sha256 of the dim, rigid and dim --stabilize text at orders 6 and 7 of the
 # corpus QPs and their 58 one-step mutations, recorded from an earlier
 # version whose eliminator worked on Fraction rows
@@ -431,6 +459,29 @@ def test_jacobian_text_pinned_on_random_qps():
             h.update(truncated_quotient_dim(qp, order).to_text().encode())
         h.update(is_rigid_up_to(qp, 6).to_text().encode())
     assert h.hexdigest() == RANDOM_JACOBIAN_SHA256
+
+
+# sha256 of the rigid text at every order 1-9 of the corpus QPs built at
+# order 9 and their one-step mutations, and of random_premutation_qp seeds
+# 30-59 at orders 3-7 (492 cases, 43 non-rigid), recorded while rigidity
+# still had one column per rotation class of cycles
+RIGID_ORDERS_SHA256 = "62566313da64e547e295703d8ff5ad40625612cef75d483928cfd28bd2717049"
+
+
+def test_rigid_text_pinned_at_every_order_to_nine():
+    h = hashlib.sha256()
+    for name in CORPUS:
+        qp = load_qp(name, 9)
+        for k, q in [(None, qp)] + [(k, mutate_qp(qp, k)) for k in qp.quiver.vertices]:
+            for order in range(1, 10):
+                h.update(("%s %s %d\n" % (name, k, order)).encode())
+                h.update(is_rigid_up_to(q, order).to_text().encode())
+    for seed in range(30, 60):
+        qp = random_premutation_qp(seed)
+        for order in range(3, 8):
+            h.update(("premutation %d %d\n" % (seed, order)).encode())
+            h.update(is_rigid_up_to(qp, order).to_text().encode())
+    assert h.hexdigest() == RIGID_ORDERS_SHA256
 
 
 def test_unpunctured_corpus_certified_by_ten():
