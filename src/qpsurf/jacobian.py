@@ -171,8 +171,7 @@ def _groebner(qp, order):
                 continue
             l = min(f, key=lambda w: (len(w), w))
             c = f.pop(l)
-            tail = [(w, q.numerator if q.denominator == 1 else q)  # int arithmetic where exact
-                    for w, e in f.items() for q in [Fraction(e) / c]]
+            tail = [(w, Fraction(e) / c) for w, e in f.items()]
             for b in [b for b in lead if len(b) > len(l) and any(
                     b[i:i + len(l)] == l for i in range(len(b) - len(l) + 1))]:
                 heappush(queue, (len(b), next(seq), [(b, 1)] + lead.pop(b), ()))
@@ -249,13 +248,11 @@ def is_rigid_up_to(qp, order):
     So the relations are the rows NF(a*b) - NF(b*a), one per arrow a and
     normal word b from h(a) to t(a) of length < order, over the normal
     cycles, and the QP is rigid up to `order` exactly when their rank is the
-    number of normal cycles.  As b is normal, a leading word can only be a
-    prefix of a*b and a suffix of b*a, so a word with neither is its own NF.
+    number of normal cycles.
 
     Only when the rank falls short are cycles walked, by least rotation in
     (length, arrows) order; the witness is the first whose NF lies outside
-    the span.  A cycle equals each of its rotations modulo the commutators,
-    so a normal rotation, when there is one, stands in for its NF.
+    the span.
 
     A failing cycle is a sound non-rigidity certificate: membership at every
     finite order is necessary for rigidity.
@@ -265,30 +262,26 @@ def is_rigid_up_to(qp, order):
     for level in levels[1:order]:
         for b, t, h in level:
             around[t, h].append(b)
-    cycles = {w for level in levels[1:] for w, t, h in level if t == h}
+    cycles = sum(t == h for level in levels[1:] for _, t, h in level)
 
-    def nf(w, hit):  # hit: w may contain a leading word
-        return _reduce([(w, 1)], lead, lens, order) if hit else {w: 1}
+    def nf(w):
+        return _reduce([(w, 1)], lead, lens, order)
 
     elim = SparseEliminator()
     for a in qp.quiver.arrows:
         for b in around[a.head, a.tail]:
-            ab, ba = (a.name,) + b, b + (a.name,)
-            row = nf(ab, any(ab[:k] in lead for k in lens))
-            for w, e in nf(ba, any(ba[-k:] in lead for k in lens)).items():
+            row = nf((a.name,) + b)
+            for w, e in nf(b + (a.name,)).items():
                 row[w] = row.get(w, 0) - e
             elim.add_row(row)
-    if elim.rank == len(cycles):
+    if elim.rank == cycles:
         return RigidityReport(max_order=order, rigid=True, witness=None)
 
     paths = [((a.name,), a.tail, a.head) for a in qp.quiver.arrows]
     for _ in range(order):  # a least rotation starts with its least arrow
         for c, t, h in paths:
-            if t == h and c == least_rotation(c):
-                r = next((r for k in range(len(c)) for r in [c[k:] + c[:k]] if r in cycles),
-                         None)
-                if not elim.contains({r: 1} if r else nf(c, True)):
-                    return RigidityReport(max_order=order, rigid=False, witness=Path(c))
+            if t == h and c == least_rotation(c) and not elim.contains(nf(c)):
+                return RigidityReport(max_order=order, rigid=False, witness=Path(c))
         paths = [(w + (x.name,), x.tail, h) for w, t, h in paths for x in into[t]
                  if x.name >= w[0]]
 
