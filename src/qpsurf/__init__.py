@@ -15,8 +15,8 @@ _EXPORTS = {
         "multiply", "substitution_is_isomorphism", "vertex_path",
     ),
     "jacobian": (
-        "DimensionReport", "RigidityReport", "finite_dim_evidence", "is_rigid_up_to",
-        "jacobian_generators", "truncated_quotient_dim",
+        "DimensionReport", "RigidityReport", "cartan_matrix", "finite_dim_evidence",
+        "is_rigid_up_to", "jacobian_generators", "truncated_quotient_dim",
     ),
     "linalg": (),
     "potential": (

@@ -8,7 +8,7 @@ from math import lcm
 
 from .algebra import AlgebraElement, Path, least_rotation, word_derivatives
 from .linalg import SparseEliminator
-from .quiver import Record
+from .quiver import IntegerMatrix, Record
 
 
 class JacobianError(ValueError):
@@ -217,6 +217,27 @@ def truncated_quotient_dim(qp, order):
     return DimensionReport(order, dims, path_counts, [n - m for n, m in zip(path_counts, dims)],
                            certified_order is not None, certified_order,
                            [False] + [not n for n in normal[1:]])
+
+
+def cartan_matrix(qp, order):
+    """The Cartan matrix of A/I, with A and I as in `_groebner`.
+
+    C[t][h] is the number of normal words from t to h of length <= `order`,
+    read off the same basis pass as `truncated_quotient_dim`, and returned
+    as an `IntegerMatrix` over the QP's vertices.  Past a certificate no
+    word is normal, so C is then that of the whole Jacobian algebra.  The
+    Jacobian algebras of closed surfaces are symmetric algebras (Ladkani,
+    "On Jacobian algebras from closed surfaces", arXiv:1207.3778, cited from
+    memory), which forces C to be symmetric; that C is symmetric was
+    measured here on closed tori and their flips.
+    """
+    levels = _groebner(qp, order)[2]
+    index = {v: i for i, v in enumerate(qp.quiver.vertices)}
+    rows = [[0] * len(index) for _ in index]
+    for level in levels:
+        for _, t, h in level:
+            rows[index[t]][index[h]] += 1
+    return IntegerMatrix(qp.quiver.vertices, rows)
 
 
 class RigidityReport(Record):

@@ -115,7 +115,7 @@ def check_restriction_commutes(qp, keep, k, order):
     return CheckReport(name, digest, all(ok for _, ok, _ in subs), subs)
 
 
-def canonical_matrix_form(matrix):
+def canonical_matrix_form(matrix, *, with_order=False):
     """The least entry table of the matrix over all orders of its vertices.
 
     For a vertex order p the table is the tuple of rows (M[p_i][p_j] for j),
@@ -145,6 +145,12 @@ def canonical_matrix_form(matrix):
       found so far that fix the placed vertices, is skipped, and the search
       leaves a branch as soon as one of its leaves is the image of a leaf
       already seen.
+    - Forced orders.  Once every cell is one vertex, the rest of the order
+      is forced.  Its rows are built at once and compared with the best
+      table's, and the search goes on as if they had been placed one by one.
+
+    With `with_order`, returns (form, order): the vertex order, as positions
+    in `matrix.vertices`, whose table is the form.
     """
     rows = matrix.rows
     n = len(rows)
@@ -166,15 +172,19 @@ def canonical_matrix_form(matrix):
         # `fresh`: the rows placed so far are below the best table's, or no
         # table is known yet.  Returns the level whose candidate loop goes on.
         i = len(perm)
-        if i == n:
-            if fresh:
-                best[:], best_perm[:] = table, perm
+        if len(cells) == n - i:  # every cell is one vertex
+            order = perm + [cell[0] for cell in cells]
+            tail = [tuple([rows[v][p] for p in order]) for v in order[i:]]
+            if fresh or tail < best[i:]:
+                best[:], best_perm[:] = table + tail, order
+                return i - 1
+            if tail > best[i:]:
                 return i - 1
             auto = [0] * n
-            for a, b in zip(best_perm, perm):
+            for a, b in zip(best_perm, order):
                 auto[a] = b
             autos.append(auto)
-            return next(j for j in range(n) if perm[j] != best_perm[j])
+            return min(i - 1, next(j for j in range(n) if order[j] != best_perm[j]))
         least, kept = None, []
         for v in cells[0]:
             # one pass gives v's least row and the cells once v is placed
@@ -220,8 +230,8 @@ def canonical_matrix_form(matrix):
         table.pop()
         return min(back, i - 1)
 
-    search([list(range(n))], True)
-    return tuple(best)
+    search([list(range(n))] if n else [], True)
+    return (tuple(best), tuple(best_perm)) if with_order else tuple(best)
 
 
 class ClassGraph(Record):
@@ -291,7 +301,15 @@ def explore_mutation_class(qp, depth, order):
     its quiver.  At the depth limit, where no node is expanded, only the
     child's quiver is built, by `mutated_quiver`, from the premutation's
     degree-2 terms.  A node with a 2-cycle is never expanded.
-    `canonical_matrix_form` runs once per distinct raw matrix.
+
+    An edge's reverse is read, not computed.  Say C = `mutate_matrix(B_X, k)`
+    lands on node Y, whose own B_Y was searched with vertex order p_Y, and C's
+    search gives p_C.  Both orders give Y's table, so s(p_C[i]) = p_Y[i]
+    renames C into B_Y, and mutation, an involution that commutes with
+    renaming, gives mutate_matrix(B_Y, s(k)) = B_X renamed by s: Y's edge
+    at s(k) leads back to X.  That edge is recorded, so expanding Y there
+    computes no matrix and no search; for the edge that made Y, s is the
+    identity.  A raw matrix met again is not searched again either.
     """
     _require_order(qp, order)
     if depth < 0:
@@ -301,29 +319,33 @@ def explore_mutation_class(qp, depth, order):
     vertices = qp.quiver.vertices
     digests = []
     index = {}  # canonical table -> node number
-    node_of_rows = {}
+    node_of_rows = {}  # raw rows -> (node number, vertex order of their table)
+    orders = []  # node number -> vertex order of the matrix that made the node
+    reverse = {}  # (node number, vertex position) -> the node that edge leads to
     row_number = {}
     rows = array("i")
     tables, expanded, targets = array("i"), array("i"), array("i")
     failures = []
 
     def visit(matrix):
-        """The number of the matrix's node, and whether the node is new."""
+        """The matrix's node number, the vertex order giving its table, and
+        whether the node is new."""
         if matrix.rows in node_of_rows:
-            return node_of_rows[matrix.rows], False
-        canon = canonical_matrix_form(matrix)
+            return node_of_rows[matrix.rows] + (False,)
+        canon, order = canonical_matrix_form(matrix, with_order=True)
         node = index.get(canon)
         new = node is None
         if new:
             node = index[canon] = len(digests)
             digests.append(_digest(repr(canon)))
+            orders.append(order)
             for row in canon:
                 if row not in row_number:
                     row_number[row] = len(row_number)
                     rows.extend(row)
                 tables.append(row_number[row])
-        node_of_rows[matrix.rows] = node
-        return node, new
+        node_of_rows[matrix.rows] = node, order
+        return node, order, new
 
     # (quiver, QP or None at the depth limit, net matrix, node number, distance)
     matrix = net_matrix(qp.quiver)
@@ -336,15 +358,18 @@ def explore_mutation_class(qp, depth, order):
         if dist >= depth:
             continue
         expanded.append(cur)
-        for k in vertices:
-            child_matrix = mutate_matrix(matrix, k)
-            dst, new = visit(child_matrix)
+        for ki, k in enumerate(vertices):
+            dst = reverse.get((cur, ki))
+            if dst is None:
+                child_matrix = mutate_matrix(matrix, k)
+                dst, order, new = visit(child_matrix)
+                reverse[dst, orders[dst][order.index(ki)]] = cur
+                if new and dist + 1 < depth:
+                    child = mutate_qp(current, k)
+                    frontier.append((child.quiver, child, child_matrix, dst, dist + 1))
+                elif new:
+                    frontier.append((mutated_quiver(current, k), None, None, dst, dist + 1))
             targets.append(dst)
-            if new and dist + 1 < depth:
-                child = mutate_qp(current, k)
-                frontier.append((child.quiver, child, child_matrix, dst, dist + 1))
-            elif new:
-                frontier.append((mutated_quiver(current, k), None, None, dst, dist + 1))
 
     subs = [("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures),
             ("nodes", True, str(len(digests))),

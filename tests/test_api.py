@@ -14,11 +14,12 @@ PUBLIC_NAMES = [
     "AlgebraElement", "AlgebraError", "Arrow", "CheckReport", "DimensionReport",
     "IntegerMatrix", "MarkedSurface", "Path", "PotentialAssembly", "QP", "QPError", "Quiver",
     "QuiverError", "RigidityReport", "Side", "SplitResult", "Substitution", "SurfaceError",
-    "Triangulation", "algebra", "apply_substitution", "arrow_path", "check_flip_compatibility",
-    "check_involution", "check_restriction_commutes", "cyclic_derivative", "cyclic_normal_form",
-    "cyclically_equivalent", "explore_mutation_class", "finite_dim_evidence", "flip", "fold_map",
-    "is_rigid_up_to", "is_two_acyclic", "jacobian", "jacobian_generators", "linalg",
-    "matrix_from_quiver", "multiply", "mutate_matrix", "mutate_qp", "mutate_quiver", "potential",
+    "Triangulation", "algebra", "apply_substitution", "arrow_path", "cartan_matrix",
+    "check_flip_compatibility", "check_involution", "check_restriction_commutes",
+    "cyclic_derivative", "cyclic_normal_form", "cyclically_equivalent",
+    "explore_mutation_class", "finite_dim_evidence", "flip", "fold_map", "is_rigid_up_to",
+    "is_two_acyclic", "jacobian", "jacobian_generators", "linalg", "matrix_from_quiver",
+    "multiply", "mutate_matrix", "mutate_qp", "mutate_quiver", "potential",
     "potential_assembly", "premutate_qp", "premutate_quiver", "qp", "qp_of_triangulation",
     "quiver", "quiver_from_matrix", "restrict_qp", "signed_adjacency", "split_qp",
     "substitution_is_isomorphism", "surface", "truncated_quotient_dim", "unreduced_potential",

@@ -20,6 +20,7 @@ from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.jacobian import (
     JacobianError,
     _integer_generators,
+    cartan_matrix,
     finite_dim_evidence,
     is_rigid_up_to,
     jacobian_generators,
@@ -501,6 +502,33 @@ def test_boundary_corpus_rigid_and_finite():
         assert is_rigid_up_to(load_qp(name, 6), 6).rigid, name
         rep = finite_dim_evidence(load_qp(name, 10), 10)
         assert rep.certified and rep.dimension == dim, (name, rep.dimension)
+
+
+def test_cartan_matrix_symmetric_on_closed_surfaces():
+    # the Jacobian algebras of closed surfaces are symmetric (Ladkani,
+    # arXiv:1207.3778, cited from memory), so their Cartan matrices are;
+    # that they are was measured here, on the corpus torus, the twice-
+    # punctured torus and each of their one-flip neighbours
+    from test_verify import TORUS_TWO_PUNCTURES
+
+    cases = 0
+    for text in (example_text("torus"), TORUS_TWO_PUNCTURES):
+        tri = Triangulation.from_text(text)
+        fold = tri.analysis().fold
+        for t in [tri] + [flip(tri, arc) for arc in tri.arcs if fold[arc] == arc]:
+            for order in (10, 12):
+                qp = qp_of_triangulation(t, order)
+                c = cartan_matrix(qp, order)
+                assert c.vertices == qp.quiver.vertices
+                assert c.rows == tuple(zip(*c.rows)), (t.to_text(), order)
+                assert sum(map(sum, c.rows)) == truncated_quotient_dim(qp, order).dimension
+                cases += 1
+    assert cases == 22
+    # a surface with boundary gives no such symmetry
+    c = cartan_matrix(load_qp("punctured-square-2", 10), 10)
+    assert c.rows != tuple(zip(*c.rows))
+    # arrows 2 -> 1 and 3 -> 2 and no potential: C[t][h] counts the paths from t to h
+    assert cartan_matrix(load_qp("hexagon-fan", 4), 4).rows == ((1, 0, 0), (1, 1, 0), (1, 1, 1))
 
 
 def test_restriction_preserves_rigidity_on_corpus():

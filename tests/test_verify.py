@@ -291,17 +291,38 @@ def test_canonical_form_equals_brute_force_minimum():
         block = _random_skew(rng, rng.randint(1, 3), 0.8)
         blocks = [block] * (6 // len(block)) + [_random_skew(rng, 6 % len(block), 0.5)]
         cases.append(_relabelled(_disjoint_union(blocks), rng))
+    # placing any vertex of an oriented 3- or 4-cycle leaves one vertex per
+    # cell, and each tied first vertex after the first gives an automorphism
+    # at that forced order
+    cases += [_oriented_cycles(1, 3), _oriented_cycles(1, 4)]
+    # the second tied vertex at position 2 forces an order whose rows 2..4
+    # exceed the best table's; read as an automorphism, it would prune the
+    # third, which gives the least table
+    cases.append([[0, 0, 1, -1, -1], [0, 0, 1, 0, 1], [-1, -1, 0, 0, 1], [1, 0, 0, 0, 0],
+                  [1, -1, -1, 0, 0]])
     for rows in cases:
-        assert canonical_matrix_form(_matrix(rows)) == oracle_canonical_form(rows), rows
+        _assert_least_table(rows)
+
+
+def _assert_least_table(rows):
+    form, order = canonical_matrix_form(_matrix(rows), with_order=True)
+    assert form == oracle_canonical_form(rows), rows
+    assert tuple(tuple(rows[a][b] for b in order) for a in order) == form, rows
+    assert canonical_matrix_form(_matrix(rows)) == form
 
 
 def test_canonical_form_equals_brute_force_on_any_integer_matrix():
     # the search never uses skew-symmetry or a zero diagonal
     rng = random.Random(4)
-    for n in range(1, 6):
-        for _ in range(20):
-            rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
-            assert canonical_matrix_form(_matrix(rows)) == oracle_canonical_form(rows), rows
+    cases = [[[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
+             for n in range(1, 6) for _ in range(20)]
+    # non-zero diagonals; after the first placement every cell is one vertex,
+    # and the second tied vertex forces a larger table in the first matrix
+    # and an automorphism in the second
+    cases += [[[-1, 1, 0], [0, -1, 1], [0, 2, 0]],
+              [[-1, 2, 0, 1], [2, -1, 0, 1], [0, 0, 0, 2], [1, 1, 0, 0]]]
+    for rows in cases:
+        _assert_least_table(rows)
 
 
 def test_canonical_form_tries_tied_candidates_outside_an_orbit():
@@ -424,6 +445,24 @@ def test_explore_text_pinned_on_corpus_mutations_and_type_a_classes():
     for rank in (4, 5, 6):
         add(*full_type_a_class(rank))
     assert h.hexdigest() == EXPLORE_CORPUS_SHA256
+
+
+# sha256 over the explore text (report, then graph) of every corpus QP at
+# order 6 and of its one-step mutations, each at depths 0-3 and 99; recorded
+# before explore read reverse edges off canonical vertex orders
+EXPLORE_DEPTHS_SHA256 = "4fe23d7e47729549aa269a0613818d47ada818b8abbc5c84f142687f36c98e94"
+
+
+def test_explore_text_pinned_on_corpus_mutations_at_every_depth():
+    h = hashlib.sha256()
+    for name in CORPUS:
+        qp = load_qp(name)
+        for q in [qp] + [mutate_qp(qp, k) for k in qp.quiver.vertices]:
+            for depth in (0, 1, 2, 3, 99):
+                rep, graph = explore_mutation_class(q, depth, 6)
+                h.update(rep.to_text().encode())
+                h.update(graph.to_text().encode())
+    assert h.hexdigest() == EXPLORE_DEPTHS_SHA256
 
 
 def random_three_cycle_qp(seed, order=4):
@@ -634,28 +673,44 @@ def test_mutated_quiver_refuses_exactly_where_mutate_qp_does():
 
 
 def test_explore_searches_each_raw_matrix_once(monkeypatch):
-    # in the full A5 class every distinct raw matrix explore meets, the start's
-    # and each mutate_matrix result, goes to the canonical search exactly once
-    searched, met = [], set()
+    # in the full A4, A5 and A6 classes every distinct raw matrix explore
+    # computes, the start's and each mutate_matrix result, goes to the
+    # canonical search exactly once; and an edge whose reverse is known,
+    # because the edge it leads back along was computed, computes neither
+    # mutate_matrix nor a search
+    searched, met, computed = [], set(), []
 
-    def counting_canonical(matrix):
+    def counting_canonical(matrix, **kwargs):
         searched.append(matrix.rows)
-        return canonical_matrix_form(matrix)
+        return canonical_matrix_form(matrix, **kwargs)
 
     def recording_mutate(matrix, k):
         out = mutate_matrix(matrix, k)
         met.add(out.rows)
+        computed.append((matrix.rows, k))
         return out
 
+    want = {rank: full_type_a_class(rank) for rank in (4, 5, 6)}
     monkeypatch.setattr(verify, "canonical_matrix_form", counting_canonical)
     monkeypatch.setattr(verify, "mutate_matrix", recording_mutate)
-    qp = qp_of_triangulation(Triangulation.from_text(fan_polygon_text(8)), 6)
-    rep, graph = explore_mutation_class(qp, 99, 6)
-    met.add(net_matrix(qp.quiver).rows)
-    assert len(searched) == len(set(searched)) == len(met)
-    assert set(searched) == met
-    assert len(searched) < len(graph.edges)
-    assert (rep, graph) == full_type_a_class(5)
+    counts = []
+    for rank in (4, 5, 6):
+        for seen in (searched, met, computed):
+            seen.clear()
+        qp = qp_of_triangulation(Triangulation.from_text(fan_polygon_text(rank + 3)), 6)
+        rep, graph = explore_mutation_class(qp, 99, 6)
+        met.add(net_matrix(qp.quiver).rows)
+        assert len(searched) == len(set(searched)) == len(met)
+        assert set(searched) == met
+        assert (rep, graph) == want[rank]
+        digest_of = {table: dig for dig, table in graph.nodes.items()}
+        done = {(digest_of[canonical_matrix_form(_matrix(rows))], k) for rows, k in computed}
+        assert len(done) == len(computed)
+        back = {(dst, src) for src, k, dst in graph.edges if (src, k) in done}
+        for src, k, dst in graph.edges:
+            assert (src, k) in done or (src, dst) in back, (rank, src, k)
+        counts.append((len(searched), len(computed), len(graph.edges)))
+    assert counts == [(11, 12, 24), (38, 53, 95), (104, 151, 294)]
 
 
 def test_explore_keys_nodes_by_canonical_table_not_digest(monkeypatch):
