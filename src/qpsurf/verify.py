@@ -115,8 +115,9 @@ def check_restriction_commutes(qp, keep, k, order):
     return CheckReport(name, digest, all(ok for _, ok, _ in subs), subs)
 
 
-def canonical_matrix_form(matrix, *, with_order=False):
-    """The least entry table of the matrix over all orders of its vertices.
+def canonical_matrix_form(matrix):
+    """The least entry table of the matrix over all orders of its vertices,
+    and a vertex order that gives it.
 
     For a vertex order p the table is the tuple of rows (M[p_i][p_j] for j),
     i = 0..n-1; the form is the least table in row-major lexicographic
@@ -145,12 +146,8 @@ def canonical_matrix_form(matrix, *, with_order=False):
       found so far that fix the placed vertices, is skipped, and the search
       leaves a branch as soon as one of its leaves is the image of a leaf
       already seen.
-    - Forced orders.  Once every cell is one vertex, the rest of the order
-      is forced.  Its rows are built at once and compared with the best
-      table's, and the search goes on as if they had been placed one by one.
 
-    With `with_order`, returns (form, order): the vertex order, as positions
-    in `matrix.vertices`, whose table is the form.
+    Returns (form, order), the order as positions in `matrix.vertices`.
     """
     rows = matrix.rows
     n = len(rows)
@@ -172,19 +169,15 @@ def canonical_matrix_form(matrix, *, with_order=False):
         # `fresh`: the rows placed so far are below the best table's, or no
         # table is known yet.  Returns the level whose candidate loop goes on.
         i = len(perm)
-        if len(cells) == n - i:  # every cell is one vertex
-            order = perm + [cell[0] for cell in cells]
-            tail = [tuple([rows[v][p] for p in order]) for v in order[i:]]
-            if fresh or tail < best[i:]:
-                best[:], best_perm[:] = table + tail, order
-                return i - 1
-            if tail > best[i:]:
+        if i == n:
+            if fresh:
+                best[:], best_perm[:] = table, perm
                 return i - 1
             auto = [0] * n
-            for a, b in zip(best_perm, order):
+            for a, b in zip(best_perm, perm):
                 auto[a] = b
             autos.append(auto)
-            return min(i - 1, next(j for j in range(n) if order[j] != best_perm[j]))
+            return next(j for j in range(n) if perm[j] != best_perm[j])
         least, kept = None, []
         for v in cells[0]:
             # one pass gives v's least row and the cells once v is placed
@@ -230,8 +223,8 @@ def canonical_matrix_form(matrix, *, with_order=False):
         table.pop()
         return min(back, i - 1)
 
-    search([list(range(n))] if n else [], True)
-    return (tuple(best), tuple(best_perm)) if with_order else tuple(best)
+    search([list(range(n))], True)
+    return tuple(best), tuple(best_perm)
 
 
 class ClassGraph(Record):
@@ -332,7 +325,7 @@ def explore_mutation_class(qp, depth, order):
         whether the node is new."""
         if matrix.rows in node_of_rows:
             return node_of_rows[matrix.rows] + (False,)
-        canon, order = canonical_matrix_form(matrix, with_order=True)
+        canon, order = canonical_matrix_form(matrix)
         node = index.get(canon)
         new = node is None
         if new:

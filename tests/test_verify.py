@@ -233,7 +233,7 @@ def test_explore_hexagon_depth_six():
 def test_canonical_form_permutation_invariant():
     m = IntegerMatrix(["1", "2", "3"], [[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
     p = IntegerMatrix(["1", "2", "3"], [[0, -2, 2], [2, 0, -2], [-2, 2, 0]])
-    assert canonical_matrix_form(m) == canonical_matrix_form(p)
+    assert canonical_matrix_form(m)[0] == canonical_matrix_form(p)[0]
 
 
 def _matrix(rows):
@@ -293,11 +293,11 @@ def test_canonical_form_equals_brute_force_minimum():
         cases.append(_relabelled(_disjoint_union(blocks), rng))
     # placing any vertex of an oriented 3- or 4-cycle leaves one vertex per
     # cell, and each tied first vertex after the first gives an automorphism
-    # at that forced order
+    # at the order that partition forces
     cases += [_oriented_cycles(1, 3), _oriented_cycles(1, 4)]
-    # the second tied vertex at position 2 forces an order whose rows 2..4
-    # exceed the best table's; read as an automorphism, it would prune the
-    # third, which gives the least table
+    # every cell is one vertex after position 2; the second tied vertex there
+    # forces an order whose rows 2..4 exceed the best table's, and the third
+    # gives the least table
     cases.append([[0, 0, 1, -1, -1], [0, 0, 1, 0, 1], [-1, -1, 0, 0, 1], [1, 0, 0, 0, 0],
                   [1, -1, -1, 0, 0]])
     for rows in cases:
@@ -305,10 +305,9 @@ def test_canonical_form_equals_brute_force_minimum():
 
 
 def _assert_least_table(rows):
-    form, order = canonical_matrix_form(_matrix(rows), with_order=True)
+    form, order = canonical_matrix_form(_matrix(rows))
     assert form == oracle_canonical_form(rows), rows
     assert tuple(tuple(rows[a][b] for b in order) for a in order) == form, rows
-    assert canonical_matrix_form(_matrix(rows)) == form
 
 
 def test_canonical_form_equals_brute_force_on_any_integer_matrix():
@@ -317,8 +316,8 @@ def test_canonical_form_equals_brute_force_on_any_integer_matrix():
     cases = [[[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)]
              for n in range(1, 6) for _ in range(20)]
     # non-zero diagonals; after the first placement every cell is one vertex,
-    # and the second tied vertex forces a larger table in the first matrix
-    # and an automorphism in the second
+    # and the second tied vertex's forced order gives a larger table in the
+    # first matrix and an automorphism in the second
     cases += [[[-1, 1, 0], [0, -1, 1], [0, 2, 0]],
               [[-1, 2, 0, 1], [2, -1, 0, 1], [0, 0, 0, 2], [1, 1, 0, 0]]]
     for rows in cases:
@@ -332,13 +331,13 @@ def test_canonical_form_tries_tied_candidates_outside_an_orbit():
     want = oracle_canonical_form(rows)
     for order in itertools.permutations(range(5)):
         relabelled = [[rows[a][b] for b in order] for a in order]
-        assert canonical_matrix_form(_matrix(relabelled)) == want, order
+        assert canonical_matrix_form(_matrix(relabelled))[0] == want, order
 
 
 def test_canonical_form_separates_nine_cycle_from_three_triangles():
     # every row of both has one 1, one -1 and seven 0s
-    nine = canonical_matrix_form(_matrix(_oriented_cycles(1, 9)))
-    triangles = canonical_matrix_form(_matrix(_oriented_cycles(3, 3)))
+    nine = canonical_matrix_form(_matrix(_oriented_cycles(1, 9)))[0]
+    triangles = canonical_matrix_form(_matrix(_oriented_cycles(3, 3)))[0]
     assert nine != triangles
 
 
@@ -347,19 +346,19 @@ def test_canonical_form_invariant_under_relabelling_above_rank_eight():
     for n in range(9, 16):
         for density in (0.1, 0.25, 0.5):
             rows = _random_skew(rng, n, density)
-            form = canonical_matrix_form(_matrix(rows))
-            assert canonical_matrix_form(_matrix(form)) == form
+            form = canonical_matrix_form(_matrix(rows))[0]
+            assert canonical_matrix_form(_matrix(form))[0] == form
             for _ in range(2):
-                assert canonical_matrix_form(_matrix(_relabelled(rows, rng))) == form, rows
+                assert canonical_matrix_form(_matrix(_relabelled(rows, rng)))[0] == form, rows
 
 
 def test_canonical_form_fast_on_symmetric_matrices():
     rng = random.Random(6)
     for rows in ([[0] * 12 for _ in range(12)], _oriented_cycles(5, 3), _oriented_cycles(4, 4)):
         start = time.perf_counter()
-        form = canonical_matrix_form(_matrix(rows))
+        form = canonical_matrix_form(_matrix(rows))[0]
         assert time.perf_counter() - start < 0.5
-        assert canonical_matrix_form(_matrix(_relabelled(rows, rng))) == form
+        assert canonical_matrix_form(_matrix(_relabelled(rows, rng)))[0] == form
 
 
 # sha256 over repr of the canonical forms of a rank-42 matrix and of its 42
@@ -375,8 +374,8 @@ def test_canonical_forms_pinned_at_rank_42():
     rng = random.Random(0)
     for _ in range(30):
         m = mutate_matrix(m, rng.choice(m.vertices))
-    forms = [canonical_matrix_form(m)] + [canonical_matrix_form(mutate_matrix(m, k))
-                                          for k in m.vertices]
+    forms = [canonical_matrix_form(m)[0]] + [canonical_matrix_form(mutate_matrix(m, k))[0]
+                                             for k in m.vertices]
     assert len(forms) == 43
     assert hashlib.sha256(repr(forms).encode()).hexdigest() == RANK_42_FORMS_SHA256
 
@@ -391,7 +390,7 @@ def test_explore_graph_shapes():
         src, k, dst = edge
         assert src in graph.nodes and dst in graph.nodes and k in qp.quiver.vertices
     assert isinstance(graph.nodes, dict)
-    assert canonical_matrix_form(matrix_from_quiver(qp.quiver)) in graph.nodes.values()
+    assert canonical_matrix_form(matrix_from_quiver(qp.quiver))[0] in graph.nodes.values()
 
 
 def fan_polygon_text(n):
@@ -448,20 +447,22 @@ def test_explore_text_pinned_on_corpus_mutations_and_type_a_classes():
 
 
 # sha256 over the explore text (report, then graph) of every corpus QP at
-# order 6 and of its one-step mutations, each at depths 0-3 and 99; recorded
-# before explore read reverse edges off canonical vertex orders
-EXPLORE_DEPTHS_SHA256 = "4fe23d7e47729549aa269a0613818d47ada818b8abbc5c84f142687f36c98e94"
+# order 6 at depths 0 and 99, then of its one-step mutations at depths 0, 1, 3
+# and 99: the depths the pin above leaves out.  Recorded before explore read
+# reverse edges off canonical vertex orders
+EXPLORE_DEPTHS_SHA256 = "44fb1e38c934d7bf1d857f4f67f98a978d78aae3479c1e64a85af86f17ecd997"
 
 
 def test_explore_text_pinned_on_corpus_mutations_at_every_depth():
     h = hashlib.sha256()
     for name in CORPUS:
         qp = load_qp(name)
-        for q in [qp] + [mutate_qp(qp, k) for k in qp.quiver.vertices]:
-            for depth in (0, 1, 2, 3, 99):
-                rep, graph = explore_mutation_class(q, depth, 6)
-                h.update(rep.to_text().encode())
-                h.update(graph.to_text().encode())
+        runs = [(qp, depth) for depth in (0, 99)]
+        runs += [(mutate_qp(qp, k), depth) for k in qp.quiver.vertices for depth in (0, 1, 3, 99)]
+        for q, depth in runs:
+            rep, graph = explore_mutation_class(q, depth, 6)
+            h.update(rep.to_text().encode())
+            h.update(graph.to_text().encode())
     assert h.hexdigest() == EXPLORE_DEPTHS_SHA256
 
 
@@ -518,7 +519,7 @@ def test_mutated_qp_has_the_mutated_matrix():
     # check both identities on the QPs explore pops at depth 2 (the first QP
     # to reach each node, in breadth-first order)
     def node(q):
-        return canonical_matrix_form(net_matrix(q.quiver))
+        return canonical_matrix_form(net_matrix(q.quiver))[0]
 
     triangle = Quiver(["1", "2", "3"], [Arrow("a", "1", "2"), Arrow("b", "2", "3"),
                                         Arrow("c", "3", "1")])
@@ -680,9 +681,9 @@ def test_explore_searches_each_raw_matrix_once(monkeypatch):
     # mutate_matrix nor a search
     searched, met, computed = [], set(), []
 
-    def counting_canonical(matrix, **kwargs):
+    def counting_canonical(matrix):
         searched.append(matrix.rows)
-        return canonical_matrix_form(matrix, **kwargs)
+        return canonical_matrix_form(matrix)
 
     def recording_mutate(matrix, k):
         out = mutate_matrix(matrix, k)
@@ -704,7 +705,7 @@ def test_explore_searches_each_raw_matrix_once(monkeypatch):
         assert set(searched) == met
         assert (rep, graph) == want[rank]
         digest_of = {table: dig for dig, table in graph.nodes.items()}
-        done = {(digest_of[canonical_matrix_form(_matrix(rows))], k) for rows, k in computed}
+        done = {(digest_of[canonical_matrix_form(_matrix(rows))[0]], k) for rows, k in computed}
         assert len(done) == len(computed)
         back = {(dst, src) for src, k, dst in graph.edges if (src, k) in done}
         for src, k, dst in graph.edges:
