@@ -240,13 +240,8 @@ class AlgebraElement:
     # -- text form ---------------------------------------------------------
 
     def to_text(self):
-        if not self.terms:
-            return "0\n"
-        lines = []
-        for p, c in self.sorted_terms():
-            word = "e:%s" % p.vertex if len(p) == 0 else " ".join(p.arrows)
-            lines.append("%d/%d %s" % (c.numerator, c.denominator, word))
-        return "\n".join(lines) + "\n"
+        return terms_text((c, "e:%s" % p.vertex if len(p) == 0 else " ".join(p.arrows))
+                          for p, c in self.sorted_terms())
 
     @staticmethod
     def from_text(quiver, order, text):
@@ -269,6 +264,11 @@ class AlgebraElement:
                                    % (lineno, raw, type(exc).__name__, exc)) from exc
             terms[p] = terms.get(p, Fraction(0)) + coeff
         return AlgebraElement(quiver, order, terms, check=False)
+
+
+def terms_text(terms):
+    """One `<num>/<den> <word>` line per (coefficient, word text) pair, or "0"."""
+    return "".join("%d/%d %s\n" % (c.numerator, c.denominator, w) for c, w in terms) or "0\n"
 
 
 def multiply(x, y):

@@ -26,7 +26,7 @@ def _require_order(qp, order):
 
 def jacobian_generators(qp):
     """One cyclic derivative per arrow, in arrow order."""
-    ders = word_derivatives((p.arrows, c) for p, c in qp.potential.terms.items())
+    ders = word_derivatives(qp.words.items())
     return [AlgebraElement(qp.quiver, qp.order,
                            {Path(r): c for r, c in ders.get(a.name, {}).items()}, check=False)
             for a in qp.quiver.arrows]
@@ -40,10 +40,9 @@ def _integer_generators(qp):
     length of the shortest.  Scaling every generator by one factor leaves
     the ideal unchanged, and it makes every row built from them integer.
     """
-    pot = qp.potential.terms
-    den = lcm(*(c.denominator for c in pot.values()))
-    ders = word_derivatives((p.arrows, c.numerator * (den // c.denominator))
-                            for p, c in pot.items())
+    den = lcm(*(c.denominator for c in qp.words.values()))
+    ders = word_derivatives((w, c.numerator * (den // c.denominator))
+                            for w, c in qp.words.items())
     out = []
     for a in qp.quiver.arrows:
         if a.name in ders:

@@ -10,8 +10,8 @@ closes up inside the unreduced quiver.
 import warnings as _warnings
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Path, cyclic_normal_form
-from .qp import QP, split_qp
+from .algebra import check_word, merge_rotations
+from .qp import QP, _split_words
 from .quiver import Record, quiver_from_matrix
 from .surface import SurfaceError, signed_adjacency
 
@@ -39,13 +39,13 @@ class PotentialAssembly(Record):
         self.puncture_terms = {} if puncture_terms is None else puncture_terms
         self.warnings = [] if warnings is None else warnings
 
+    def words(self):
+        """The summands' words summed at their least rotations."""
+        return merge_rotations(term for group in (self.triangle_terms, self.correction_terms,
+                                                  self.puncture_terms) for term in group.values())
+
     def total(self):
-        terms = {}
-        for group in (self.triangle_terms, self.correction_terms, self.puncture_terms):
-            for word, coeff in group.values():
-                p = Path(tuple(word))
-                terms[p] = terms.get(p, Fraction(0)) + coeff
-        return cyclic_normal_form(AlgebraElement(self.quiver, self.order, terms))
+        return QP._of_words(self.quiver, self.words(), self.order).potential
 
 
 def _triangle_word(analysis, t, copies):
@@ -94,6 +94,9 @@ def potential_assembly(tri, order=6):
         if len(word) > order:
             raise SurfaceError(
                 "cycle of length %d does not fit in truncation order %d" % (len(word), order))
+        arrows = check_word(a.unreduced, order, word)  # known arrows that compose
+        if arrows[0].head != arrows[-1].tail:
+            raise SurfaceError("summand %r does not close up" % (word,))
         return word
 
     for t, triple in enumerate(tri.triangles):
@@ -154,8 +157,8 @@ def unreduced_potential(tri, order=6):
 
 def qp_of_triangulation(tri, order=6):
     """Reduced QP of a triangulation; its quiver matches the adjacency matrix."""
-    potential = unreduced_potential(tri, order)
-    reduced = split_qp(QP(potential.quiver, potential, order)).reduced
+    asm = potential_assembly(tri, order)
+    reduced = _split_words(asm.quiver, asm.words(), order)[0]
     expected = quiver_from_matrix(signed_adjacency(tri))
     if reduced.quiver.multiplicities() != expected.multiplicities():
         raise SurfaceError("reduced quiver does not match the adjacency matrix")

@@ -10,11 +10,11 @@ from .algebra import (
     Substitution,
     check_word,
     compose_substitutions,
-    cyclic_normal_form,
     least_rotation,
     merge_rotations,
     path_is_cycle,
     substitute_words,
+    terms_text,
 )
 from .quiver import Quiver, Record, hook_name, hooks, premutate_quiver
 from . import linalg
@@ -33,11 +33,11 @@ class QPError(ValueError):
 class QP:
     """A quiver together with a potential at a fixed truncation order.
 
-    The constructor refuses a potential with a non-cyclic term or with two
-    distinct terms that are rotations of one cycle, and otherwise stores it
-    as given, so every QP is valid and no consumer checks again.  Every QP
-    `premutate_qp`, `split_qp` and `mutate_qp` return holds its potential in
-    cyclic normal form.
+    The potential is `words`, {arrow tuple: coefficient}, each term at the
+    rotation it was given.  The constructor refuses a non-cyclic term or two
+    distinct rotations of one cycle, so no consumer checks again; a QP built
+    from a valid QP's words comes from `_of_words` unchecked.  The QPs of
+    `premutate_qp`, `split_qp` and `mutate_qp` hold least rotations.
     """
 
     def __init__(self, quiver, potential, order=None):
@@ -59,23 +59,35 @@ class QP:
                 "cyclically equivalent distinct terms %r and %r" % (q.arrows, p.arrows)
                 for q, p in pairs), [t for pair in pairs for t in pair])
         self.quiver = quiver
-        self.potential = potential
+        self.words = {p.arrows: c for p, c in potential.terms.items()}
         self.order = int(order)
+
+    @classmethod
+    def _of_words(cls, quiver, words, order):
+        """The QP of words built from a valid QP's, with no check."""
+        qp = cls.__new__(cls)
+        qp.quiver, qp.words, qp.order = quiver, words, order
+        return qp
+
+    @property
+    def potential(self):
+        """The words as a `Path`-keyed element, built on each access."""
+        return AlgebraElement(self.quiver, self.order,
+                              {Path(w): c for w, c in self.words.items()}, check=False)
 
     def __eq__(self, other):
         if not isinstance(other, QP):
             return NotImplemented
         return (self.quiver == other.quiver and self.order == other.order
-                and cyclic_normal_form(self.potential) == cyclic_normal_form(other.potential))
+                and merge_rotations(self.words.items()) == merge_rotations(other.words.items()))
 
     def __repr__(self):
-        return "QP(%r, %d potential terms, order=%d)" % (
-            self.quiver, len(self.potential.terms), self.order)
+        return "QP(%r, %d potential terms, order=%d)" % (self.quiver, len(self.words), self.order)
 
     def to_text(self):
-        out = ["truncation: %d" % self.order, self.quiver.to_text().rstrip("\n"), "potential:"]
-        out.append(self.potential.to_text().rstrip("\n"))
-        return "\n".join(out) + "\n"
+        terms = sorted(self.words.items(), key=lambda wc: (len(wc[0]), wc[0]))
+        return "truncation: %d\n%spotential:\n%s" % (
+            self.order, self.quiver.to_text(), terms_text((c, " ".join(w)) for w, c in terms))
 
     @staticmethod
     def from_text(text):
@@ -137,24 +149,23 @@ def _premutation(qp, k):
 
     A QP's term closes up in a loop-free quiver, so not every arrow points
     into k, and the word read from there does not end inside a hook; the
-    refusal is for any other word.  The read words are then checked as the
-    premutation's element and QP would check them: first each word's
-    length, arrows and composability (`check_word`), then the hook words'
-    length, then that each read word is a cycle.  In a composable word an
-    arrow into k follows an arrow out of k; a word that is not, which
-    `AlgebraElement(..., check=False)` lets through, keeps an arrow at k
-    under its old name, names a missing hook or stays non-composable.
+    refusal is for any other word.  The read words are then checked: first
+    each word's length, arrows and composability (`check_word`), then the
+    hook words' length, then that each read word is a cycle.  In a
+    composable word an arrow into k follows an arrow out of k; a word that
+    is not, which a QP built from an unchecked element can hold, keeps an
+    arrow at k under its old name, names a missing hook or stays
+    non-composable.
     """
     q, order = qp.quiver, qp.order
     quiver = premutate_quiver(q, k)  # rejects an unknown vertex, 2-cycles at k, name collisions
     read = []
-    for p, c in qp.potential.terms.items():
-        w = p.arrows
+    for w, c in qp.words.items():
         n = len(w)
         i = next((i for i, a in enumerate(w) if q.arrow(a).head != k), n)
         if i == n or q.arrow(w[i - 1]).tail == k:
             raise QPError("term %r cannot be read at %r: every arrow points into it"
-                          " or a hook runs off its end" % (w, k), [p])
+                          " or a hook runs off its end" % (w, k))
         arrows = iter(w[i:] + w[:i])
         read.append((tuple(hook_name(a, next(arrows)) if q.arrow(a).tail == k else a
                            for a in arrows), c))
@@ -165,7 +176,7 @@ def _premutation(qp, k):
         raise AlgebraError("term of length 3 exceeds order %d" % order)
     for w, arrows in zip(words, word_arrows):
         if arrows[0].head != arrows[-1].tail:
-            raise QPError("potential has a non-cyclic term %r" % (w,), [Path(w)])
+            raise QPError("potential has a non-cyclic term %r" % (w,))
     for a, b in k_hooks:
         words[least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name)))] = _ONE
     return quiver, words
@@ -180,10 +191,7 @@ def premutate_qp(qp, k):
     rotation: the result is in cyclic normal form as built.  A word the
     premutation cannot read or that its quiver does not hold is refused.
     """
-    quiver, words = _premutation(qp, k)
-    potential = AlgebraElement(quiver, qp.order, {Path(w): c for w, c in words.items()},
-                               check=False)
-    return QP(quiver, potential, qp.order)
+    return QP._of_words(*_premutation(qp, k), qp.order)
 
 
 class SplitResult(Record):
@@ -247,7 +255,7 @@ def _diagonal_pairing(quiver, terms):
 
 
 def _split_words(quiver, terms, order):
-    """The split of a potential held as {word: coefficient} in cyclic normal form.
+    """The split of valid words, {word: coefficient} at their least rotations.
 
     First an arrow basis change makes the degree-2 part a sum of distinct
     2-cycles a b, one per trivial pair: each block of `_diagonal_pairing`
@@ -263,10 +271,10 @@ def _split_words(quiver, terms, order):
     truncation order.  Each substitution is applied by `substitute_words`
     and `merge_rotations`, so the terms stay in cyclic normal form.
 
-    Returns the reduced terms, the trivial terms (the pairs' 2-cycles), the
-    pairs and each step's images as {arrow: [(word, coefficient), ...]}:
-    the pairing's first, empty when no arrow moves, then one per
-    substitution a sweep applied.
+    Returns the reduced QP, the only QP built here, then the trivial terms
+    (the pairs' 2-cycles), the pairs and each step's images as
+    {arrow: [(word, coefficient), ...]}: the pairing's first, empty when no
+    arrow moves, then one per substitution a sweep applied.
     """
     blocks, pairs = _diagonal_pairing(quiver, terms.items())
     images = {}
@@ -328,7 +336,7 @@ def _split_words(quiver, terms, order):
             trivial[w] = c
     if any(len(w) == 2 for w in reduced):
         raise QPError("reduced part kept a degree-2 term")
-    return reduced, trivial, pairs, steps
+    return QP._of_words(_reduced_quiver(quiver, pairs), reduced, order), trivial, pairs, steps
 
 
 def _reduced_quiver(quiver, pairs):
@@ -337,48 +345,36 @@ def _reduced_quiver(quiver, pairs):
     return quiver._with_arrows(tuple(a for a in quiver.arrows if a.name not in trivial))
 
 
-def _element(quiver, order, terms):
-    """The checked element of (word, coefficient) pairs."""
-    return AlgebraElement(quiver, order, {Path(w): c for w, c in terms})
-
-
 def split_qp(qp):
     """Split a QP into its trivial and reduced parts with an explicit witness.
 
-    The potential is brought to cyclic normal form and split by
+    The words are brought to their least rotations and split by
     `_split_words`: the degree-2 pairing is normalised, then sweeps of
     unitriangular substitutions clear each trivial pair's cross terms.  The
-    images of each step are wrapped into a checked `Substitution`; the
-    witness, their composite, is composed on first access.
+    images of each step are wrapped into a `Substitution`, which checks
+    their endpoints; the witness, their composite, is composed on first
+    access.
     """
     quiver, order = qp.quiver, qp.order
-    s = cyclic_normal_form(qp.potential)
-    reduced, trivial, pairs, steps = _split_words(
-        quiver, {p.arrows: c for p, c in s.terms.items()}, order)
+    reduced, trivial, pairs, steps = _split_words(quiver, merge_rotations(qp.words.items()), order)
     steps = [Substitution(quiver, quiver, order, {
-        name: _element(quiver, order, img) for name, img in images.items()}) for images in steps]
+        name: AlgebraElement(quiver, order, {Path(w): c for w, c in img}, check=False)
+        for name, img in images.items()}) for images in steps]
     names = {name for pair in pairs for name in pair}
     triv_quiver = quiver._with_arrows(tuple(a for a in quiver.arrows if a.name in names))
-    red_quiver = _reduced_quiver(quiver, pairs)
-    return SplitResult(trivial=QP(triv_quiver, _element(triv_quiver, order, trivial.items()), order),
-                       reduced=QP(red_quiver, _element(red_quiver, order, reduced.items()), order),
+    return SplitResult(trivial=QP._of_words(triv_quiver, trivial, order), reduced=reduced,
                        steps=steps)
 
 
 def mutate_qp(qp, k):
     """QP-mutation: the reduced part of the premutation at k.
 
-    The premutation's words, checked and in cyclic normal form as
-    `_premutation` reads them, are split by `_split_words`, the core
-    `split_qp` runs, and only the reduced quiver and QP are built: no
-    premutated QP, no trivial part and no substitution.  The sweep images
-    are rests of the premutation's own cycles, so their endpoints hold by
-    construction.
+    The premutation's words, checked and at their least rotations as
+    `_premutation` reads them, go straight to the split core: no premutated
+    QP is built.  The sweep images are rests of the premutation's own
+    cycles, so their endpoints hold by construction.
     """
-    quiver, words = _premutation(qp, k)
-    reduced, _, pairs, _ = _split_words(quiver, words, qp.order)
-    red_quiver = _reduced_quiver(quiver, pairs)
-    return QP(red_quiver, _element(red_quiver, qp.order, reduced.items()), qp.order)
+    return _split_words(*_premutation(qp, k), qp.order)[0]
 
 
 def mutated_quiver(qp, k):
@@ -404,8 +400,6 @@ def restrict_qp(qp, keep):
     if unknown:
         raise QPError("unknown vertices %r" % sorted(unknown))
     kept_arrows = [a for a in qp.quiver.arrows if a.tail in keep and a.head in keep]
-    new_quiver = Quiver(qp.quiver.vertices, kept_arrows)
     names = {a.name for a in kept_arrows}
-    terms = {p: c for p, c in qp.potential.terms.items()
-             if set(p.arrows) <= names}
-    return QP(new_quiver, AlgebraElement(new_quiver, qp.order, terms), qp.order)
+    return QP._of_words(Quiver(qp.quiver.vertices, kept_arrows),
+                        {w: c for w, c in qp.words.items() if names.issuperset(w)}, qp.order)

@@ -4,10 +4,10 @@ import hashlib
 from array import array
 from collections import deque
 
-from .algebra import AlgebraElement, apply_substitution, cyclically_equivalent
+from .algebra import apply_substitution, cyclically_equivalent
 from .jacobian import _require_order, truncated_quotient_dim
 from .potential import qp_of_triangulation
-from .qp import QP, mutate_qp, mutated_quiver, premutate_qp, restrict_qp, split_qp
+from .qp import QP, _split_words, mutate_qp, mutated_quiver, premutate_qp, restrict_qp
 from .quiver import Arrow, Quiver, Record, is_two_acyclic, mutate_matrix, net_matrix
 from .surface import flip
 
@@ -62,12 +62,13 @@ def _compare(left, right, order, multiplicities=True):
 
 
 def relabel_vertices(qp, relabel):
-    """The same QP with vertices renamed; arrow names are kept as they are."""
+    """The same QP with vertices renamed and arrow names kept; `Quiver`
+    refuses a repeated vertex, so the words stay cycles."""
     quiver = Quiver(
         [relabel.get(v, v) for v in qp.quiver.vertices],
         [Arrow(a.name, relabel.get(a.tail, a.tail), relabel.get(a.head, a.head))
          for a in qp.quiver.arrows])
-    return QP(quiver, AlgebraElement(quiver, qp.order, dict(qp.potential.terms)), qp.order)
+    return QP._of_words(quiver, qp.words, qp.order)
 
 
 def check_flip_compatibility(tri, arc, order, witness=None):
@@ -81,8 +82,9 @@ def check_flip_compatibility(tri, arc, order, witness=None):
     """
     name = "flip-compat"
     digest = _digest(tri.to_text(), arc, str(order))
+    flipped = flip(tri, arc)  # refuses a name that is not a flippable arc
     left = mutate_qp(qp_of_triangulation(tri, order), arc)
-    right = relabel_vertices(qp_of_triangulation(flip(tri, arc), order), {arc + "'": arc})
+    right = relabel_vertices(qp_of_triangulation(flipped, order), {arc + "'": arc})
     subs = _compare(left, right, order)
     if witness is not None:
         image = apply_substitution(witness, left.potential)
@@ -103,9 +105,9 @@ def check_restriction_commutes(qp, keep, k, order):
     name = "restriction"
     digest = _digest(qp.to_text(), ",".join(sorted(keep)), k, str(order))
     pre1 = premutate_qp(restrict_qp(qp, keep), k)
-    route1 = split_qp(pre1).reduced
+    route1 = _split_words(pre1.quiver, pre1.words, pre1.order)[0]
     pre = premutate_qp(qp, k)
-    route2 = restrict_qp(split_qp(pre).reduced, keep)
+    route2 = restrict_qp(_split_words(pre.quiver, pre.words, pre.order)[0], keep)
     subs = _compare(route1, route2, order, multiplicities=False)
     pre2 = restrict_qp(pre, keep)
     if pre1 == pre2:

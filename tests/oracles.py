@@ -3,7 +3,7 @@
 Everything here recomputes from first principles: raw enumeration of arrow
 words, the rotation formula for derivatives, dense rational elimination,
 rigidity over the whole truncated path space with every rotation difference,
-brute-force expansion of substitutions, the least entry table over every
+the Cartan matrix by endpoint blocks of the same ranks, brute-force expansion of substitutions, the least entry table over every
 vertex order, and the path count of a gentle algebra.
 None of it shares code with the library's sparse machinery.
 """
@@ -107,6 +107,49 @@ def oracle_dims(qp, max_order):
             npaths += len(paths[ln])
         dims.append(npaths - oracle_rank(rows, columns))
     return dims
+
+
+def oracle_cartan(qp, order):
+    """C[t][h] of the quotient by the derivative ideal, cut at `order`, as rows.
+
+    Every row u * d_a W * s, cut at `order`, has all its words from one
+    vertex t to one vertex h, since the terms of d_a W all run from h(a) to
+    t(a).  So the ideal is the sum of its (t, h) blocks, and C[t][h] is the
+    number of paths from t to h of length 1..order less the rank of that
+    block's rows, plus one for e_t when t = h.  A word starts at the tail of
+    its last arrow and ends at the head of its first.
+    """
+    quiver = qp.quiver
+    terms = [(p.arrows, c) for p, c in qp.potential.terms.items()]
+    words = [w for d in range(1, order + 1) for w in oracle_paths(quiver, d)]
+
+    def ends(w):
+        return quiver.arrow(w[-1]).tail, quiver.arrow(w[0]).head
+
+    valid = set(words)
+    paths, rows = {}, {}
+    for w in words:
+        paths.setdefault(ends(w), []).append(w)
+    for a in quiver.arrows:
+        gen = oracle_derivative(quiver, terms, a.name)
+        if not gen:
+            continue
+        room = order - min(len(t) for t in gen)
+        for u in [()] + [w for w in words if len(w) <= room]:
+            for s in [()] + [w for w in words if len(u) + len(w) <= room]:
+                row = {}
+                for t, c in gen.items():
+                    full = u + t + s
+                    if full in valid:
+                        row[full] = row.get(full, Fraction(0)) + c
+                row = {w: c for w, c in row.items() if c}
+                if row:
+                    (block,) = {ends(w) for w in row}
+                    rows.setdefault(block, []).append(row)
+    vs = quiver.vertices
+    return [[(t == h) + len(paths.get((t, h), []))
+             - oracle_rank(rows.get((t, h), []), paths.get((t, h), [])) for h in vs]
+            for t in vs]
 
 
 def oracle_gentle_dims(arrows, triangles, order):

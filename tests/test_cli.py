@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from test_jacobian import load_qp, rotated_qp
 
 from qpsurf import cli
 from qpsurf.examples_data import CORPUS, example_text
@@ -655,3 +656,54 @@ def flip_transcript(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_flip_analysis_text_is_pinned(tmp_path, capsys, name):
     assert flip_transcript(tmp_path, capsys, name) == FLIP_TRANSCRIPT[name]
+
+
+def rotated_transcript(capsys, monkeypatch, name):
+    """Exit code, stdout and stderr of the QP commands on the corpus QP at
+    order 6 with every term rotated by one arrow."""
+    text = rotated_qp(load_qp(name)).to_text()
+    vertices = QP.from_text(text).quiver.vertices
+    argvs = [["dim", "-"], ["rigid", "-"], ["explore", "-", "--depth", "1"]]
+    for i, k in enumerate(vertices):
+        keep = ",".join(v for v in vertices if v != vertices[(i + 1) % len(vertices)])
+        argvs += [["mutate", "-", k], ["check", "involution", "-", k],
+                  ["check", "restriction", "-", k, "--keep", keep]]
+    h = hashlib.sha256(text.encode())
+    for argv in argvs:
+        code, out = run(argv, text, monkeypatch)
+        h.update(("%s\0%d\0%s\0%s\0" % (" ".join(argv), code, out,
+                                         capsys.readouterr().err)).encode())
+    return h.hexdigest()
+
+
+# sha256 of `rotated_transcript`, recorded before a QP came to hold its
+# words: a QP keeps each term in the rotation it was given, so a rotated
+# input prints rotated terms and digests of its own
+ROTATED_TRANSCRIPT = {
+    "torus": "ff62a0a86039629e56351d95956bd9178b8f61a4716a51fd1d17c0e4d4b16e80",
+    "pentagon": "0b3bd7ddce915e6955e3dc038441824ffca2c236f7a07919fdfceaf81b9722c9",
+    "hexagon-fan": "189bcc75c1b94146c3509c88d51a1c8a3bd258976166a13a8a89745ac1f5719f",
+    "hexagon-central": "0b22066d934690c5f83e105c3ddb14f1a1968f90db3ff424d65f4df3d37e19b6",
+    "annulus": "8d814028a6a5b230e531c03b44fb5c143e28e1dac1d3964f1b199ca19a9b6d5e",
+    "punctured-square-4": "f9999f4d020fa9979e2930c41534644c491e7a772118e0c1f01ebfdb17739c79",
+    "punctured-square-3": "7b27f7d9ab2fbb5b0065b42e0c3c602e4e772a8397a5d28c5d4826c2335e393c",
+    "punctured-square-2": "924918e934ca7e70d26954e88b252ab27af03c05e4eb5fbbcb9ac8a24bd8d822",
+    "punctured-square-sf": "038b4cf37431a7cb22379b67282555d0d56b262516bf52eca7c9cbad3acca688",
+}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_rotated_input_text_is_pinned(capsys, monkeypatch, name):
+    assert rotated_transcript(capsys, monkeypatch, name) == ROTATED_TRANSCRIPT[name]
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_check_flip_compat_names_a_bad_arc_as_flip_does(tmp_path, capsys, name):
+    # an unknown name, a boundary segment and a puncture are refused by
+    # `flip`, which the check runs before it mutates
+    tri = write_example(tmp_path, name)
+    parsed = Triangulation.from_text(example_text(name))
+    for arc in ("zz", *parsed.bsegs[:1], *parsed.surface.punctures[:1]):
+        flipped = run(["flip", tri, arc]), capsys.readouterr().err
+        checked = run(["check", "flip-compat", tri, arc]), capsys.readouterr().err
+        assert flipped == checked == ((2, ""), "error: unknown arc %r\n" % arc), arc

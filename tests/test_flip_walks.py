@@ -59,18 +59,47 @@ def analysis_record(tri):
                  [sorted(m.items()) for m in maps], a.unreduced.to_text()))
 
 
+def seeded_walk(name):
+    """Each step of the seeded walk from a corpus file: the triangulation,
+    the arc drawn there, and the refusal of its flip (a folded side) or None."""
+    rng = random.Random("walk:" + name)
+    tri = load(name)
+    for _ in range(10):
+        arc = rng.choice(tri.arcs)
+        try:
+            flipped, refusal = flip(tri, arc), None
+        except SurfaceError as exc:
+            flipped, refusal = tri, exc
+        yield tri, arc, refusal
+        tri = flipped
+
+
 def test_seeded_flip_walks_pinned():
     # every step of a seeded walk from each corpus file: its text, its
     # analysis and the refusal of each flip that raises (a folded side)
     h = hashlib.sha256()
     for name in CORPUS:
-        rng = random.Random("walk:" + name)
-        tri = load(name)
-        for _ in range(10):
+        for tri, arc, refusal in seeded_walk(name):
             h.update(analysis_record(tri).encode())
-            arc = rng.choice(tri.arcs)
-            try:
-                tri = flip(tri, arc)
-            except SurfaceError as exc:
-                h.update(("%s: %s" % (arc, exc)).encode())
+            if refusal is not None:
+                h.update(("%s: %s" % (arc, refusal)).encode())
     assert h.hexdigest() == "a2d1048aedaf6a70b8557a42778fc3a3b95ac64d8e570c1ba4bc8a9233398bf9"
+
+
+def test_seeded_flip_walk_qps_and_mutations_pinned():
+    # recorded before a QP came to hold its words: at every step of the
+    # walks above, the QP text at order 6 and, at each vertex, the text of
+    # its mutation or the refusal
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in CORPUS:
+            for tri, _, _ in seeded_walk(name):
+                qp = qp_of_triangulation(tri, 6)
+                h.update(qp.to_text().encode())
+                for k in qp.quiver.vertices:
+                    try:
+                        h.update(("%s\0%s" % (k, mutate_qp(qp, k).to_text())).encode())
+                    except ValueError as exc:
+                        h.update(("%s\0%s: %s" % (k, type(exc).__name__, exc)).encode())
+    assert h.hexdigest() == "a1b8c171f5581546b96b950435e6a609af903eed02e0def97b6bcf3c3fb49c11"

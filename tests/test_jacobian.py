@@ -5,7 +5,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
-from oracles import oracle_derivative, oracle_dims, oracle_is_rigid, oracle_paths
+from oracles import (
+    oracle_cartan,
+    oracle_derivative,
+    oracle_dims,
+    oracle_is_rigid,
+    oracle_paths,
+)
 from test_qp import random_premutation_qp
 
 from qpsurf.algebra import (
@@ -529,6 +535,26 @@ def test_cartan_matrix_symmetric_on_closed_surfaces():
     assert c.rows != tuple(zip(*c.rows))
     # arrows 2 -> 1 and 3 -> 2 and no potential: C[t][h] counts the paths from t to h
     assert cartan_matrix(load_qp("hexagon-fan", 4), 4).rows == ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+
+
+def test_cartan_matrix_matches_oracle():
+    # the corpus QPs and their one-step mutations at orders 3 and 4, and
+    # seeded premutation QPs at order 3, whose entries also sum to the
+    # oracle's dimension
+    cases = 0
+    for name in CORPUS:
+        qp = load_qp(name)
+        for q in [qp] + [mutate_qp(qp, k) for k in qp.quiver.vertices]:
+            for order in (3, 4):
+                got = [list(row) for row in cartan_matrix(q, order).rows]
+                assert got == oracle_cartan(q, order), (name, order)
+                cases += 1
+    assert cases == 76
+    for seed in range(10):
+        q = random_premutation_qp(seed)
+        want = oracle_cartan(q, 3)
+        assert [list(row) for row in cartan_matrix(q, 3).rows] == want, seed
+        assert sum(map(sum, want)) == oracle_dims(q, 3)[-1], seed
 
 
 def test_restriction_preserves_rigidity_on_corpus():

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 import re
-import types
 import warnings
 from fractions import Fraction
 
@@ -145,11 +144,11 @@ def test_premutation_refuses_a_non_composable_word_through_k(names, error):
 
 @pytest.mark.parametrize("names", [("c",), ("a", "b")], ids=["all-into-k", "ends-in-hook"])
 def test_premutation_refuses_a_word_it_cannot_read(names):
-    # no QP holds such a word, since it does not close up in a loop-free
-    # quiver; the refusal stands in for the hook reading running off its end
+    # no valid QP holds such a word, since it does not close up in a
+    # loop-free quiver; the refusal stands in for the hook reading running
+    # off its end
     q = cycle_quiver()
-    qp = types.SimpleNamespace(quiver=q, order=6, potential=AlgebraElement(
-        q, 6, {arrow_path(*names): 1}, check=False))
+    qp = QP._of_words(q, {names: Fraction(1)}, 6)
     for call in (premutate_qp, mutate_qp, mutated_quiver):
         with pytest.raises(QPError, match="^term %s cannot be read at '2': every arrow points"
                            " into it or a hook runs off its end$" % re.escape(repr(names))):
@@ -179,8 +178,7 @@ PREMUTATION_REFUSALS = [
     "non-cyclic-and-non-composable"])
 def test_premutation_refusals_are_those_of_the_checked_premutation(order, words, error, message):
     q = cycle_quiver()
-    qp = types.SimpleNamespace(quiver=q, order=order, potential=AlgebraElement(
-        q, order, {arrow_path(*w): 1 for w in words}, check=False))
+    qp = QP._of_words(q, {w: Fraction(1) for w in words}, order)
     for call in (premutate_qp, mutate_qp, mutated_quiver):
         with pytest.raises(ValueError) as info:
             call(qp, "2")
@@ -206,8 +204,7 @@ def test_premutation_drops_a_zero_sum_before_checking_it():
     q = cycle_quiver()
     hooks_only = premutate_qp(QP(q, AlgebraElement.zero(q, 6)), "2")
     for w in (("a", "a", "c"), ("a", "b", "c")):
-        qp = types.SimpleNamespace(quiver=q, order=6, potential=AlgebraElement(
-            q, 6, {arrow_path(*w): 1, arrow_path(*w[1:], w[0]): -1}, check=False))
+        qp = QP._of_words(q, {w: Fraction(1), w[1:] + w[:1]: Fraction(-1)}, 6)
         assert premutate_qp(qp, "2").to_text() == hooks_only.to_text()
         assert mutate_qp(qp, "2").to_text() == hooks_only.to_text()
         assert mutated_quiver(qp, "2") == hooks_only.quiver

@@ -3,7 +3,8 @@ import hashlib
 import itertools
 import random
 import time
-import types
+import warnings
+from fractions import Fraction
 
 import pytest
 from oracles import oracle_canonical_form
@@ -11,9 +12,9 @@ from oracles import oracle_canonical_form
 from qpsurf import verify
 from qpsurf.algebra import AlgebraElement, AlgebraError, Path, arrow_path, least_rotation
 from qpsurf.examples_data import CORPUS, example_text
-from qpsurf.jacobian import truncated_quotient_dim
+from qpsurf.jacobian import cartan_matrix, is_rigid_up_to, truncated_quotient_dim
 from qpsurf.potential import qp_of_triangulation
-from qpsurf.qp import QP, mutate_qp, mutated_quiver, premutate_qp
+from qpsurf.qp import QP, mutate_qp, mutated_quiver, premutate_qp, restrict_qp
 from qpsurf.quiver import (
     Arrow,
     IntegerMatrix,
@@ -647,8 +648,7 @@ def test_mutated_quiver_refuses_exactly_where_mutate_qp_does():
         qp = QP(q, AlgebraElement(q, 6, {arrow_path(*names): 1}, check=False))
         assert not isinstance(agree(qp, "2"), Quiver)
     for names in (("c",), ("a", "b")):
-        qp = types.SimpleNamespace(quiver=q, order=6, potential=AlgebraElement(
-            q, 6, {arrow_path(*names): 1}, check=False))
+        qp = QP._of_words(q, {names: Fraction(1)}, 6)
         assert "cannot be read at '2'" in agree(qp, "2")[1]
     # below order 3 the hook terms do not fit
     fan = load_qp("hexagon-fan", 2)
@@ -771,3 +771,40 @@ def test_reports_are_deterministic():
     b = check_flip_compatibility(load("torus"), "1", 6)
     assert a.to_text() == b.to_text()
     assert a.inputs_digest == b.inputs_digest
+
+
+def test_library_work_on_a_qp_builds_no_path_or_element(monkeypatch):
+    # a QP holds its potential's words: building, premutating, mutating,
+    # restricting and relabelling one, reading its Jacobian and exploring
+    # its class build no `Path` and no `AlgebraElement`; only the
+    # `potential` view and the public algebra API do
+    built = []
+
+    def counting(init):
+        @functools.wraps(init)
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return wrapper
+
+    tris = {name: load(name) for name in CORPUS}
+    for cls in (Path, AlgebraElement):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, tri in tris.items():
+            qp = qp_of_triangulation(tri, 6)
+            vs = qp.quiver.vertices
+            for k in vs:
+                premutate_qp(qp, k)
+                mutate_qp(qp, k)
+                mutated_quiver(qp, k)
+            restrict_qp(qp, vs[:-1])
+            verify.relabel_vertices(qp, {vs[0]: "renamed"})
+            truncated_quotient_dim(qp, 6)
+            cartan_matrix(qp, 6)
+            if name != "torus":  # whose non-rigid witness is a `Path`
+                assert is_rigid_up_to(qp, 6).rigid
+            explore_mutation_class(qp, 2, 6)
+    assert built == []
+    assert qp.potential.terms and set(built) == {"Path", "AlgebraElement"}
