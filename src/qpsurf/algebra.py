@@ -120,11 +120,11 @@ def term_sort_key(p):
 class AlgebraElement:
     """Finite sum of rational coefficients times paths, truncated at order D.
 
-    Treated as immutable: operations return fresh elements and never mutate
-    their inputs.
+    Each term is checked when built.  Treated as immutable: operations
+    return fresh elements and never mutate their inputs.
     """
 
-    def __init__(self, quiver, order, terms=None, check=True):
+    def __init__(self, quiver, order, terms=None):
         if order < 1:
             raise AlgebraError("truncation order must be >= 1")
         self.quiver = quiver
@@ -135,11 +135,10 @@ class AlgebraElement:
                 c = Fraction(c)
             if c == 0:
                 continue
-            if check:
-                if p.arrows:
-                    check_word(quiver, self.order, p.arrows)
-                elif p.vertex not in quiver.vertices:
-                    raise AlgebraError("unknown vertex %r" % p.vertex)
+            if p.arrows:
+                check_word(quiver, self.order, p.arrows)
+            elif p.vertex not in quiver.vertices:
+                raise AlgebraError("unknown vertex %r" % p.vertex)
             clean[p] = c
         self.terms = clean
 
@@ -171,7 +170,7 @@ class AlgebraElement:
 
     def degree_part(self, d):
         return AlgebraElement(self.quiver, self.order,
-                              {p: c for p, c in self.terms.items() if len(p) == d}, check=False)
+                              {p: c for p, c in self.terms.items() if len(p) == d})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda pc: term_sort_key(pc[0]))
@@ -187,7 +186,7 @@ class AlgebraElement:
         terms = dict(self.terms)
         for p, c in other.terms.items():
             terms[p] = terms.get(p, Fraction(0)) + c
-        return AlgebraElement(self.quiver, self.order, terms, check=False)
+        return AlgebraElement(self.quiver, self.order, terms)
 
     def __sub__(self, other):
         return self + (-other)
@@ -197,8 +196,7 @@ class AlgebraElement:
 
     def scale(self, c):
         c = Fraction(c)
-        return AlgebraElement(self.quiver, self.order,
-                              {p: c * v for p, v in self.terms.items()}, check=False)
+        return AlgebraElement(self.quiver, self.order, {p: c * v for p, v in self.terms.items()})
 
     def __rmul__(self, c):
         if isinstance(c, (int, Fraction)):
@@ -226,7 +224,7 @@ class AlgebraElement:
                 else:
                     prod = Path(p1.arrows + p2.arrows)
                 out[prod] = out.get(prod, Fraction(0)) + c1 * c2
-        return AlgebraElement(self.quiver, self.order, out, check=False)
+        return AlgebraElement(self.quiver, self.order, out)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -263,7 +261,7 @@ class AlgebraElement:
                 raise AlgebraError("bad term line %d: %r (%s: %s)"
                                    % (lineno, raw, type(exc).__name__, exc)) from exc
             terms[p] = terms.get(p, Fraction(0)) + coeff
-        return AlgebraElement(quiver, order, terms, check=False)
+        return AlgebraElement(quiver, order, terms)
 
 
 def terms_text(terms):
@@ -280,8 +278,7 @@ def truncate(x, order):
     """The same element at a lower truncation order; longer terms drop."""
     if order > x.order:
         raise AlgebraError("cannot deepen an element from order %d to %d" % (x.order, order))
-    return AlgebraElement(x.quiver, order,
-                          {p: c for p, c in x.terms.items() if len(p) <= order}, check=False)
+    return AlgebraElement(x.quiver, order, {p: c for p, c in x.terms.items() if len(p) <= order})
 
 
 # -- potentials ------------------------------------------------------------
@@ -316,7 +313,7 @@ def cyclic_normal_form(x):
     if not is_cyclic_element(x):
         raise AlgebraError("element has a non-cyclic or degree-0 term")
     terms = merge_rotations((p.arrows, c) for p, c in x.terms.items())
-    return AlgebraElement(x.quiver, x.order, {Path(r): c for r, c in terms.items()}, check=False)
+    return AlgebraElement(x.quiver, x.order, {Path(r): c for r, c in terms.items()})
 
 
 def cyclically_equivalent(x, y):
@@ -351,7 +348,7 @@ def cyclic_derivative(x, arrow_name):
     if not is_cyclic_element(x):
         raise AlgebraError("cyclic derivative needs a cyclic element")
     d = word_derivatives((p.arrows, c) for p, c in x.terms.items()).get(arrow_name, {})
-    return AlgebraElement(x.quiver, x.order, {Path(r): c for r, c in d.items()}, check=False)
+    return AlgebraElement(x.quiver, x.order, {Path(r): c for r, c in d.items()})
 
 
 # -- substitutions ---------------------------------------------------------
@@ -470,7 +467,7 @@ def apply_substitution(f, x):
     for w, a in out.items():
         if a:
             terms[Path(w)] = a
-    return AlgebraElement(f.target, f.order, terms, check=False)
+    return AlgebraElement(f.target, f.order, terms)
 
 
 def compose_substitutions(f, g):

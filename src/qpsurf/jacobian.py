@@ -28,7 +28,7 @@ def jacobian_generators(qp):
     """One cyclic derivative per arrow, in arrow order."""
     ders = word_derivatives(qp.words.items())
     return [AlgebraElement(qp.quiver, qp.order,
-                           {Path(r): c for r, c in ders.get(a.name, {}).items()}, check=False)
+                           {Path(r): c for r, c in ders.get(a.name, {}).items()})
             for a in qp.quiver.arrows]
 
 
@@ -240,12 +240,14 @@ def cartan_matrix(qp, order):
 
 
 class RigidityReport(Record):
-    __slots__ = _fields = ("max_order", "rigid", "witness")
+    __slots__ = _fields = ("max_order", "rigid", "witness", "certified_order", "dim_def")
 
-    def __init__(self, max_order, rigid, witness):
+    def __init__(self, max_order, rigid, witness, certified_order=None, dim_def=None):
         self.max_order = max_order
         self.rigid = rigid
         self.witness = witness
+        self.certified_order = certified_order
+        self.dim_def = dim_def
 
     def to_text(self):
         if self.rigid:
@@ -276,8 +278,18 @@ def is_rigid_up_to(qp, order):
 
     A failing cycle is a sound non-rigidity certificate: membership at every
     finite order is necessary for rigidity.
+
+    The report also carries `_groebner`'s certificate order c, or None, and
+    past it dim Def = #normal cycles - rank of the rows; `to_text` prints
+    neither.  Then m^c lies in I + m^(order+1), so by iterating in the
+    closure of the Jacobian ideal: A/I is the whole Jacobian algebra, and
+    dim Def is that of the deformation space (Derksen, Weyman and
+    Zelevinsky, arXiv:0704.0649, section 6, cited from memory), 0 exactly
+    when the QP is rigid.  This reads the potential as exact through
+    `order`, as it is for a QP built from a triangulation at an order at
+    least its largest puncture valence, the only QPs the read speaks for.
     """
-    lead, lens, levels, _, into = _groebner(qp, order)
+    lead, lens, levels, certified, into = _groebner(qp, order)
     around = defaultdict(list)  # normal words of length < order by (tail, head)
     for level in levels[1:order]:
         for b, t, h in level:
@@ -294,14 +306,15 @@ def is_rigid_up_to(qp, order):
             for w, e in nf(b + (a.name,)).items():
                 row[w] = row.get(w, 0) - e
             elim.add_row(row)
+    dim_def = None if certified is None else cycles - elim.rank
     if elim.rank == cycles:
-        return RigidityReport(max_order=order, rigid=True, witness=None)
+        return RigidityReport(order, True, None, certified, dim_def)
 
     paths = [((a.name,), a.tail, a.head) for a in qp.quiver.arrows]
     for _ in range(order):  # a least rotation starts with its least arrow
         for c, t, h in paths:
             if t == h and c == least_rotation(c) and not elim.contains(nf(c)):
-                return RigidityReport(max_order=order, rigid=False, witness=Path(c))
+                return RigidityReport(order, False, Path(c), certified, dim_def)
         paths = [(w + (x.name,), x.tail, h) for w, t, h in paths for x in into[t]
                  if x.name >= w[0]]
 

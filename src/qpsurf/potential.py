@@ -86,6 +86,8 @@ def _walk_step_arrow(analysis, corners, u_arc, v_arc):
 
 def potential_assembly(tri, order=6):
     """Per-origin summands of the potential of a triangulation."""
+    if order < 1:
+        raise SurfaceError("truncation order must be >= 1")
     a = tri.analysis()
     surf = tri.surface
     asm = PotentialAssembly(quiver=a.unreduced, order=order)

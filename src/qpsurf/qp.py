@@ -8,7 +8,6 @@ from .algebra import (
     AlgebraError,
     Path,
     Substitution,
-    check_word,
     compose_substitutions,
     least_rotation,
     merge_rotations,
@@ -34,10 +33,11 @@ class QP:
     """A quiver together with a potential at a fixed truncation order.
 
     The potential is `words`, {arrow tuple: coefficient}, each term at the
-    rotation it was given.  The constructor refuses a non-cyclic term or two
-    distinct rotations of one cycle, so no consumer checks again; a QP built
-    from a valid QP's words comes from `_of_words` unchecked.  The QPs of
-    `premutate_qp`, `split_qp` and `mutate_qp` hold least rotations.
+    rotation it was given.  Its element has checked each word, and the
+    constructor refuses a non-cyclic term or two distinct rotations of one
+    cycle, so every word is a composable cycle and no consumer checks again;
+    a QP built from a valid QP's words comes from `_of_words` unchecked.
+    The QPs of `premutate_qp`, `split_qp` and `mutate_qp` hold least rotations.
     """
 
     def __init__(self, quiver, potential, order=None):
@@ -72,8 +72,7 @@ class QP:
     @property
     def potential(self):
         """The words as a `Path`-keyed element, built on each access."""
-        return AlgebraElement(self.quiver, self.order,
-                              {Path(w): c for w, c in self.words.items()}, check=False)
+        return AlgebraElement(self.quiver, self.order, {Path(w): c for w, c in self.words.items()})
 
     def __eq__(self, other):
         if not isinstance(other, QP):
@@ -140,43 +139,31 @@ def _premutation(qp, k):
     A term is read from its first arrow that does not point into k, so no
     hook is cut: an arrow out of k takes the next arrow, into k, as its hook
     and becomes the composite arrow [a.b].  A term of length L that passes
-    through k v times reads as a word of length L - v.  The words are
-    summed at their least rotations, and a zero sum is dropped; then the
-    word b* a* [a.b] of each k-hook ab is added at its least rotation.  No
-    read word holds the starred name of an arrow at k, since
-    `premutate_quiver` refuses an old arrow of that name, so no hook word
-    meets a read one.
+    through k v times reads as a word of length L - v.  The words are put at
+    their least rotations; then the word b* a* [a.b] of each k-hook ab is
+    added at its least rotation.  No read word holds the starred name of an
+    arrow at k, since `premutate_quiver` refuses an old arrow of that name,
+    so no hook word meets a read one.
 
-    A QP's term closes up in a loop-free quiver, so not every arrow points
-    into k, and the word read from there does not end inside a hook; the
-    refusal is for any other word.  The read words are then checked: first
-    each word's length, arrows and composability (`check_word`), then the
-    hook words' length, then that each read word is a cycle.  In a
-    composable word an arrow into k follows an arrow out of k; a word that
-    is not, which a QP built from an unchecked element can hold, keeps an
-    arrow at k under its old name, names a missing hook or stays
-    non-composable.
+    The read words need no check.  A QP's term is a composable cycle of a
+    loop-free quiver, so some arrow does not point into k, and every visit
+    to k is a hook: the arrow before one into k leaves k, and the one after
+    it does not enter k.  So each read word keeps no arrow at k, names only
+    arrows of the premutated quiver, composes and closes up as its term
+    did, and is no longer than it.
     """
     q, order = qp.quiver, qp.order
     quiver = premutate_quiver(q, k)  # rejects an unknown vertex, 2-cycles at k, name collisions
     read = []
     for w, c in qp.words.items():
-        n = len(w)
-        i = next((i for i, a in enumerate(w) if q.arrow(a).head != k), n)
-        if i == n or q.arrow(w[i - 1]).tail == k:
-            raise QPError("term %r cannot be read at %r: every arrow points into it"
-                          " or a hook runs off its end" % (w, k))
+        i = next(i for i, a in enumerate(w) if q.arrow(a).head != k)
         arrows = iter(w[i:] + w[:i])
         read.append((tuple(hook_name(a, next(arrows)) if q.arrow(a).tail == k else a
                            for a in arrows), c))
     words = merge_rotations(read)
-    word_arrows = [check_word(quiver, order, w) for w in words]
     k_hooks = hooks(q, k)
     if k_hooks and order < 3:
         raise AlgebraError("term of length 3 exceeds order %d" % order)
-    for w, arrows in zip(words, word_arrows):
-        if arrows[0].head != arrows[-1].tail:
-            raise QPError("potential has a non-cyclic term %r" % (w,))
     for a, b in k_hooks:
         words[least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name)))] = _ONE
     return quiver, words
@@ -188,8 +175,7 @@ def premutate_qp(qp, k):
     Every k-hook ab inside a potential term is replaced by the composite
     arrow [a.b], as `_premutation` reads it, and the sum of b* a* [a.b] over
     all k-hooks of the quiver is added.  Every term is written at its least
-    rotation: the result is in cyclic normal form as built.  A word the
-    premutation cannot read or that its quiver does not hold is refused.
+    rotation: the result is in cyclic normal form as built.
     """
     return QP._of_words(*_premutation(qp, k), qp.order)
 
@@ -247,8 +233,7 @@ def _diagonal_pairing(quiver, terms):
             p_ops, q_ops, r = None, None, len(xs)
         else:
             p_ops, q_ops, r = linalg.diagonalize_pairing(m)
-        if r == 0:
-            raise QPError("degenerate degree-2 pairing on arrows it names")
+        # each word of the block is nonzero at its least rotation, so m != 0 and r >= 1
         diagonal.append((xs, ys, p_ops, q_ops))
         pairs.extend((xs[t], ys[t]) for t in range(r))
     return diagonal, pairs
@@ -358,7 +343,7 @@ def split_qp(qp):
     quiver, order = qp.quiver, qp.order
     reduced, trivial, pairs, steps = _split_words(quiver, merge_rotations(qp.words.items()), order)
     steps = [Substitution(quiver, quiver, order, {
-        name: AlgebraElement(quiver, order, {Path(w): c for w, c in img}, check=False)
+        name: AlgebraElement(quiver, order, {Path(w): c for w, c in img})
         for name, img in images.items()}) for images in steps]
     names = {name for pair in pairs for name in pair}
     triv_quiver = quiver._with_arrows(tuple(a for a in quiver.arrows if a.name in names))
@@ -369,10 +354,10 @@ def split_qp(qp):
 def mutate_qp(qp, k):
     """QP-mutation: the reduced part of the premutation at k.
 
-    The premutation's words, checked and at their least rotations as
-    `_premutation` reads them, go straight to the split core: no premutated
-    QP is built.  The sweep images are rests of the premutation's own
-    cycles, so their endpoints hold by construction.
+    The premutation's words, at their least rotations as `_premutation`
+    reads them, go straight to the split core: no premutated QP is built.
+    The sweep images are rests of the premutation's own cycles, so their
+    endpoints hold by construction.
     """
     return _split_words(*_premutation(qp, k), qp.order)[0]
 
@@ -383,8 +368,8 @@ def mutated_quiver(qp, k):
     The split drops the arrows of the trivial pairs, which the premutation's
     degree-2 part decides alone: the sweeps change the potential, never
     which arrows are trivial.  That part is the premutation's words of
-    length 2, which `_premutation` reads and checks as for `mutate_qp`, so
-    the two refuse alike; its hook words have length 3 and are not read.
+    length 2, which `_premutation` reads as for `mutate_qp`, so the two
+    refuse alike; its hook words have length 3 and are not read.
     """
     quiver, words = _premutation(qp, k)
     return _reduced_quiver(quiver, _diagonal_pairing(quiver, words.items())[1])

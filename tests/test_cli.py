@@ -363,6 +363,17 @@ def test_out_of_range_arguments_exit_two_without_traceback(tmp_path, capsys, arg
     assert_input_error(capsys, [argv[0], str(path)] + argv[1:], message)
 
 
+@pytest.mark.parametrize("name", ["pentagon", "hexagon-fan", "annulus"])
+def test_qp_and_potential_refuse_an_order_below_one(tmp_path, capsys, name):
+    # `qp --order 0` on a surface without cycles used to print `truncation: 0`,
+    # a QP text that `dim` and `mutate` then refused
+    path = write_example(tmp_path, name)
+    for command in (["qp"], ["potential"], ["potential", "--unreduced"]):
+        for order in ("0", "-1"):
+            assert_input_error(capsys, command + [path, "--order", order],
+                               "error: truncation order must be >= 1\n")
+
+
 @pytest.mark.parametrize("command, args", [
     (["mutate"], ["2"]),
     (["dim"], []),

@@ -6,6 +6,7 @@ import warnings
 
 from qpsurf.algebra import cyclic_normal_form, truncate
 from qpsurf.examples_data import CORPUS, example_text
+from qpsurf.jacobian import cartan_matrix, is_rigid_up_to
 from qpsurf.potential import qp_of_triangulation
 from qpsurf.qp import mutate_qp
 from qpsurf.surface import SurfaceError, Triangulation, flip, validate_triangulation
@@ -59,11 +60,12 @@ def analysis_record(tri):
                  [sorted(m.items()) for m in maps], a.unreduced.to_text()))
 
 
-def seeded_walk(name):
-    """Each step of the seeded walk from a corpus file: the triangulation,
-    the arc drawn there, and the refusal of its flip (a folded side) or None."""
+def seeded_walk(name, text=None):
+    """Each step of the seeded walk from a corpus file, or from `text` under
+    that name: the triangulation, the arc drawn there, and the refusal of
+    its flip (a folded side) or None."""
     rng = random.Random("walk:" + name)
-    tri = load(name)
+    tri = load(name) if text is None else Triangulation.from_text(text)
     for _ in range(10):
         arc = rng.choice(tri.arcs)
         try:
@@ -103,3 +105,40 @@ def test_seeded_flip_walk_qps_and_mutations_pinned():
                     except ValueError as exc:
                         h.update(("%s\0%s: %s" % (k, type(exc).__name__, exc)).encode())
     assert h.hexdigest() == "a1b8c171f5581546b96b950435e6a609af903eed02e0def97b6bcf3c3fb49c11"
+
+
+def test_seeded_walks_certify_with_the_dim_def_of_their_surface():
+    # every distinct triangulation of the seeded walks, from each corpus file
+    # and from the twice-punctured torus, built at order 12 (past every
+    # puncture valence on the walks) certifies.  dim Def is 0 with boundary,
+    # the paper's rigidity, and 1 on a closed surface, where C is symmetric:
+    # Jacobian algebras of closed surfaces are symmetric (Ladkani,
+    # arXiv:1207.3778, cited from memory), while dim Def = 1 is a
+    # regularity measured here, not a cited theorem.  Mutation keeps dim Def
+    # (DWZ, arXiv:0704.0649): the mutation at each step's drawn arc, built
+    # at 16 and read at 13, where the premutation's shorter cycles are still
+    # exact, reads the same.
+    from test_verify import TORUS_TWO_PUNCTURES
+
+    walks = [(name, None) for name in CORPUS] + [("torus-two-punctures", TORUS_TWO_PUNCTURES)]
+    seen = set()
+    mutations = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, text in walks:
+            for tri, arc, refusal in seeded_walk(name, text):
+                closed = tri.surface.boundary == 0
+                if tri.to_text() not in seen:
+                    seen.add(tri.to_text())
+                    qp = qp_of_triangulation(tri, 12)
+                    rep = is_rigid_up_to(qp, 12)
+                    assert rep.certified_order is not None, tri.to_text()
+                    assert rep.dim_def == closed, tri.to_text()
+                    if closed:
+                        c = cartan_matrix(qp, 12)
+                        assert c.rows == tuple(zip(*c.rows)), tri.to_text()
+                if refusal is None:
+                    mutated = mutate_qp(qp_of_triangulation(tri, 16), arc)
+                    assert is_rigid_up_to(mutated, 13).dim_def == closed, (tri.to_text(), arc)
+                    mutations += 1
+    assert (len(seen), mutations) == (94, 93)

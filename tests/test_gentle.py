@@ -81,4 +81,5 @@ def test_rank_57_disc_certifies_at_its_gentle_dimension():
     assert rep.dims == gentle_dims(qp, 26)
     assert rep.dimension == 441
     assert not truncated_quotient_dim(qp, 25).certified
-    assert is_rigid_up_to(qp, 26).rigid
+    rig = is_rigid_up_to(qp, 26)
+    assert (rig.rigid, rig.certified_order, rig.dim_def) == (True, 25, 0)

@@ -1,4 +1,5 @@
 """Every name a module of the package imports is used in that module, every
+module it imports outside the package is in the standard library, every
 private function, class and method is used somewhere in the package, and the
 brute-force oracles import nothing of the package.
 
@@ -8,6 +9,7 @@ leaves an import or a helper behind fails here whatever else the suite loads.
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -28,6 +30,18 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def non_stdlib_imports(source):
+    """(line, top-level module) of each absolute import outside the standard
+    library, function-local imports included, in line order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module.split(".")[0]))
+    return sorted((line, name) for line, name in out if name not in sys.stdlib_module_names)
 
 
 def package_imports(source):
@@ -97,6 +111,18 @@ def test_every_imported_name_is_used(path):
 def test_unused_import_is_reported():
     source = "import os\nfrom sys import argv, path as p\nprint(argv)\n"
     assert unused_imports(source) == [(1, "os"), (2, "p")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_package_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_non_stdlib_import_is_reported():
+    source = ("import os, numpy.linalg\nfrom fractions import Fraction\nfrom . import algebra\n"
+              "from .linalg import rank\n\n\ndef f():\n    import sympy\n"
+              "    from scipy import sparse\n")
+    assert non_stdlib_imports(source) == [(1, "numpy"), (8, "sympy"), (9, "scipy")]
 
 
 def test_every_private_helper_is_used():

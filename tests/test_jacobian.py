@@ -510,6 +510,25 @@ def test_boundary_corpus_rigid_and_finite():
         assert rep.certified and rep.dimension == dim, (name, rep.dimension)
 
 
+def test_rigidity_report_reads_certificate_and_dim_def():
+    # measured: each corpus surface with boundary certifies at c = 2-3 with
+    # dim Def 0, which is its rigidity; the closed torus certifies at 7 with
+    # dim Def 1.  Orders 10 and 12 are past every puncture valence.
+    expected = {"torus": (7, 1), "pentagon": (2, 0), "hexagon-fan": (3, 0),
+                "hexagon-central": (2, 0), "annulus": (2, 0), "punctured-square-4": (3, 0),
+                "punctured-square-3": (3, 0), "punctured-square-2": (3, 0),
+                "punctured-square-sf": (3, 0)}
+    assert sorted(expected) == sorted(CORPUS)
+    for name, read in expected.items():
+        for order in (10, 12):
+            rep = is_rigid_up_to(load_qp(name, order), order)
+            assert (rep.certified_order, rep.dim_def) == read, (name, order)
+            assert rep.rigid == (read[1] == 0)
+    # below its certificate a report reads no dim Def
+    rep = is_rigid_up_to(load_qp("torus", 6), 6)
+    assert (rep.rigid, rep.certified_order, rep.dim_def) == (False, None, None)
+
+
 def test_cartan_matrix_symmetric_on_closed_surfaces():
     # the Jacobian algebras of closed surfaces are symmetric (Ladkani,
     # arXiv:1207.3778, cited from memory), so their Cartan matrices are;

@@ -128,57 +128,30 @@ def test_premutate_rejects_two_cycle_at_vertex():
         premutate_qp(QP(q, word(q, 6, "a", "b")), "1")
 
 
-@pytest.mark.parametrize("names, error", [
-    (("a", "c", "b", "a", "b", "c"), "unknown arrow id '\\[b.a\\]'"),
-    (("a", "a", "b", "c", "b", "c"), "non-composable path"),
-], ids=["into-k-outside-a-hook", "hooks-intact"])
-def test_premutation_refuses_a_non_composable_word_through_k(names, error):
-    # the QP checks only that a term closes up; the premutated quiver
-    # renames the arrows at k, so the checked premutation refuses the word
+@pytest.mark.parametrize("names", [
+    ("a", "c", "b", "a", "b", "c"), ("a", "a", "b", "c", "b", "c"), ("a", "a", "c"),
+], ids=["into-k-outside-a-hook", "hooks-intact", "repeated-arrow"])
+def test_element_refuses_a_non_composable_word_through_k(names):
+    # each word closes up and passes through vertex 2, but no element, and
+    # so no QP, holds it: the premutation at 2 never reads such a word
     q = cycle_quiver()
-    qp = QP(q, AlgebraElement(q, 6, {arrow_path(*names): 1}, check=False))
-    for call in (premutate_qp, mutate_qp, mutated_quiver):
-        with pytest.raises(ValueError, match=error):
-            call(qp, "2")
-
-
-@pytest.mark.parametrize("names", [("c",), ("a", "b")], ids=["all-into-k", "ends-in-hook"])
-def test_premutation_refuses_a_word_it_cannot_read(names):
-    # no valid QP holds such a word, since it does not close up in a
-    # loop-free quiver; the refusal stands in for the hook reading running
-    # off its end
-    q = cycle_quiver()
-    qp = QP._of_words(q, {names: Fraction(1)}, 6)
-    for call in (premutate_qp, mutate_qp, mutated_quiver):
-        with pytest.raises(QPError, match="^term %s cannot be read at '2': every arrow points"
-                           " into it or a hook runs off its end$" % re.escape(repr(names))):
-            call(qp, "2")
+    with pytest.raises(AlgebraError, match="^non-composable path %s$" % re.escape(repr(names))):
+        AlgebraElement(q, 6, {arrow_path(*names): 1})
 
 
 # the refusals of premutate_qp, mutate_qp and mutated_quiver at vertex 2 of
-# cycle_quiver(), recorded when the premutation built a checked
-# AlgebraElement and QP; no QP holds a non-cyclic word, so the words are
-# kept as given.  The element checks come first, then the hook terms'
-# length, then cyclicity.
+# cycle_quiver() that a QP can meet: every word of a QP reads as a word of
+# the premutated quiver, so only the hook terms can exceed the order
 PREMUTATION_REFUSALS = [
-    (6, [("a", "b", "c"), ("a",)], QPError, "potential has a non-cyclic term ('a',)"),
-    (6, [("b", "c")], QPError, "potential has a non-cyclic term ('[b.c]',)"),
-    (2, [], AlgebraError, "term of length 3 exceeds order 2"),
-    (2, [("a",)], AlgebraError, "term of length 3 exceeds order 2"),
-    (3, [("a",), ("a", "b", "c", "a", "b", "c")],
-     AlgebraError, "term of length 4 exceeds order 3"),
-    (6, [("a",), ("a", "a", "b", "c", "b", "c")],
-     AlgebraError, "non-composable path ('[b.c]', '[b.c]', 'a', 'a')"),
+    (2, AlgebraError, "term of length 3 exceeds order 2"),
 ]
 
 
-@pytest.mark.parametrize("order, words, error, message", PREMUTATION_REFUSALS, ids=[
-    "non-cyclic", "non-cyclic-through-k", "hook-term-above-order-2",
-    "non-cyclic-and-hook-term-above-order-2", "non-cyclic-and-too-long",
-    "non-cyclic-and-non-composable"])
-def test_premutation_refusals_are_those_of_the_checked_premutation(order, words, error, message):
+@pytest.mark.parametrize("order, error, message", PREMUTATION_REFUSALS,
+                         ids=["hook-term-above-order-2"])
+def test_premutation_refusals_are_those_of_the_checked_premutation(order, error, message):
     q = cycle_quiver()
-    qp = QP._of_words(q, {w: Fraction(1) for w in words}, order)
+    qp = QP(q, AlgebraElement.zero(q, order))
     for call in (premutate_qp, mutate_qp, mutated_quiver):
         with pytest.raises(ValueError) as info:
             call(qp, "2")
@@ -196,18 +169,6 @@ def test_premutation_refuses_a_new_name_an_old_arrow_holds(arrow):
     for call in calls:
         with pytest.raises(QuiverError, match=message):
             call(qp, "2")
-
-
-def test_premutation_drops_a_zero_sum_before_checking_it():
-    # two rotations of one word, with opposite signs, sum to zero where the
-    # premutation reads them, so the non-composable word is never checked
-    q = cycle_quiver()
-    hooks_only = premutate_qp(QP(q, AlgebraElement.zero(q, 6)), "2")
-    for w in (("a", "a", "c"), ("a", "b", "c")):
-        qp = QP._of_words(q, {w: Fraction(1), w[1:] + w[:1]: Fraction(-1)}, 6)
-        assert premutate_qp(qp, "2").to_text() == hooks_only.to_text()
-        assert mutate_qp(qp, "2").to_text() == hooks_only.to_text()
-        assert mutated_quiver(qp, "2") == hooks_only.quiver
 
 
 def test_split_already_reduced():

@@ -107,7 +107,9 @@ def test_dimension_and_rigidity_reports():
     r = RigidityReport(max_order=4, rigid=False, witness=Path(("a", "b")))
     assert r == RigidityReport(4, False, Path(("a", "b"))) != RigidityReport(4, True, None)
     assert repr(r) == ("RigidityReport(max_order=4, rigid=False, "
-                       "witness=Path(arrows=('a', 'b'), vertex=''))")
+                       "witness=Path(arrows=('a', 'b'), vertex=''), certified_order=None, "
+                       "dim_def=None)")
+    assert r != RigidityReport(4, False, Path(("a", "b")), 3, 1)
     assert r.to_text() == "non-rigid witness: a b\n"
 
 
