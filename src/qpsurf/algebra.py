@@ -8,6 +8,7 @@ the word starts at t(ad) and ends at h(a1).
 """
 
 from fractions import Fraction
+from functools import total_ordering
 
 from .quiver import FrozenRecord
 
@@ -19,6 +20,7 @@ class AlgebraError(ValueError):
     pass
 
 
+@total_ordering
 class Path(FrozenRecord):
     """Arrow-id word; a length-0 path carries its vertex instead.
 
@@ -35,35 +37,10 @@ class Path(FrozenRecord):
         _setattr(self, "arrows", arrows)
         _setattr(self, "vertex", vertex)
 
-    # direct rather than through the field getter: paths are hashed and
-    # compared in every dict of terms
-    def __hash__(self):
-        return hash((self.arrows, self.vertex))
-
-    def __eq__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return self.arrows == other.arrows and self.vertex == other.vertex
-
     def __lt__(self, other):
         if other.__class__ is not Path:
             return NotImplemented
         return (self.arrows, self.vertex) < (other.arrows, other.vertex)
-
-    def __le__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return (self.arrows, self.vertex) <= (other.arrows, other.vertex)
-
-    def __gt__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return (self.arrows, self.vertex) > (other.arrows, other.vertex)
-
-    def __ge__(self, other):
-        if other.__class__ is not Path:
-            return NotImplemented
-        return (self.arrows, self.vertex) >= (other.arrows, other.vertex)
 
     def __len__(self):
         return len(self.arrows)
@@ -89,10 +66,6 @@ def path_head(quiver, p):
     return quiver.arrow(p.arrows[0]).head
 
 
-def path_is_cycle(quiver, p):
-    return len(p) >= 1 and path_head(quiver, p) == path_tail(quiver, p)
-
-
 def check_word(quiver, order, word):
     """Refuse a positive-length term's word: longer than `order`, naming an
     unknown arrow, or not composable, checked in that order.
@@ -108,13 +81,16 @@ def check_word(quiver, order, word):
     return arrows
 
 
+def _check_term(quiver, order, p):
+    if p.arrows:
+        check_word(quiver, order, p.arrows)
+    elif p.vertex not in quiver.vertices:
+        raise AlgebraError("unknown vertex %r" % p.vertex)
+
+
 def least_rotation(arrows):
     """Lexicographically least rotation of a cyclic arrow tuple."""
     return min(arrows[k:] + arrows[:k] for k in range(len(arrows)))
-
-
-def term_sort_key(p):
-    return (len(p.arrows), p.vertex, p.arrows)
 
 
 class AlgebraElement:
@@ -135,10 +111,7 @@ class AlgebraElement:
                 c = Fraction(c)
             if c == 0:
                 continue
-            if p.arrows:
-                check_word(quiver, self.order, p.arrows)
-            elif p.vertex not in quiver.vertices:
-                raise AlgebraError("unknown vertex %r" % p.vertex)
+            _check_term(quiver, self.order, p)
             clean[p] = c
         self.terms = clean
 
@@ -147,10 +120,6 @@ class AlgebraElement:
     @staticmethod
     def zero(quiver, order):
         return AlgebraElement(quiver, order, {})
-
-    @staticmethod
-    def one(quiver, order):
-        return AlgebraElement(quiver, order, {vertex_path(v): 1 for v in quiver.vertices})
 
     @staticmethod
     def from_path(quiver, order, p, coeff=1):
@@ -173,7 +142,7 @@ class AlgebraElement:
                               {p: c for p, c in self.terms.items() if len(p) == d})
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda pc: term_sort_key(pc[0]))
+        return sorted(self.terms.items(), key=lambda pc: (len(pc[0]), pc[0].vertex, pc[0].arrows))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -245,23 +214,35 @@ class AlgebraElement:
     def from_text(quiver, order, text):
         """Parse `to_text` output; a bad term raises AlgebraError naming its line."""
         terms = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line == "0":
-                continue
-            parts = line.split()
-            try:
-                coeff = Fraction(parts[0])
-                if len(parts) == 2 and parts[1].startswith("e:"):
-                    p = vertex_path(parts[1][2:])
-                else:
-                    p = arrow_path(*parts[1:])
-                AlgebraElement(quiver, order, {p: coeff})  # checks the term alone
-            except (ValueError, ZeroDivisionError) as exc:
-                raise AlgebraError("bad term line %d: %r (%s: %s)"
-                                   % (lineno, raw, type(exc).__name__, exc)) from exc
+        for _, p, coeff in _read_terms(quiver, order, text):
             terms[p] = terms.get(p, Fraction(0)) + coeff
         return AlgebraElement(quiver, order, terms)
+
+
+def _read_terms(quiver, order, text):
+    """Yield (line number, path, coefficient) for each term line of `to_text` output.
+
+    Blank, comment and "0" lines are skipped.  A term with a nonzero
+    coefficient is checked as an element checks it; a line that does not
+    parse or whose term is refused raises AlgebraError naming it.
+    """
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line == "0":
+            continue
+        parts = line.split()
+        try:
+            coeff = Fraction(parts[0])
+            if len(parts) == 2 and parts[1].startswith("e:"):
+                p = vertex_path(parts[1][2:])
+            else:
+                p = arrow_path(*parts[1:])
+            if coeff:
+                _check_term(quiver, order, p)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise AlgebraError("bad term line %d: %r (%s: %s)"
+                               % (lineno, raw, type(exc).__name__, exc)) from exc
+        yield lineno, p, coeff
 
 
 def terms_text(terms):
@@ -286,7 +267,8 @@ def truncate(x, order):
 
 def is_cyclic_element(x):
     """True iff every term is a cyclic path of positive length."""
-    return all(path_is_cycle(x.quiver, p) for p in x.terms)
+    arrow = x.quiver.arrow
+    return all(p.arrows and arrow(p.arrows[0]).head == arrow(p.arrows[-1]).tail for p in x.terms)
 
 
 def merge_rotations(terms):

@@ -8,10 +8,10 @@ from .algebra import (
     AlgebraError,
     Path,
     Substitution,
+    _read_terms,
     compose_substitutions,
     least_rotation,
     merge_rotations,
-    path_is_cycle,
     substitute_words,
     terms_text,
 )
@@ -22,11 +22,37 @@ _ONE = Fraction(1)
 
 
 class QPError(ValueError):
-    """A refused QP; `terms` holds the potential's terms that the message names."""
+    pass
 
-    def __init__(self, message, terms=()):
-        super().__init__(message)
-        self.terms = terms
+
+def _check_cycles(quiver, paths, lines=None):
+    """Refuse a non-cyclic term or two distinct rotations of one cycle.
+
+    `paths` are the potential's nonzero terms, checked in their order.  With
+    `lines`, {path: numbers of its nonzero text lines}, a refusal names the
+    lines of the terms it names.
+    """
+    def refused(message, named):
+        if lines is None:
+            return QPError(message)
+        numbers = sorted({n for p in named for n in lines[p]})
+        return QPError("%s (line%s %s)" % (message, "s" if len(numbers) > 1 else "",
+                                           ", ".join(map(str, numbers))))
+
+    arrow = quiver.arrow
+    first = {}
+    pairs = []
+    for p in paths:
+        w = p.arrows
+        if not (w and arrow(w[0]).head == arrow(w[-1]).tail):
+            raise refused("potential has a non-cyclic term %r" % (w or "e:" + p.vertex,), [p])
+        q = first.setdefault(least_rotation(w), p)
+        if q is not p:
+            pairs.append((q, p))
+    if pairs:
+        raise refused("invalid QP: " + "; ".join(
+            "cyclically equivalent distinct terms %r and %r" % (q.arrows, p.arrows)
+            for q, p in pairs), [t for pair in pairs for t in pair])
 
 
 class QP:
@@ -45,19 +71,7 @@ class QP:
             order = potential.order
         if potential.quiver != quiver or potential.order != order:
             raise QPError("potential does not live over this quiver at this order")
-        first = {}
-        pairs = []
-        for p in potential.terms:
-            if not path_is_cycle(quiver, p):
-                raise QPError("potential has a non-cyclic term %r"
-                              % (p.arrows or "e:" + p.vertex,), [p])
-            q = first.setdefault(least_rotation(p.arrows), p)
-            if q is not p:
-                pairs.append((q, p))
-        if pairs:
-            raise QPError("invalid QP: " + "; ".join(
-                "cyclically equivalent distinct terms %r and %r" % (q.arrows, p.arrows)
-                for q, p in pairs), [t for pair in pairs for t in pair])
+        _check_cycles(quiver, potential.terms)
         self.quiver = quiver
         self.words = {p.arrows: c for p, c in potential.terms.items()}
         self.order = int(order)
@@ -122,15 +136,14 @@ class QP:
         if order is None:
             raise QPError("missing 'truncation:' header")
         quiver = Quiver.from_text("\n".join(quiver_lines))
-        potential = AlgebraElement.from_text(quiver, order, "\n".join(potential_lines))
-        try:
-            return QP(quiver, potential, order)
-        except QPError as exc:
-            # each line parses alone, so its term can be matched to the ones named
-            lines = [str(n) for n, line in enumerate(potential_lines, 1) if line and not
-                     AlgebraElement.from_text(quiver, order, line).terms.keys().isdisjoint(exc.terms)]
-            raise QPError("%s (line%s %s)" % (exc, "s" if len(lines) > 1 else "",
-                                              ", ".join(lines)), exc.terms) from exc
+        terms, lines = {}, {}
+        for lineno, p, c in _read_terms(quiver, order, "\n".join(potential_lines)):
+            terms[p] = terms.get(p, 0) + c
+            if c:
+                lines.setdefault(p, []).append(lineno)
+        terms = {p: c for p, c in terms.items() if c}
+        _check_cycles(quiver, terms, lines)
+        return QP._of_words(quiver, {p.arrows: c for p, c in terms.items()}, order)
 
 
 def _premutation(qp, k):

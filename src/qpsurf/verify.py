@@ -7,7 +7,7 @@ from collections import deque
 from .algebra import apply_substitution, cyclically_equivalent
 from .jacobian import _require_order, truncated_quotient_dim
 from .potential import qp_of_triangulation
-from .qp import QP, _split_words, mutate_qp, mutated_quiver, premutate_qp, restrict_qp
+from .qp import QP, mutate_qp, mutated_quiver, premutate_qp, restrict_qp
 from .quiver import Arrow, Quiver, Record, is_two_acyclic, mutate_matrix, net_matrix
 from .surface import flip
 
@@ -104,12 +104,11 @@ def check_restriction_commutes(qp, keep, k, order):
     """Restricting then mutating agrees with mutating then restricting."""
     name = "restriction"
     digest = _digest(qp.to_text(), ",".join(sorted(keep)), k, str(order))
-    pre1 = premutate_qp(restrict_qp(qp, keep), k)
-    route1 = _split_words(pre1.quiver, pre1.words, pre1.order)[0]
-    pre = premutate_qp(qp, k)
-    route2 = restrict_qp(_split_words(pre.quiver, pre.words, pre.order)[0], keep)
+    route1 = mutate_qp(restrict_qp(qp, keep), k)
+    route2 = restrict_qp(mutate_qp(qp, k), keep)
     subs = _compare(route1, route2, order, multiplicities=False)
-    pre2 = restrict_qp(pre, keep)
+    pre1 = premutate_qp(restrict_qp(qp, keep), k)
+    pre2 = restrict_qp(premutate_qp(qp, k), keep)
     if pre1 == pre2:
         subs.append(("exact-potentials", route1 == route2, "reduced parts differ"))
     else:

@@ -347,6 +347,37 @@ def test_malformed_qp_exits_two_without_traceback(tmp_path, capsys, old, new, ba
         assert_input_error(capsys, argv, bad_line)
 
 
+@pytest.mark.parametrize("terms, message", [
+    ("1/1 a b\n1/1 a b\n", "potential has a non-cyclic term ('a', 'b') (lines 9, 10)"),
+    ("1/1 a b c\n1/1 b c a\n1/1 c a b\n",
+     "invalid QP: cyclically equivalent distinct terms ('a', 'b', 'c') and ('b', 'c', 'a'); "
+     "cyclically equivalent distinct terms ('a', 'b', 'c') and ('c', 'a', 'b') "
+     "(lines 9, 10, 11)"),
+    # a zero line is not named
+    ("1/1 a b c\n0/1 b c a\n1/1 b c a\n",
+     "invalid QP: cyclically equivalent distinct terms ('a', 'b', 'c') and ('b', 'c', 'a') "
+     "(lines 9, 11)"),
+    # but it puts its word first in the check order
+    ("0/1 a b\n1/1 b c\n1/1 a b\n", "potential has a non-cyclic term ('a', 'b') (line 11)"),
+    ("1/1 b c\n1/1 a b\n", "potential has a non-cyclic term ('b', 'c') (line 9)"),
+], ids=["repeated-non-cyclic", "three-rotations", "zero-rotation-line", "zero-line-order",
+        "no-zero-line-order"])
+def test_refused_potential_names_its_term_lines(tmp_path, capsys, terms, message):
+    path = tmp_path / "bad.qp"
+    path.write_text(TRIANGLE_QP.replace("1/1 a b c\n", terms), encoding="utf-8")
+    assert_input_error(capsys, ["dim", str(path)], "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("terms", ["1/1 a b c\n-1/1 a b\n1/1 a b\n", "1/1 a b c\n0/1 x y\n"],
+                         ids=["cancelling-lines", "zero-line-unknown-arrows"])
+def test_potential_lines_that_sum_to_the_triangle_are_accepted(tmp_path, terms):
+    path = tmp_path / "triangle.qp"
+    path.write_text(TRIANGLE_QP, encoding="utf-8")
+    expected = run(["dim", str(path)])
+    path.write_text(TRIANGLE_QP.replace("1/1 a b c\n", terms), encoding="utf-8")
+    assert run(["dim", str(path)]) == expected and expected[0] == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["explore", "--order", "0"], "order must be >= 1"),
     (["explore", "--order", "7"], "order 7 exceeds the QP truncation 6; rebuild the QP deeper"),

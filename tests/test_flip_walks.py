@@ -1,7 +1,10 @@
 """Seeded random flip walks: every step re-validates and passes the oracles."""
 
 import hashlib
+import importlib
+import os
 import random
+import sys
 import warnings
 
 from qpsurf.algebra import cyclic_normal_form, truncate
@@ -142,3 +145,38 @@ def test_seeded_walks_certify_with_the_dim_def_of_their_surface():
                     assert is_rigid_up_to(mutated, 13).dim_def == closed, (tri.to_text(), arc)
                     mutations += 1
     assert (len(seen), mutations) == (94, 93)
+
+
+def test_generated_surfaces_certify_with_the_dim_def_of_their_surface():
+    # the walk test above on `bench/gen.py` surfaces: tori with 2 to 4
+    # punctures and polygons with 0 to 2, at order 12 and seeds 0-4.  Each
+    # certifies with dim Def 0 with boundary and 1, with C symmetric, when
+    # closed (measured, as above); the mutation at a seeded arc, built at 16
+    # and read at 13, keeps dim Def.  `gen` is imported without writing its
+    # bytecode or keeping its directory on the path.
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        sys.path.remove(bench)
+        sys.dont_write_bytecode = dont_write
+    shapes = [("torus", 0, 1), ("torus", 0, 2), ("torus", 0, 3),
+              ("polygon", 5, 1), ("polygon", 6, 1), ("polygon", 5, 2), ("polygon", 8, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for kind, size, punctures in shapes:
+            for seed in range(5):
+                tri = gen.surface(kind, size, punctures, seed, 12)
+                closed = tri.surface.boundary == 0
+                qp = qp_of_triangulation(tri, 12)
+                rep = is_rigid_up_to(qp, 12)
+                assert rep.certified_order is not None, tri.to_text()
+                assert rep.dim_def == closed, tri.to_text()
+                if closed:
+                    c = cartan_matrix(qp, 12)
+                    assert c.rows == tuple(zip(*c.rows)), tri.to_text()
+                arc = random.Random(seed).choice(gen.flip_candidates(tri))
+                mutated = mutate_qp(qp_of_triangulation(tri, 16), arc)
+                assert is_rigid_up_to(mutated, 13).dim_def == closed, (tri.to_text(), arc)

@@ -546,6 +546,33 @@ def test_qp_text_roundtrip():
     assert again.order == 6
 
 
+def test_qp_text_checks_each_nonzero_term_line_once(monkeypatch):
+    import qpsurf.algebra as algebra
+
+    calls = {"check_word": 0, "from_text": 0}
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "check_word", counting("check_word", algebra.check_word))
+    monkeypatch.setattr(AlgebraElement, "from_text",
+                        staticmethod(counting("from_text", AlgebraElement.from_text)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        texts = [qp_of_triangulation(Triangulation.from_text(example_text(name)), 6).to_text()
+                 for name in CORPUS]
+    lines = 0
+    for text in texts:
+        # a zero line is read but not checked
+        qp = QP.from_text(text + "0/1 x y\n")
+        lines += sum(1 for line in text.split("potential:\n")[1].splitlines() if line != "0")
+        assert qp.to_text() == text
+    assert calls == {"check_word": lines, "from_text": 0} and lines > len(CORPUS)
+
+
 def random_premutation_qp(seed):
     """A seeded QP on 3 to 5 vertices with parallel arrows, 2-cycles away from
     vertex '1', and a potential of closed walks that pass through '1' up to
