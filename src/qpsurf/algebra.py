@@ -210,40 +210,6 @@ class AlgebraElement:
         return terms_text((c, "e:%s" % p.vertex if len(p) == 0 else " ".join(p.arrows))
                           for p, c in self.sorted_terms())
 
-    @staticmethod
-    def from_text(quiver, order, text):
-        """Parse `to_text` output; a bad term raises AlgebraError naming its line."""
-        terms = {}
-        for _, p, coeff in _read_terms(quiver, order, text):
-            terms[p] = terms.get(p, Fraction(0)) + coeff
-        return AlgebraElement(quiver, order, terms)
-
-
-def _read_terms(quiver, order, text):
-    """Yield (line number, path, coefficient) for each term line of `to_text` output.
-
-    Blank, comment and "0" lines are skipped.  A term with a nonzero
-    coefficient is checked as an element checks it; a line that does not
-    parse or whose term is refused raises AlgebraError naming it.
-    """
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line == "0":
-            continue
-        parts = line.split()
-        try:
-            coeff = Fraction(parts[0])
-            if len(parts) == 2 and parts[1].startswith("e:"):
-                p = vertex_path(parts[1][2:])
-            else:
-                p = arrow_path(*parts[1:])
-            if coeff:
-                _check_term(quiver, order, p)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise AlgebraError("bad term line %d: %r (%s: %s)"
-                               % (lineno, raw, type(exc).__name__, exc)) from exc
-        yield lineno, p, coeff
-
 
 def terms_text(terms):
     """One `<num>/<den> <word>` line per (coefficient, word text) pair, or "0"."""

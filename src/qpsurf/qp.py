@@ -8,14 +8,16 @@ from .algebra import (
     AlgebraError,
     Path,
     Substitution,
-    _read_terms,
+    _check_term,
+    arrow_path,
     compose_substitutions,
     least_rotation,
     merge_rotations,
     substitute_words,
     terms_text,
+    vertex_path,
 )
-from .quiver import Quiver, Record, hook_name, hooks, premutate_quiver
+from .quiver import Quiver, Record, content_lines, hook_name, hooks, premutate_quiver
 from . import linalg
 
 _ONE = Fraction(1)
@@ -104,19 +106,13 @@ class QP:
 
     @staticmethod
     def from_text(text):
-        """Parse `to_text` output; a bad header, quiver line or term names its line."""
+        """Parse `to_text` output; a bad header, quiver line or term names its line,
+        a bad quiver or term line quoted stripped.  Each nonzero term is checked once."""
         order = None
-        # one entry per input line, blank outside the block, so that the
-        # quiver and term parsers' line numbers are the file's
-        quiver_lines = []
-        potential_lines = []
+        quiver_lines = []  # `content_lines` triples with the raw line stripped
+        potential_lines = []  # (line number, line)
         in_potential = False
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            quiver_lines.append("")
-            potential_lines.append("")
-            if not line or line.startswith("#"):
-                continue
+        for lineno, raw, line in content_lines(text):
             if line.startswith("truncation:"):
                 if order is not None:
                     raise QPError("bad truncation line %d: %r (repeated truncation line)"
@@ -129,15 +125,27 @@ class QP:
                     raise QPError("bad truncation line %d: %r (order must be >= 1)" % (lineno, raw))
             elif line == "potential:":
                 in_potential = True
-            elif in_potential:
-                potential_lines[-1] = line
-            else:
-                quiver_lines[-1] = line
+            elif not in_potential:
+                quiver_lines.append((lineno, line, line))
+            elif line != "0":
+                potential_lines.append((lineno, line))
         if order is None:
             raise QPError("missing 'truncation:' header")
-        quiver = Quiver.from_text("\n".join(quiver_lines))
+        quiver = Quiver._from_lines(quiver_lines)
         terms, lines = {}, {}
-        for lineno, p, c in _read_terms(quiver, order, "\n".join(potential_lines)):
+        for lineno, line in potential_lines:
+            parts = line.split()
+            try:
+                c = Fraction(parts[0])
+                if len(parts) == 2 and parts[1].startswith("e:"):
+                    p = vertex_path(parts[1][2:])
+                else:
+                    p = arrow_path(*parts[1:])
+                if c:
+                    _check_term(quiver, order, p)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise AlgebraError("bad term line %d: %r (%s: %s)"
+                                   % (lineno, line, type(exc).__name__, exc)) from exc
             terms[p] = terms.get(p, 0) + c
             if c:
                 lines.setdefault(p, []).append(lineno)

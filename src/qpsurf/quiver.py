@@ -1,8 +1,8 @@
 """Loop-free quivers, the skew-matrix correspondence, and quiver mutation.
 
 Also the rules other modules share: value semantics for record classes, the
-grouping of a quiver's arrows by endpoints and the net arrow count read from
-it, the list of k-hooks, and the pairing of opposite arrows.
+content lines of quiver and QP text, the grouping of arrows by endpoints and
+the net arrow count read from it, the k-hooks, and opposite-arrow pairing.
 """
 
 from operator import attrgetter, neg
@@ -153,7 +153,12 @@ class Quiver:
 
     @staticmethod
     def from_text(text):
-        """Parse `to_text` output; a bad line raises QuiverError naming it.
+        """Parse `to_text` output; a bad line raises QuiverError naming it."""
+        return Quiver._from_lines(content_lines(text))
+
+    @staticmethod
+    def _from_lines(lines):
+        """The quiver of `content_lines` triples; a refusal quotes the raw line.
 
         A repeated id, a loop and an undeclared endpoint name their line too;
         endpoints are checked once every vertex line is read.
@@ -164,10 +169,7 @@ class Quiver:
 
         vertices = set()
         arrows = {}  # name -> (line number, line, arrow)
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, raw, line in lines:
             parts = line.split()
             if parts[0] == "v" and len(parts) == 2:
                 if parts[1] in vertices:
@@ -187,6 +189,16 @@ class Quiver:
                 if end not in vertices:
                     raise bad(lineno, raw, "arrow %r has undeclared endpoint %r" % (a.name, end))
         return Quiver(vertices, [a for _, _, a in arrows.values()])
+
+
+def content_lines(text):
+    """Yield (line number from 1, raw line, stripped line) for each line of
+    quiver or QP text that is neither blank nor a whole-line `#` comment.
+    A later `#` is kept, since arrow names may contain it."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line
 
 
 class IntegerMatrix:
@@ -248,23 +260,6 @@ class IntegerMatrix:
 
     def to_text(self):
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows) + "\n"
-
-    @staticmethod
-    def from_text(text):
-        """Parse `to_text` output; a non-integer entry raises QuiverError naming its line."""
-        rows = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                rows.append([int(x) for x in line.split()])
-            except ValueError as exc:
-                raise QuiverError("bad matrix line %d: %r (%s)" % (lineno, raw, exc)) from exc
-        n = len(rows)
-        width = len(str(n))
-        vertices = ["%0*d" % (width, k + 1) for k in range(n)]
-        return IntegerMatrix(vertices, rows)
 
 
 def is_two_acyclic(q):

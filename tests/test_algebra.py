@@ -257,12 +257,13 @@ def test_truncate():
         truncate(s, 7)
 
 
-def test_element_text_roundtrip():
+def test_element_text_is_pinned():
+    # element text is output only; this pins the writer's vertex-term and
+    # zero-element lines
     q = square_quiver()
     s = square_potential(q, Fraction(5, 3)) + AlgebraElement.from_path(q, 6, vertex_path("1"), Fraction(-1, 7))
-    again = AlgebraElement.from_text(q, 6, s.to_text())
-    assert again == s
-    assert AlgebraElement.from_text(q, 6, AlgebraElement.zero(q, 6).to_text()).is_zero()
+    assert s.to_text() == "-1/7 e:1\n5/3 a b\n1/1 a al be\n1/1 ga de b\n"
+    assert AlgebraElement.zero(q, 6).to_text() == "0\n"
 
 
 # -- seeded random properties -------------------------------------------------

@@ -295,6 +295,30 @@ def test_malformed_triangulation_exits_two_in_a_fresh_process(tmp_path):
                            "(ValueError: unknown line kind 'frob')\n")
 
 
+UNDECODABLE = b"\xff\xfe\x00"
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["dim"], ["mutate", "1"]],
+                         ids=["validate", "dim", "mutate"])
+def test_undecodable_file_exits_two_without_traceback(tmp_path, capsys, argv):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(UNDECODABLE)
+    code, text = run(argv[:1] + [str(path)] + argv[1:])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == ("error: 'utf-8' codec can't decode byte 0xff in "
+                                       "position 0: invalid start byte\n")
+
+
+def test_undecodable_stdin_exits_two_without_traceback():
+    # how stdin decodes bad bytes depends on the interpreter's error handler,
+    # so only the exit code and the absence of a traceback are fixed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli", "dim", "-"], input=UNDECODABLE,
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b"" and b"Traceback" not in proc.stderr
+
+
 def assert_input_error(capsys, argv, bad_line):
     """Run the CLI in process: exit 2, nothing raised past `main`, the line named."""
     capsys.readouterr()

@@ -1,10 +1,7 @@
 """Seeded random flip walks: every step re-validates and passes the oracles."""
 
 import hashlib
-import importlib
-import os
 import random
-import sys
 import warnings
 
 from qpsurf.algebra import cyclic_normal_form, truncate
@@ -147,21 +144,12 @@ def test_seeded_walks_certify_with_the_dim_def_of_their_surface():
     assert (len(seen), mutations) == (94, 93)
 
 
-def test_generated_surfaces_certify_with_the_dim_def_of_their_surface():
+def test_generated_surfaces_certify_with_the_dim_def_of_their_surface(gen):
     # the walk test above on `bench/gen.py` surfaces: tori with 2 to 4
     # punctures and polygons with 0 to 2, at order 12 and seeds 0-4.  Each
     # certifies with dim Def 0 with boundary and 1, with C symmetric, when
     # closed (measured, as above); the mutation at a seeded arc, built at 16
-    # and read at 13, keeps dim Def.  `gen` is imported without writing its
-    # bytecode or keeping its directory on the path.
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-    sys.path.insert(0, bench)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        gen = importlib.import_module("gen")
-    finally:
-        sys.path.remove(bench)
-        sys.dont_write_bytecode = dont_write
+    # and read at 13, keeps dim Def.
     shapes = [("torus", 0, 1), ("torus", 0, 2), ("torus", 0, 3),
               ("polygon", 5, 1), ("polygon", 6, 1), ("polygon", 5, 2), ("polygon", 8, 0)]
     with warnings.catch_warnings():

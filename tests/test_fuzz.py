@@ -1,9 +1,10 @@
 """Seeded line fuzzing of triangulation and QP files through the CLI, in process.
 
-Each case deletes, swaps, splices or edits lines of a corpus file, then runs
+Each case deletes, swaps, splices or edits lines of a seed file, then runs
 commands on it: `validate`, `qp --order 4` and `flip` on a triangulation;
 `mutate`, `dim`, `rigid`, `check involution` and `explore --depth 1` on the
-QP text of a corpus triangulation built at order 6.  Every command must exit
+QP text of a seed triangulation built at order 6.  The seeds are the corpus
+files, and in a second pair of fuzzers surfaces from `bench/gen.py`.  Every command must exit
 0 or 2 without a traceback (1 only for a failed `check` or `explore`), an
 accepted file must round-trip through its text, and one digest per fuzzer
 pins every exit code, message and output.
@@ -12,6 +13,9 @@ pins every exit code, message and output.
 import hashlib
 import io
 import random
+import warnings
+
+import pytest
 
 from qpsurf import cli
 from qpsurf.examples_data import CORPUS, example_text
@@ -21,6 +25,8 @@ from qpsurf.surface import Triangulation
 
 CASES = 1000
 QP_CASES = 800
+GENERATED_CASES = 300
+GENERATED_QP_CASES = 200
 TRIANGULATIONS = [example_text(name).splitlines() for name in CORPUS]
 QP_TEXTS = [qp_of_triangulation(Triangulation.from_text("\n".join(lines)), 6)
             .to_text().splitlines() for lines in TRIANGULATIONS]
@@ -82,13 +88,14 @@ def share_parser(monkeypatch):
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
 
 
-def test_fuzzed_triangulations_exit_cleanly(monkeypatch, capsys):
+def fuzz_triangulations(files, seed, cases, monkeypatch, capsys):
+    """Run `validate`, `qp` and `flip` on fuzzed files; the digest of the runs."""
     share_parser(monkeypatch)
-    rng = random.Random(2024)
+    rng = random.Random(seed)
     h = hashlib.sha256()
     accepted = 0
-    for case in range(CASES):
-        text = fuzzed(rng)
+    for case in range(cases):
+        text = fuzzed(rng, files)
         sides = [w[1] for w in map(str.split, text.splitlines())
                  if w[:1] in (["arc"], ["bseg"]) and len(w) > 1]
         arc = rng.choice(sides) if sides else "1"
@@ -101,17 +108,19 @@ def test_fuzzed_triangulations_exit_cleanly(monkeypatch, capsys):
                 accepted += 1
                 once = Triangulation.from_text(text).to_text()
                 assert Triangulation.from_text(once).to_text() == once, (case, text)
-    assert accepted > CASES // 10
-    assert h.hexdigest() == "f48c8b2db9cb6a8339510f71c97c11ad25744718c0d6e6fae5084e6be0b451b4"
+    assert accepted > cases // 10
+    return h.hexdigest()
 
 
-def test_fuzzed_qp_texts_exit_cleanly(monkeypatch, capsys):
+def fuzz_qp_texts(files, seed, cases, monkeypatch, capsys):
+    """Run `mutate`, `dim`, `rigid`, `check involution` and `explore` on fuzzed
+    QP texts; the digest of the runs."""
     share_parser(monkeypatch)
-    rng = random.Random(2025)
+    rng = random.Random(seed)
     h = hashlib.sha256()
     accepted = 0
-    for case in range(QP_CASES):
-        text = fuzzed(rng, QP_TEXTS, qp_keyword)
+    for case in range(cases):
+        text = fuzzed(rng, files, qp_keyword)
         names = [w[1] for w in map(str.split, text.splitlines()) if w[:1] == ["v"] and len(w) > 1]
         k = rng.choice(names) if names else "1"
         for argv in (["mutate", "-", k], ["dim", "--order", "4"], ["rigid", "--order", "4"],
@@ -128,6 +137,41 @@ def test_fuzzed_qp_texts_exit_cleanly(monkeypatch, capsys):
             continue
         accepted += 1
         assert QP.from_text(once).to_text() == once, (case, text)
-    assert accepted > QP_CASES // 10
+    assert accepted > cases // 10
+    return h.hexdigest()
+
+
+def test_fuzzed_triangulations_exit_cleanly(monkeypatch, capsys):
+    digest = fuzz_triangulations(TRIANGULATIONS, 2024, CASES, monkeypatch, capsys)
+    assert digest == "f48c8b2db9cb6a8339510f71c97c11ad25744718c0d6e6fae5084e6be0b451b4"
+
+
+def test_fuzzed_qp_texts_exit_cleanly(monkeypatch, capsys):
+    digest = fuzz_qp_texts(QP_TEXTS, 2025, QP_CASES, monkeypatch, capsys)
     # recorded before explore read reverse edges off canonical vertex orders
-    assert h.hexdigest() == "667b0e7ffb370820f7309d63cdc74b77cc3c8f4f126945bb6e64be4af9eb3b28"
+    assert digest == "667b0e7ffb370820f7309d63cdc74b77cc3c8f4f126945bb6e64be4af9eb3b28"
+
+
+@pytest.fixture(scope="module")
+def generated(gen):
+    """`bench/gen.py` triangulations built at order 6 and their QP texts at
+    order 6: polygons (7, 0), (5, 1) and (6, 2) and tori with 1 and 2 added
+    punctures, seeds 0-1, ranks 4 to 9."""
+    shapes = [("polygon", 7, 0), ("polygon", 5, 1), ("polygon", 6, 2),
+              ("torus", 0, 1), ("torus", 0, 2)]
+    tris = [gen.surface(kind, size, punctures, seed, 6)
+            for kind, size, punctures in shapes for seed in range(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        qps = [qp_of_triangulation(tri, 6).to_text().splitlines() for tri in tris]
+    return [tri.to_text().splitlines() for tri in tris], qps
+
+
+def test_fuzzed_generated_triangulations_exit_cleanly(generated, monkeypatch, capsys):
+    digest = fuzz_triangulations(generated[0], 2026, GENERATED_CASES, monkeypatch, capsys)
+    assert digest == "3913d090d3ed664625bc62631cca87b700f4a258d6d6e49e2329c045ffe2088f"
+
+
+def test_fuzzed_generated_qp_texts_exit_cleanly(generated, monkeypatch, capsys):
+    digest = fuzz_qp_texts(generated[1], 2027, GENERATED_QP_CASES, monkeypatch, capsys)
+    assert digest == "07d3881f556d902ad7ba2c38b0c29bcffc11e810ed46b9d51cfb4b362485da97"

@@ -20,6 +20,7 @@ from qpsurf.algebra import (
     least_rotation,
     substitute_words,
     substitution_is_isomorphism,
+    vertex_path,
 )
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.potential import qp_of_triangulation
@@ -84,12 +85,12 @@ def test_validate_qp_rejects_cyclically_equivalent_terms():
 
 
 @pytest.mark.parametrize("term, name", [
-    (("a", "b"), r"\('a', 'b'\)"),
-    (("e:2",), "'e:2'"),
+    (arrow_path("a", "b"), r"\('a', 'b'\)"),
+    (vertex_path("2"), "'e:2'"),
 ], ids=["open-path", "vertex"])
 def test_validate_qp_names_a_non_cyclic_term(term, name):
     q = cycle_quiver()
-    bad = word(q, 6, "a", "b", "c") + AlgebraElement.from_text(q, 6, "1/1 " + " ".join(term))
+    bad = word(q, 6, "a", "b", "c") + AlgebraElement.from_path(q, 6, term)
     with pytest.raises(QPError, match="^potential has a non-cyclic term %s$" % name):
         QP(q, bad)
 
@@ -549,17 +550,15 @@ def test_qp_text_roundtrip():
 def test_qp_text_checks_each_nonzero_term_line_once(monkeypatch):
     import qpsurf.algebra as algebra
 
-    calls = {"check_word": 0, "from_text": 0}
+    calls = 0
+    check_word = algebra.check_word
 
-    def counting(name, f):
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapper
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return check_word(*args)
 
-    monkeypatch.setattr(algebra, "check_word", counting("check_word", algebra.check_word))
-    monkeypatch.setattr(AlgebraElement, "from_text",
-                        staticmethod(counting("from_text", AlgebraElement.from_text)))
+    monkeypatch.setattr(algebra, "check_word", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         texts = [qp_of_triangulation(Triangulation.from_text(example_text(name)), 6).to_text()
@@ -570,7 +569,58 @@ def test_qp_text_checks_each_nonzero_term_line_once(monkeypatch):
         qp = QP.from_text(text + "0/1 x y\n")
         lines += sum(1 for line in text.split("potential:\n")[1].splitlines() if line != "0")
         assert qp.to_text() == text
-    assert calls == {"check_word": lines, "from_text": 0} and lines > len(CORPUS)
+    assert calls == lines and lines > len(CORPUS)
+
+
+# lines the content-line pin inserts: blank, comment, whitespace, zero and
+# vertex terms, repeated headers, and a `#` inside a name or after a field
+INSERTED_LINES = ["", "#", "# note", "   ", "\t", "0", " 0 ", "0/1 x y", "1/1 e:1",
+                  "truncation: 6", "truncation: 5", "potential:", "a x#1 1 2", "v 1 # one",
+                  "1/1 x#1 y"]
+
+
+def outcome(read, text):
+    try:
+        return read(text).to_text()
+    except ValueError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def test_qp_and_quiver_text_content_lines_pinned():
+    # seeded insertions, indentations and duplications of lines in the corpus
+    # QP texts; one digest pins each `QP.from_text` outcome and each
+    # `Quiver.from_text` outcome on the text's quiver block (the lines before
+    # the first `potential:` line, less the `truncation:` lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        texts = [qp_of_triangulation(Triangulation.from_text(example_text(name)), 6)
+                 .to_text().splitlines() for name in CORPUS]
+    rng = random.Random(30)
+    h = hashlib.sha256()
+    accepted = 0
+    for case in range(3000):
+        lines = list(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            op = rng.randrange(3)
+            if op == 0:
+                lines.insert(rng.randrange(len(lines) + 1), rng.choice(INSERTED_LINES))
+            elif op == 1:
+                lines[i] = rng.choice([" ", "  ", "\t"]) + lines[i] + rng.choice(["", " "])
+            else:
+                lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        text = "\n".join(lines) + "\n"
+        block = []
+        for line in lines:
+            if line.strip() == "potential:":
+                break
+            if not line.strip().startswith("truncation:"):
+                block.append(line)
+        qp, quiver = outcome(QP.from_text, text), outcome(Quiver.from_text, "\n".join(block))
+        accepted += qp.startswith("truncation:")
+        h.update(repr((case, qp, quiver)).encode())
+    assert accepted > 600
+    assert h.hexdigest() == "7310a7a351ff8d25152d542fb9089199071f4b7891de409dd2a5b2d0af4169d9"
 
 
 def random_premutation_qp(seed):

@@ -250,21 +250,6 @@ def test_integer_matrix_refuses_a_non_integral_entry(entry):
     assert whole.rows == ((0, 2), (-2, 0)) and all(type(x) is int for x in whole.rows[1])
 
 
-def test_matrix_text_roundtrip():
-    text = MARKOV.to_text()
-    again = IntegerMatrix.from_text(text)
-    assert again.rows == MARKOV.rows
-
-
-@pytest.mark.parametrize("text, bad_line", [
-    ("0 1\n-1 x\n", "line 2"),
-    ("# header\n\n0 1.5\n-1 0\n", "line 3"),
-], ids=["letter", "after-comment-and-blank"])
-def test_matrix_text_names_a_bad_entry_line(text, bad_line):
-    with pytest.raises(QuiverError, match=bad_line):
-        IntegerMatrix.from_text(text)
-
-
 @pytest.mark.parametrize("text, bad_line", [
     ("v 1\nv\n", "line 2"),
     ("v 1\n# c\nv 2\na x 1\n", "line 4"),
