@@ -43,12 +43,8 @@ def _integer_generators(qp):
     den = lcm(*(c.denominator for c in qp.words.values()))
     ders = word_derivatives((w, c.numerator * (den // c.denominator))
                             for w, c in qp.words.items())
-    out = []
-    for a in qp.quiver.arrows:
-        if a.name in ders:
-            terms = sorted(ders[a.name].items(), key=lambda tc: len(tc[0]))
-            out.append((a, terms, len(terms[0][0])))
-    return out
+    return [(a, terms, len(terms[0][0])) for a in qp.quiver.arrows if a.name in ders
+            for terms in [sorted(ders[a.name].items(), key=lambda tc: len(tc[0]))]]
 
 
 class DimensionReport(Record):
@@ -82,32 +78,38 @@ class DimensionReport(Record):
 def _reduce(terms, lead, lens, order):
     """The normal form of a sum of (word, coefficient) terms, cut at `order`.
 
-    `lead` maps each leading word l to the other terms of its monic basis
-    element g, and `lens` lists the lengths of the leading words.  The least
-    word goes first: a normal one is kept, and u*l*v becomes u*(l - g)*v,
-    whose words are larger than u*l*v, so none of them was taken yet.
+    `lead` maps each leading word l to the tail of its monic basis element
+    l + tail, and `lens` holds the leading words' lengths, sorted.  The least
+    word w goes first; its first leading word l = w[i:i+k] is found by a
+    plain loop over the start i, then over `lens` up to w's end.  A normal w
+    is kept, and u*l*v becomes -u*tail*v, of larger words, none taken yet.
     """
     poly, heap, out = {}, [], {}
     while True:
         for x, e in terms:
-            if len(x) > order:
-                continue
-            if x in poly:
-                poly[x] += e
-            else:
-                poly[x] = e
-                heappush(heap, (len(x), x))
+            if len(x) <= order:
+                if x in poly:
+                    poly[x] += e
+                else:
+                    poly[x] = e
+                    heappush(heap, (len(x), x))
         if not heap:
             return out
         n, w = heappop(heap)
-        c = poly.pop(w)
-        terms = ()
-        hit = c and next(((i, i + k) for i in range(n) for k in lens
-                          if i + k <= n and w[i:i + k] in lead), None)
-        if hit:
-            i, j = hit
-            terms = [(w[:i] + t + w[j:], -c * e) for t, e in lead[w[i:j]]]
-        elif c:
+        c, terms, tail = poly.pop(w), (), None
+        if not c:
+            continue
+        for i in range(n):
+            for k in lens:
+                if i + k > n:
+                    break
+                tail = lead.get(w[i:i + k])
+                if tail is not None:
+                    break
+            if tail is not None:
+                terms = [(w[:i] + t + w[i + k:], -c * e) for t, e in tail]
+                break
+        else:
             out[w] = c
 
 
@@ -124,32 +126,29 @@ def _groebner(qp, order):
     A/I (Bergman's diamond lemma, 1978; Green, "Noncommutative Groebner
     bases, and projective resolutions", 1999).  Words go by length, then
     arrow names, an order that products keep, and an element leads with its
-    *least* word.  Rewriting the leading word l of a monic basis element g
-    as l - g gives larger words, and words longer than D are zero, so
-    rewriting ends.  By the diamond lemma the normal words are a basis once
-    no leading word lies inside another and each overlap a = a'x, b = xb'
-    (x, a', b' nonempty) reduces g_a*b' - a'*g_b to zero.  The terms of a
-    basis element are no shorter than its leading word, so an overlap longer
-    than D, or with a word of length D + 1, has only words longer than D:
-    the truncation adds no ambiguity.
+    *least* word, so rewriting l as -tail ends: words longer than D are zero.
+    The normal words are a basis once no leading word lies inside another
+    and each overlap a = a'x, b = xb' (x, a', b' nonempty) reduces
+    g_a*b' - a'*g_b to zero.  A basis element has no term shorter than its
+    leading word, so an overlap longer than D has only words longer than D.
 
     The pass reduces the d_a W at their least degree and the overlaps at
-    degree |a'xb'|, least degree first, and adds each nonzero result; an
-    element whose leading word contains the new one is reduced again.  A
-    new leading word l = a'x with |x| = k overlaps only words b = xb', which
-    start with l[-k], and l = xb' only words b = a'x, which end with
-    l[k-1]; so the leading words are kept by first and by last arrow, and l
-    is tested against those alone, itself included.  The terms of an
-    S-polynomial are no shorter than its overlap, so once degree d is done
-    the leading words of length <= d are final, and the normal words of
-    length d are listed then.  Extending those of length d - 1 on the right,
-    only a suffix can be a new leading word.
+    degree |a'xb'|, least degree first, and adds each nonzero result, with
+    tail coefficients e // c, an int, where the leading coefficient c
+    divides e, else the reduced Fraction e/c.  An element whose leading word
+    contains the new one is reduced again; the scan is skipped when no
+    leading word is longer.  The leading words are kept by first and by last
+    arrow: l = a'x with |x| = k overlaps only words b = xb', which start
+    with l[-k], and l = xb' only words b = a'x, which end with l[k-1].  An
+    S-polynomial has no term shorter than its overlap, so once degree d is
+    done the leading words of length <= d are final, and the normal words
+    of length d are listed: those of length d - 1 extended on the right,
+    kept when a plain loop over the lengths <= d finds no leading suffix.
 
     Degree d is absorbed when no word of length d is normal; then no longer
     word is, as it contains one of length d, and every word of length >= d
     reduces to zero.  The certificate is the first absorbed d < order, where
-    the pass stops; the top degree alone certifies nothing, as no longer
-    word is looked at.
+    the pass stops; the top degree alone certifies nothing.
     """
     _require_order(qp, order)
     into = {v: [] for v in qp.quiver.vertices}
@@ -168,28 +167,34 @@ def _groebner(qp, order):
             f = all(lead.get(l) is t for l, t in guard) and _reduce(terms, lead, lens, order)
             if not f:
                 continue
-            l = min(f, key=lambda w: (len(w), w))
+            l = next(iter(f))  # `_reduce` keeps its words in increasing order
             c = f.pop(l)
-            tail = [(w, Fraction(e) / c) for w, e in f.items()]
+            tail = [(w, e // c if not e % c else Fraction(e) / c) for w, e in f.items()]
             for b in [b for b in lead if len(b) > len(l) and any(
-                    b[i:i + len(l)] == l for i in range(len(b) - len(l) + 1))]:
+                    b[i:i + len(l)] == l for i in range(len(b) - len(l) + 1))
+                      ] if lens and lens[-1] > len(l) else ():
                 heappush(queue, (len(b), next(seq), [(b, 1)] + lead.pop(b), ()))
                 del starts[b[0]][b], ends[b[-1]][b]
             lead[l] = starts[l[0]][l] = ends[l[-1]][l] = tail
             lens = sorted({len(b) for b in lead})
             for k in range(1, len(l)):  # x = a'z, y = zb' with |z| = k
+                top = order - len(l) + k  # the longest partner whose overlap fits
                 for x, tx, y, ty in ([(l, tail, b, tb) for b, tb in starts[l[-k]].items()
-                                      if len(b) > k]
+                                      if k < len(b) <= top and l[-k:] == b[:k]]
                                      + [(b, tb, l, tail) for b, tb in ends[l[k - 1]].items()
-                                        if len(b) > k and b != l]):
-                    if len(x) + len(y) - k <= order and x[-k:] == y[:k]:
-                        terms = ([(t + y[k:], e) for t, e in tx]
-                                 + [(x[:-k] + t, -e) for t, e in ty])
-                        heappush(queue, (len(x) + len(y) - k, next(seq), terms,
-                                         ((x, tx), (y, ty))))
-        levels.append([(w, x.tail, h) for u, v, h in levels[-1] for x in into[v]
-                       for w in [u + (x.name,)]
-                       if not any(w[-k:] in lead for k in lens if k <= d)])
+                                        if k < len(b) <= top and b != l and b[-k:] == l[:k]]):
+                    terms = [(t + y[k:], e) for t, e in tx] + [(x[:-k] + t, -e) for t, e in ty]
+                    heappush(queue, (len(x) + len(y) - k, next(seq), terms, ((x, tx), (y, ty))))
+        ks, level = [k for k in lens if k <= d], []
+        for u, v, h in levels[-1]:
+            for x in into[v]:
+                w = u + (x.name,)
+                for k in ks:
+                    if w[-k:] in lead:
+                        break
+                else:
+                    level.append((w, x.tail, h))
+        levels.append(level)
         if d < order and not levels[-1]:
             return lead, lens, levels, d, into
     return lead, lens, levels, None, into
@@ -267,16 +272,14 @@ def is_rigid_up_to(qp, order):
       x1 x2...xn - x2...xn x1 is such a commutator, and so on around;
     - J is two-sided, so b - NF(b) in J makes a*b - b*a = a*NF(b) - NF(b)*a
       modulo J, and b may be taken normal.
-    So the relations are the rows NF(a*b) - NF(b*a), one per arrow a and
-    normal word b from h(a) to t(a) of length < order, over the normal
-    cycles, and the QP is rigid up to `order` exactly when their rank is the
-    number of normal cycles.
+    So the relations are the rows NF(a*b - b*a), one reduction each, per
+    arrow a and normal word b from h(a) to t(a) of length < order, over the
+    normal cycles, and the QP is rigid up to `order` exactly when their rank
+    is the number of normal cycles.
 
     Only when the rank falls short are cycles walked, by least rotation in
     (length, arrows) order; the witness is the first whose NF lies outside
-    the span.
-
-    A failing cycle is a sound non-rigidity certificate: membership at every
+    the span, a sound non-rigidity certificate, as membership at every
     finite order is necessary for rigidity.
 
     The report also carries `_groebner`'s certificate order c, or None, and
@@ -302,10 +305,7 @@ def is_rigid_up_to(qp, order):
     elim = SparseEliminator()
     for a in qp.quiver.arrows:
         for b in around[a.head, a.tail]:
-            row = nf((a.name,) + b)
-            for w, e in nf(b + (a.name,)).items():
-                row[w] = row.get(w, 0) - e
-            elim.add_row(row)
+            elim.add_row(_reduce([((a.name,) + b, 1), (b + (a.name,), -1)], lead, lens, order))
     dim_def = None if certified is None else cycles - elim.rank
     if elim.rank == cycles:
         return RigidityReport(order, True, None, certified, dim_def)

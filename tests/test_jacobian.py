@@ -25,7 +25,9 @@ from qpsurf.algebra import (
 from qpsurf.examples_data import CORPUS, example_text
 from qpsurf.jacobian import (
     JacobianError,
+    _groebner,
     _integer_generators,
+    _reduce,
     cartan_matrix,
     finite_dim_evidence,
     is_rigid_up_to,
@@ -585,6 +587,67 @@ def test_restriction_preserves_rigidity_on_corpus():
     for drop in verts:
         keep = [v for v in verts if v != drop]
         assert is_rigid_up_to(restrict_qp(qp, keep), 6).rigid, drop
+
+
+def assert_diamond_lemma_holds(qp, order, label):
+    """`_groebner`'s basis meets the diamond lemma's conditions, read off the
+    words alone: no leading word lies inside another, every overlap of
+    degree <= order reduces to zero, and the normal words of each length are
+    the composable words with no leading word inside.
+
+    An overlap a = a'x, b = xb' (x, a', b' nonempty) gives g_a*b' - a'*g_b
+    with g = l + tail; its reduction uses lengths recomputed here.
+    """
+    lead, _, levels, _, _ = _groebner(qp, order)
+    lens = sorted({len(b) for b in lead})
+
+    def inside(b, a):
+        return any(a[i:i + len(b)] == b for i in range(len(a) - len(b) + 1))
+
+    for a, ta in lead.items():
+        for b, tb in lead.items():
+            assert a == b or not inside(b, a), (label, order, a, b)
+            for k in range(1, min(len(a), len(b))):
+                if a[-k:] == b[:k] and len(a) + len(b) - k <= order:
+                    terms = ([(a + b[k:], 1)] + [(t + b[k:], e) for t, e in ta]
+                             + [(a[:-k] + b, -1)] + [(a[:-k] + t, -e) for t, e in tb])
+                    assert _reduce(terms, lead, lens, order) == {}, (label, order, a, b, k)
+    normal = [((), v, v) for v in qp.quiver.vertices]
+    for d in range(order + 1):
+        got = levels[d] if d < len(levels) else []
+        assert sorted(got) == sorted(normal), (label, order, d)
+        normal = [(w, x.tail, h) for u, t, h in normal for x in qp.quiver.arrows
+                  if x.head == t for w in [u + (x.name,)]
+                  if not any(w[i:j] in lead for j in range(d + 2) for i in range(j))]
+
+
+# certify's four benchmark shapes and four more generated surfaces:
+# (kind, size, punctures, generator seed)
+DIAMOND_SURFACES = [("torus", 0, 0, 0), ("torus", 0, 1, 0), ("polygon", 5, 2, 2),
+                    ("polygon", 6, 2, 1), ("torus", 0, 1, 1), ("torus", 0, 2, 3),
+                    ("polygon", 4, 3, 0), ("polygon", 7, 2, 0)]
+
+
+def test_groebner_basis_meets_the_diamond_lemma_on_generated_surfaces(gen):
+    # no digest: each case is checked from its words, at orders that the
+    # dense-rank oracle cannot reach
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PotentialBuildWarning)
+        for kind, size, punctures, seed in DIAMOND_SURFACES:
+            qp = qp_of_triangulation(gen.surface(kind, size, punctures, seed, 6), 9)
+            for order in range(6, 10):
+                assert_diamond_lemma_holds(qp, order, (kind, size, punctures, seed))
+
+
+def test_groebner_basis_meets_the_diamond_lemma_on_random_qps():
+    for seed in range(20):
+        qp = random_premutation_qp(seed)
+        for order in (5, 6):
+            assert_diamond_lemma_holds(qp, order, ("premutation", seed))
+    rng = random.Random("diamond lemma")
+    for i in range(60):
+        order = rng.randrange(3, 8)
+        assert_diamond_lemma_holds(random_small_qp(rng, order), order, ("small", i))
 
 
 def test_report_table_format():

@@ -1,0 +1,114 @@
+"""Whole mutation classes from the flip graph of ideal triangulations.
+
+The matrices B(t) over the ideal triangulations t of a surface are its whole
+mutation class up to relabelling, and flips connect the ideal triangulations
+(Fomin-Shapiro-Thurston, arXiv:math/0608367, section 7; Hatcher, "On
+triangulations of surfaces", 1991; both cited from memory).  So a
+breadth-first search over `flip` gives a second enumeration of the class,
+with no mutation and no canonical search, to hold against `explore`.
+"""
+
+import warnings
+
+from oracles import oracle_canonical_form
+
+from qpsurf.potential import PotentialBuildWarning, qp_of_triangulation
+from qpsurf.surface import Side, SurfaceError, Triangulation, flip, signed_adjacency
+from qpsurf.verify import canonical_matrix_form, explore_mutation_class
+
+
+def triangulation_code(tri):
+    """A code of `tri` up to orientation-preserving relabelling.
+
+    The darts are the (triangle, slot) pairs.  From a root dart a
+    breadth-first walk steps to the next slot of the same triangle and to
+    the other slot of the same side, numbering darts as it meets them; the
+    code lists both steps of every dart by number, -1 for a boundary
+    segment, and is the least such list over all roots.
+    """
+    slots = {}
+    for t, triple in enumerate(tri.triangles):
+        for m, side in enumerate(triple):
+            slots.setdefault(side, []).append((t, m))
+    mate = {d: e for pair in slots.values() if len(pair) == 2 for d, e in (pair, pair[::-1])}
+
+    def walk(root):
+        number, order, code = {root: 0}, [root], []
+        for t, m in order:
+            for step in ((t, (m + 1) % 3), mate.get((t, m))):
+                if step is not None and step not in number:
+                    number[step] = len(order)
+                    order.append(step)
+                code.append(-1 if step is None else number[step])
+        return tuple(code)
+
+    return min(walk(root) for pair in slots.values() for root in pair)
+
+
+def flip_class(tri):
+    """One triangulation per code over every triangulation that flips reach
+    from `tri`.  The arc `arc'` that a flip makes is named `arc` again, so
+    arc names do not grow along the search; this is `gen.relabel_flipped`
+    without its second validation of what `flip` has just validated, which
+    would make the test ~50 % slower."""
+    seen, found = {triangulation_code(tri)}, [tri]
+    for t in found:
+        for arc in t.arcs:
+            try:
+                out = flip(t, arc)
+            except SurfaceError:  # a folded side
+                continue
+            fresh = arc + "'"
+            out = Triangulation(out.surface,
+                                [Side(arc, s.kind, s.ends) if s.name == fresh else s
+                                 for s in out.sides.values()],
+                                [tuple(arc if s == fresh else s for s in x) for x in out.triangles])
+            code = triangulation_code(out)
+            if code not in seen:
+                seen.add(code)
+                found.append(out)
+    return found
+
+
+# (label, kind, size, punctures, triangulations up to relabelling, class size,
+# explore's order): A_n is the (n + 3)-gon and D_n the n-gon with one
+# puncture.  The sizes are as measured; the A_n sizes agree with Torkildsen's
+# count of cluster-tilted algebras of type A_n, D5 and D6 with values
+# recalled from Buan-Torkildsen, and D4 = 6 was counted by hand.  At order 6
+# explore reports a 2-cycle on the thrice-punctured torus and finds 40 of
+# its 46 classes, as its potentials are cut too low; at order 8 it finds all.
+CLASSES = [
+    ("A3", "polygon", 6, 0, 4, 4, 6),
+    ("A4", "polygon", 7, 0, 6, 6, 6),
+    ("A5", "polygon", 8, 0, 19, 19, 6),
+    ("A6", "polygon", 9, 0, 49, 49, 6),
+    ("A7", "polygon", 10, 0, 150, 150, 6),
+    ("D4", "polygon", 4, 1, 10, 6, 6),
+    ("D5", "polygon", 5, 1, 26, 26, 6),
+    ("D6", "polygon", 6, 1, 80, 80, 6),
+    ("torus1", "torus", 0, 0, 1, 1, 6),
+    ("torus2", "torus", 0, 1, 5, 5, 6),
+    ("torus3", "torus", 0, 2, 46, 46, 8),
+]
+
+
+def test_flip_graph_gives_the_explored_mutation_class(gen):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PotentialBuildWarning)
+        for label, kind, size, punctures, count, classes, order in CLASSES:
+            tri = gen.surface(kind, size, punctures, 0, 6)
+            found = flip_class(tri)
+            forms = {canonical_matrix_form(signed_adjacency(t))[0] for t in found}
+            assert (len(found), len(forms)) == (count, classes), label
+            rep, graph = explore_mutation_class(qp_of_triangulation(tri, order), 99, order)
+            assert rep.passed, label
+            assert set(graph.nodes.values()) == forms, label
+            if len(tri.arcs) <= 6:
+                assert {oracle_canonical_form(signed_adjacency(t).rows) for t in found} == forms
+
+
+def test_triangulation_code_ignores_triangle_order_and_rotation(gen):
+    tri = gen.surface("polygon", 5, 1, 0, 6)
+    turned = Triangulation(tri.surface, tri.sides.values(),
+                           [t[1:] + t[:1] for t in reversed(tri.triangles)])
+    assert triangulation_code(turned) == triangulation_code(tri)
