@@ -3,10 +3,21 @@
 Importing the package loads none of its modules.  A public name is looked up
 in its home module on every access, and that module is imported the first
 time one of its names is used.  Nothing is copied into the package namespace,
-so a name patched in its home module reads patched here too.
+so a name patched in its home module reads patched here too.  `QpsurfError`,
+the base of every error class of the package, is defined here.
 """
 
 import sys as _sys
+
+
+class QpsurfError(ValueError):
+    """Refused input; any other exception raised by the package is a bug."""
+
+    @classmethod
+    def at_line(cls, kind, lineno, text, why=None):
+        """The refusal of line `lineno` of `kind` text, quoting `text` and `why`."""
+        return cls("bad %s line %d: %r%s" % (kind, lineno, text, " (%s)" % why if why else ""))
+
 
 _EXPORTS = {
     "algebra": (
@@ -41,7 +52,7 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "examples_data"}
 
-__all__ = sorted([*_HOME, *_EXPORTS])
+__all__ = sorted(["QpsurfError", *_HOME, *_EXPORTS])
 
 
 def __getattr__(name):

@@ -10,13 +10,14 @@ the word starts at t(ad) and ends at h(a1).
 from fractions import Fraction
 from functools import total_ordering
 
+from . import QpsurfError
 from .quiver import FrozenRecord
 
 _ONE = Fraction(1)
 _setattr = object.__setattr__
 
 
-class AlgebraError(ValueError):
+class AlgebraError(QpsurfError):
     pass
 
 

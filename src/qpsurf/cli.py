@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 check failure, 2 input or validation error, or
-output closed early.
+Exit codes: 0 success, 1 check failure, 2 refused input (a `QpsurfError`) or
+output closed early.  Any other exception is a bug and keeps its traceback.
 Output is canonical text and contains nothing run-dependent.
 """
 
@@ -10,6 +10,8 @@ import os
 import sys
 import warnings
 
+from . import QpsurfError
+
 # Each command imports the modules it runs, so a process loads no more of the
 # package than its command needs.
 
@@ -17,37 +19,18 @@ INPUT_ERROR = 2
 CHECK_FAILURE = 1
 
 
-class CliError(Exception):
-    pass
-
-
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise CliError(str(exc)) from None
-
-
-def _parse_scalars(text):
-    from fractions import Fraction
-
-    out = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        try:
-            name, value = item.split("=", 1)
-            out[name.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError("bad scalar %r (%s)" % (item, exc)) from exc
-    return out
+    except (OSError, UnicodeDecodeError) as exc:
+        raise QpsurfError(str(exc)) from None
 
 
 def _load_triangulation(path, scalars=None):
-    from .surface import Triangulation
+    from .surface import Triangulation, _parse_scalars
 
     tri = Triangulation.from_text(_read(path), _parse_scalars(scalars))
     tri.analysis()
@@ -66,7 +49,7 @@ def _cmd_validate(args, out):
     tri = Triangulation.from_text(_read(args.tri))
     problems = validate_triangulation(tri)
     if problems:
-        raise CliError("; ".join(problems))
+        raise QpsurfError("; ".join(problems))
     out.write("ok\n")
     return 0
 
@@ -171,10 +154,7 @@ def _cmd_explore(args, out):
 def _cmd_examples(args, out):
     from .examples_data import example_text
 
-    try:
-        out.write(example_text(args.name))
-    except KeyError as exc:
-        raise CliError(str(exc)) from None
+    out.write(example_text(args.name))
     return 0
 
 
@@ -280,8 +260,7 @@ def main(argv=None, out=None):
             sys.stderr.write("warning: %s\n" % w.message)
         out.flush()
         return code
-    # every error class of the package derives from ValueError
-    except (CliError, ValueError) as exc:
+    except QpsurfError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return INPUT_ERROR
     except BrokenPipeError:

@@ -5,6 +5,8 @@ square ships in its four triangulated forms (puncture valence 4, 3, and 2,
 and the self-folded form).
 """
 
+from . import QpsurfError
+
 TORUS = """\
 surface genus=1 boundary=0
 marked p puncture
@@ -204,8 +206,6 @@ CORPUS = [
 
 
 def example_text(name):
-    try:
-        return EXAMPLES[name]
-    except KeyError:
-        raise KeyError("unknown example %r; known: %s"
-                       % (name, ", ".join(sorted(EXAMPLES)))) from None
+    if name not in EXAMPLES:
+        raise QpsurfError("unknown example %r; known: %s" % (name, ", ".join(sorted(EXAMPLES))))
+    return EXAMPLES[name]

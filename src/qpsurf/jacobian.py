@@ -6,12 +6,13 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
 from math import lcm
 
+from . import QpsurfError
 from .algebra import AlgebraElement, Path, least_rotation, word_derivatives
 from .linalg import SparseEliminator
 from .quiver import IntegerMatrix, Record
 
 
-class JacobianError(ValueError):
+class JacobianError(QpsurfError):
     pass
 
 

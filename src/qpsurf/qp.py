@@ -18,12 +18,12 @@ from .algebra import (
     vertex_path,
 )
 from .quiver import Quiver, Record, content_lines, hook_name, hooks, premutate_quiver
-from . import linalg
+from . import QpsurfError, linalg
 
 _ONE = Fraction(1)
 
 
-class QPError(ValueError):
+class QPError(QpsurfError):
     pass
 
 
@@ -115,14 +115,13 @@ class QP:
         for lineno, raw, line in content_lines(text):
             if line.startswith("truncation:"):
                 if order is not None:
-                    raise QPError("bad truncation line %d: %r (repeated truncation line)"
-                                  % (lineno, raw))
+                    raise QPError.at_line("truncation", lineno, raw, "repeated truncation line")
                 try:
                     order = int(line.split(":", 1)[1])
                 except ValueError as exc:
-                    raise QPError("bad truncation line %d: %r (%s)" % (lineno, raw, exc)) from exc
+                    raise QPError.at_line("truncation", lineno, raw, exc) from exc
                 if order < 1:
-                    raise QPError("bad truncation line %d: %r (order must be >= 1)" % (lineno, raw))
+                    raise QPError.at_line("truncation", lineno, raw, "order must be >= 1")
             elif line == "potential:":
                 in_potential = True
             elif not in_potential:
@@ -144,8 +143,8 @@ class QP:
                 if c:
                     _check_term(quiver, order, p)
             except (ValueError, ZeroDivisionError) as exc:
-                raise AlgebraError("bad term line %d: %r (%s: %s)"
-                                   % (lineno, line, type(exc).__name__, exc)) from exc
+                why = "%s: %s" % (type(exc).__name__, exc)
+                raise AlgebraError.at_line("term", lineno, line, why) from exc
             terms[p] = terms.get(p, 0) + c
             if c:
                 lines.setdefault(p, []).append(lineno)

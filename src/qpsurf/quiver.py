@@ -7,11 +7,13 @@ the net arrow count read from it, the k-hooks, and opposite-arrow pairing.
 
 from operator import attrgetter, neg
 
+from . import QpsurfError
+
 _setattr = object.__setattr__
 _name = attrgetter("name")
 
 
-class QuiverError(ValueError):
+class QuiverError(QpsurfError):
     pass
 
 
@@ -163,31 +165,28 @@ class Quiver:
         A repeated id, a loop and an undeclared endpoint name their line too;
         endpoints are checked once every vertex line is read.
         """
-        def bad(lineno, raw, why=None):
-            return QuiverError("bad quiver line %d: %r%s"
-                               % (lineno, raw, " (%s)" % why if why else ""))
-
         vertices = set()
         arrows = {}  # name -> (line number, line, arrow)
-        for lineno, raw, line in lines:
-            parts = line.split()
-            if parts[0] == "v" and len(parts) == 2:
-                if parts[1] in vertices:
-                    raise bad(lineno, raw, "repeated vertex id %r" % parts[1])
-                vertices.add(parts[1])
-            elif parts[0] == "a" and len(parts) == 4:
-                a = Arrow(parts[1], parts[2], parts[3])
+        for n, raw, line in lines:
+            kind, *ids = line.split()
+            if kind == "v" and len(ids) == 1:
+                if ids[0] in vertices:
+                    raise QuiverError.at_line("quiver", n, raw, "repeated vertex id %r" % ids[0])
+                vertices.add(ids[0])
+            elif kind == "a" and len(ids) == 3:
+                a = Arrow(*ids)
                 if a.name in arrows:
-                    raise bad(lineno, raw, "repeated arrow id %r" % a.name)
+                    raise QuiverError.at_line("quiver", n, raw, "repeated arrow id %r" % a.name)
                 if a.tail == a.head:
-                    raise bad(lineno, raw, "arrow %r is a loop" % a.name)
-                arrows[a.name] = (lineno, raw, a)
+                    raise QuiverError.at_line("quiver", n, raw, "arrow %r is a loop" % a.name)
+                arrows[a.name] = (n, raw, a)
             else:
-                raise bad(lineno, raw)
-        for lineno, raw, a in arrows.values():
+                raise QuiverError.at_line("quiver", n, raw)
+        for n, raw, a in arrows.values():
             for end in (a.tail, a.head):
                 if end not in vertices:
-                    raise bad(lineno, raw, "arrow %r has undeclared endpoint %r" % (a.name, end))
+                    raise QuiverError.at_line("quiver", n, raw,
+                                              "arrow %r has undeclared endpoint %r" % (a.name, end))
         return Quiver(vertices, [a for _, _, a in arrows.values()])
 
 

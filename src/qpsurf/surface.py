@@ -12,6 +12,7 @@ slot into the partner triangle.
 
 from fractions import Fraction
 
+from . import QpsurfError
 from .quiver import (
     Arrow, FrozenRecord, IntegerMatrix, Quiver, mutate_matrix, net_matrix, opposite_pairs,
 )
@@ -19,7 +20,7 @@ from .quiver import (
 _setattr = object.__setattr__
 
 
-class SurfaceError(ValueError):
+class SurfaceError(QpsurfError):
     pass
 
 
@@ -130,9 +131,16 @@ def _across(ends, point):
     return b if a == point else a if b == point else None
 
 
-def _bad_line(kind, lineno, raw, exc):
-    return SurfaceError("bad %s line %d: %r (%s: %s)"
-                        % (kind, lineno, raw, type(exc).__name__, exc))
+def _parse_scalars(text):
+    """The puncture scalars of `--scalars` text such as 'p1=2/1,p2=3'; no text gives none."""
+    out = {}
+    for item in text.split(",") if text else ():
+        try:
+            name, value = item.split("=", 1)
+            out[name.strip()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SurfaceError("bad scalar %r (%s)" % (item, exc)) from exc
+    return out
 
 
 class Triangulation:
@@ -244,16 +252,17 @@ class Triangulation:
                 else:
                     raise ValueError("unknown line kind %r" % kind)
             except (IndexError, KeyError, ValueError, ZeroDivisionError) as exc:
-                raise _bad_line(kind, lineno, raw, exc) from exc
+                why = "%s: %s" % (type(exc).__name__, exc)
+                raise SurfaceError.at_line(kind, lineno, raw, why) from exc
         if genus is None:
             raise SurfaceError("missing surface header")
         for name in scalars:
             if locations.get(name, 0) is not None:
                 raise SurfaceError("scalar override %r is not a puncture" % name)
-        for lineno, raw, triangle in triangles:
-            for side in triangle:
-                if side not in sides:
-                    raise _bad_line("tri", lineno, raw, ValueError("unknown side %r" % side))
+        for n, raw, triangle in triangles:
+            for s in triangle:
+                if s not in sides:
+                    raise SurfaceError.at_line("tri", n, raw, "ValueError: unknown side %r" % s)
         explicit.update(scalars)
         surface = MarkedSurface(genus, boundary, locations, explicit)
         return Triangulation(surface, sides.values(), [t for _, _, t in triangles])

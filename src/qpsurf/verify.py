@@ -4,6 +4,7 @@ import hashlib
 from array import array
 from collections import deque
 
+from . import QpsurfError
 from .algebra import apply_substitution, cyclically_equivalent
 from .jacobian import _require_order, truncated_quotient_dim
 from .potential import qp_of_triangulation
@@ -307,7 +308,7 @@ def explore_mutation_class(qp, depth, order):
     """
     _require_order(qp, order)
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise QpsurfError("depth must be >= 0")
     name = "explore"
     digest = _digest(qp.to_text(), str(depth), str(order))
     vertices = qp.quiver.vertices

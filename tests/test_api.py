@@ -12,8 +12,8 @@ import qpsurf
 
 PUBLIC_NAMES = [
     "AlgebraElement", "AlgebraError", "Arrow", "CheckReport", "DimensionReport",
-    "IntegerMatrix", "MarkedSurface", "Path", "PotentialAssembly", "QP", "QPError", "Quiver",
-    "QuiverError", "RigidityReport", "Side", "SplitResult", "Substitution", "SurfaceError",
+    "IntegerMatrix", "MarkedSurface", "Path", "PotentialAssembly", "QP", "QPError", "QpsurfError",
+    "Quiver", "QuiverError", "RigidityReport", "Side", "SplitResult", "Substitution", "SurfaceError",
     "Triangulation", "algebra", "apply_substitution", "arrow_path", "cartan_matrix",
     "check_flip_compatibility", "check_involution", "check_restriction_commutes",
     "cyclic_derivative", "cyclic_normal_form", "cyclically_equivalent",

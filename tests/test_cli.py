@@ -33,9 +33,27 @@ def test_examples_subcommand(monkeypatch):
     assert text == example_text("torus")
 
 
-def test_examples_unknown_name():
-    code, _ = run(["examples", "nope"])
-    assert code == 2
+def test_examples_unknown_name(capsys):
+    # printed as is: once it came in the double quotes of str(KeyError)
+    assert run(["examples", "nope"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: unknown example 'nope'; known: annulus, hexagon, hexagon-central, "
+        "hexagon-fan, once-punctured-square, pentagon, punctured-square-2, "
+        "punctured-square-3, punctured-square-4, punctured-square-sf, torus\n")
+
+
+def test_a_library_value_error_is_a_bug_not_an_input_error(monkeypatch):
+    """Only `QpsurfError` means refused input: any other ValueError leaves `main`."""
+    import qpsurf.jacobian
+
+    def broken(qp, order):
+        raise ValueError("internal")
+
+    qp_text = run(["qp", "-"], stdin_text=example_text("torus"), monkeypatch=monkeypatch)[1]
+    monkeypatch.setattr(qpsurf.jacobian, "truncated_quotient_dim", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO(qp_text))
+    with pytest.raises(ValueError, match="internal"):
+        cli.main(["dim", "-"], out=io.StringIO())
 
 
 def test_validate_ok(tmp_path):
@@ -317,6 +335,16 @@ def test_undecodable_stdin_exits_two_without_traceback():
                           capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == b"" and b"Traceback" not in proc.stderr
+
+
+def test_undecodable_stdin_under_a_strict_handler_is_refused():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
+    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli", "dim", "-"], input=UNDECODABLE,
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (b"error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                           b"invalid start byte\n")
 
 
 def assert_input_error(capsys, argv, bad_line):

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 module it imports outside the package is in the standard library, every
-private function, class and method is used somewhere in the package, and the
-brute-force oracles import nothing of the package.
+private function, class and method is used somewhere in the package, every
+error class derives from `QpsurfError` and the CLI catches no `ValueError`,
+and the brute-force oracles import nothing of the package.
 
 Reads the sources with `ast` and imports no qpsurf module, so a deletion that
 leaves an import or a helper behind fails here whatever else the suite loads.
@@ -103,6 +104,23 @@ def unreferenced_privates(sources):
     return sorted(out)
 
 
+def error_bases(sources):
+    """{name: base names} of each class named `*Error` in `sources`."""
+    return {node.name: [referenced_name(b) for b in node.bases]
+            for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Error")}
+
+
+def caught_names(source):
+    """(line, name) of each exception class an `except` clause names."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            out += [(node.lineno, referenced_name(t)) for t in types]
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -139,6 +157,32 @@ def test_unreferenced_private_is_reported():
     }
     assert unreferenced_privates(sources) == [("a", 5, "_dead"), ("a", 9, "_Dead"),
                                               ("a", 14, "_m")]
+
+
+def test_every_error_class_derives_from_the_package_error():
+    """So the CLI, which catches `QpsurfError` alone, reports each as refused input."""
+    bases = error_bases(p.read_text(encoding="utf-8") for p in SOURCES)
+    assert bases.pop("QpsurfError") == ["ValueError"]
+    assert bases and all(b == ["QpsurfError"] for b in bases.values()), bases
+
+
+def test_error_class_bases_are_reported():
+    source = ("class AError(QpsurfError):\n    pass\n\n\nclass BError(ValueError, Mixin):\n"
+              "    pass\n\n\nclass Other(KeyError):\n    pass\n")
+    assert error_bases([source]) == {"AError": ["QpsurfError"], "BError": ["ValueError", "Mixin"]}
+
+
+def test_the_cli_catches_no_value_error():
+    """A ValueError that is not a `QpsurfError` is a bug, so it leaves `main` with
+    its traceback instead of reading as an input error."""
+    source = (ROOT / "src" / "qpsurf" / "cli.py").read_text(encoding="utf-8")
+    assert "ValueError" not in [name for _, name in caught_names(source)]
+
+
+def test_caught_names_are_reported():
+    source = ("try:\n    pass\nexcept (OSError, x.ValueError):\n    pass\n"
+              "except KeyError as e:\n    pass\nexcept:\n    pass\n")
+    assert caught_names(source) == [(3, "OSError"), (3, "ValueError"), (5, "KeyError")]
 
 
 @pytest.mark.parametrize("path", ORACLES, ids=["tests/oracles.py", "bench/oracle.py"])

@@ -6,15 +6,27 @@ mutation class up to relabelling, and flips connect the ideal triangulations
 triangulations of surfaces", 1991; both cited from memory).  So a
 breadth-first search over `flip` gives a second enumeration of the class,
 with no mutation and no canonical search, to hold against `explore`.
+
+The same search checks the paper's theorems on every triangulation of a
+small surface: a triangulation's QP depends only on the triangulation up to
+homeomorphism (and on the scalars), so one triangulation per class covers
+them all, for the default scalars.
 """
 
 import warnings
 
 from oracles import oracle_canonical_form
 
+from qpsurf.algebra import (
+    AlgebraElement, apply_substitution, cyclically_equivalent, substitution_is_isomorphism,
+)
+from qpsurf.jacobian import cartan_matrix, is_rigid_up_to
 from qpsurf.potential import PotentialBuildWarning, qp_of_triangulation
+from qpsurf.qp import premutate_qp, split_qp
 from qpsurf.surface import Side, SurfaceError, Triangulation, flip, signed_adjacency
-from qpsurf.verify import canonical_matrix_form, explore_mutation_class
+from qpsurf.verify import (
+    canonical_matrix_form, check_flip_compatibility, explore_mutation_class,
+)
 
 
 def triangulation_code(tri):
@@ -105,6 +117,56 @@ def test_flip_graph_gives_the_explored_mutation_class(gen):
             assert set(graph.nodes.values()) == forms, label
             if len(tri.arcs) <= 6:
                 assert {oracle_canonical_form(signed_adjacency(t).rows) for t in found} == forms
+
+
+# (label, kind, size, punctures, flip-compat passes, folded-side refusals),
+# as measured: every arc of every triangulation up to relabelling
+THEOREM_CLASSES = [
+    ("A5", "polygon", 8, 0, 95, 0),
+    ("A6", "polygon", 9, 0, 294, 0),
+    ("D5", "polygon", 5, 1, 116, 14),
+    ("torus2", "torus", 0, 1, 29, 1),
+]
+
+
+def test_the_papers_theorems_hold_on_every_triangulation_of_a_small_surface(gen):
+    """On each triangulation, built at D = max(largest puncture valence + 4, 10):
+    - a flip is a QP-mutation (flip-compat passes), and a folded side is refused;
+    - each one-step mutation's split witness is a right-equivalence from the
+      premutation to its trivial part plus its reduced part;
+    - the QP is rigid (dim Def 0) with boundary, the paper's second theorem;
+      closed, dim Def is 1 and the Cartan matrix is symmetric (measured, as
+      in `test_flip_walks`)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PotentialBuildWarning)
+        for label, kind, size, punctures, passes, folded in THEOREM_CLASSES:
+            counts = [0, 0]
+            for tri in flip_class(gen.surface(kind, size, punctures, 0, 6)):
+                order = max(gen.max_valence(tri) + 4, 10)
+                where = (label, tri.to_text())
+                for arc in tri.arcs:
+                    try:
+                        assert check_flip_compatibility(tri, arc, order).passed, (where, arc)
+                        counts[0] += 1
+                    except SurfaceError as exc:
+                        assert str(exc) == "arc %r is a folded side; flip undefined" % arc
+                        counts[1] += 1
+                qp = qp_of_triangulation(tri, order)
+                for k in qp.quiver.vertices:
+                    pre = premutate_qp(qp, k)
+                    res = split_qp(pre)
+                    assert substitution_is_isomorphism(res.witness), (where, k)
+                    recombined = AlgebraElement(pre.quiver, order, {
+                        **res.trivial.potential.terms, **res.reduced.potential.terms})
+                    image = apply_substitution(res.witness, pre.potential)
+                    assert cyclically_equivalent(image, recombined), (where, k)
+                closed = tri.surface.boundary == 0
+                rep = is_rigid_up_to(qp, order)
+                assert (rep.certified_order is not None, rep.dim_def) == (True, closed), where
+                if closed:
+                    c = cartan_matrix(qp, order)
+                    assert c.rows == tuple(zip(*c.rows)), where
+            assert counts == [passes, folded], label
 
 
 def test_triangulation_code_ignores_triangle_order_and_rotation(gen):
