@@ -23,7 +23,7 @@ _EXPORTS = {
     "algebra": (
         "AlgebraElement", "AlgebraError", "Path", "Substitution", "apply_substitution",
         "arrow_path", "cyclic_derivative", "cyclic_normal_form", "cyclically_equivalent",
-        "multiply", "substitution_is_isomorphism", "vertex_path",
+        "substitution_is_isomorphism", "vertex_path",
     ),
     "jacobian": (
         "DimensionReport", "RigidityReport", "cartan_matrix", "finite_dim_evidence",

@@ -217,11 +217,6 @@ def terms_text(terms):
     return "".join("%d/%d %s\n" % (c.numerator, c.denominator, w) for c, w in terms) or "0\n"
 
 
-def multiply(x, y):
-    """Truncated concatenation product; same as ``x * y``."""
-    return x * y
-
-
 def truncate(x, order):
     """The same element at a lower truncation order; longer terms drop."""
     if order > x.order:

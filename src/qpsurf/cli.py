@@ -22,6 +22,9 @@ CHECK_FAILURE = 1
 def _read(path):
     try:
         if path == "-":
+            if sys.stdin is None:
+                # started with stdin closed, as by `<&-`
+                raise QpsurfError("standard input is closed")
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()

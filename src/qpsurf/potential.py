@@ -58,32 +58,6 @@ def _triangle_word(analysis, t, copies):
     return (w[0], w[2], w[1])
 
 
-def _loop_slot(analysis, loop):
-    """The slot of an enclosing loop that lies outside its self-folded triangle."""
-    for slot in analysis.slots_of[loop]:
-        if slot[0] not in analysis.self_folded:
-            return slot
-    raise SurfaceError("enclosing loop %r has no outer triangle" % loop)
-
-
-def _walk_step_arrow(analysis, corners, u_arc, v_arc):
-    """Arrow from u to v realised at one of the given corners."""
-    # a folded side fills both slots of its self-folded triangle, so every
-    # other slot holds a side that is its own fold
-    fold = analysis.fold
-    found = []
-    for (t, m) in corners:
-        triple = analysis.tri.triangles[t]
-        if (t not in analysis.self_folded and fold[u_arc] == triple[m]
-                and fold[v_arc] == triple[(m + 1) % 3]):
-            found.append(analysis.resolve(t, m, u_arc, v_arc))
-    if len(found) != 1:
-        raise SurfaceError(
-            "expected one arrow %r -> %r around the puncture, found %d"
-            % (u_arc, v_arc, len(found)))
-    return found[0]
-
-
 def potential_assembly(tri, order=6):
     """Per-origin summands of the potential of a triangulation."""
     if order < 1:
@@ -96,9 +70,9 @@ def potential_assembly(tri, order=6):
         if len(word) > order:
             raise SurfaceError(
                 "cycle of length %d does not fit in truncation order %d" % (len(word), order))
-        arrows = check_word(a.unreduced, order, word)  # known arrows that compose
-        if arrows[0].head != arrows[-1].tail:
-            raise SurfaceError("summand %r does not close up" % (word,))
+        # known arrows that compose; each summand closes up, as it is built around
+        # a triangle or a puncture from contributions i -> j, whose arrows run i -> j
+        check_word(a.unreduced, order, word)
         return word
 
     for t, triple in enumerate(tri.triangles):
@@ -117,7 +91,9 @@ def potential_assembly(tri, order=6):
         if len(ends) == 1:
             folded = ends[0]
             loop = a.fold[folded]
-            t, m_loop = _loop_slot(a, loop)
+            # the loop's slot outside its self-folded triangle: had it two, the two
+            # triangles would close up a sphere with three punctures
+            t, m_loop = next(slot for slot in a.slots_of[loop] if slot[0] not in a.self_folded)
             triple = tri.triangles[t]
             others = [triple[m] for m in range(3) if m != m_loop]
             if not all(tri.sides[s].is_arc for s in others):
@@ -131,22 +107,20 @@ def potential_assembly(tri, order=6):
                                      Fraction(-1) / surf.scalars[q])
             continue
 
+        # the walk visits the ends at q that are not enclosing loops.  The two ends of
+        # an enclosing loop flank its folded side's, at the corners of its self-folded
+        # triangle, and no other corner meets a folded side; so between two visited
+        # ends in turn lies one corner outside the self-folded triangles, whose slots
+        # hold the two ends' folds
         cycle = a.puncture_cycle[q]
         nverts = len(cycle)
-        keep = [i for i, side in enumerate(ends) if side not in a.enclosed]
-        if len(keep) < 2:
-            raise SurfaceError("puncture %r retains fewer than two arcs" % q)
+        first = next(i for i, side in enumerate(ends) if side not in a.enclosed)
         walk = []
-        for n, i in enumerate(keep):
-            j = keep[(n + 1) % len(keep)]
-            span = []
-            s = (i + 1) % nverts
-            while True:
-                span.append(cycle[s])
-                if s == j:
-                    break
-                s = (s + 1) % nverts
-            walk.append(_walk_step_arrow(a, span, ends[i], ends[j]))
+        for s in range(first + 1, first + 1 + nverts):
+            t, m = cycle[s % nverts]
+            if t not in a.self_folded:
+                u, v = ends[s % nverts - 1], ends[s % nverts]
+                walk.append(a.resolve(t, m, a.fold_back.get(u, u), a.fold_back.get(v, v)))
         asm.puncture_terms[q] = (checked(tuple(reversed(walk))), surf.scalars[q])
 
     return asm

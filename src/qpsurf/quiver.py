@@ -89,13 +89,7 @@ class Quiver:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise QuiverError("duplicate vertex ids")
-        arr = []
-        for a in arrows:
-            if not isinstance(a, Arrow):
-                a = Arrow(*a)
-            arr.append(a)
-        arr.sort(key=_name)
-        self.arrows = tuple(arr)
+        self.arrows = tuple(sorted(arrows, key=_name))
         self._by_name = {}
         self.between = {}
         for a in self.arrows:

@@ -345,9 +345,7 @@ class Analysis:
         for t, (s0, s1, s2) in enumerate(tri.triangles):
             if s0 != s1 and s1 != s2 and s0 != s2:
                 continue
-            if s0 == s1 == s2:
-                self.problems.append("triangle %d repeats a side three times" % t)
-                continue
+            # one side repeated: a side in all three slots failed its slot count above
             folded, loop = (s0, s2) if s0 == s1 else (s1, s0) if s1 == s2 else (s0, s1)
             fs = sides[folded]
             ls = sides[loop]
@@ -509,24 +507,10 @@ class Analysis:
                 self.problems.append("rotation around puncture %r misses corners" % p)
                 continue
             self.puncture_cycle[p] = cycle
-        if self.problems:
-            return
-
         # crossed sides, all arcs: _shape_checks refuses a boundary segment ending at a puncture
         triangles = tri.triangles
         self.puncture_ends = {p: [triangles[t][(m + 1) % 3] for t, m in cycle]
                               for p, cycle in self.puncture_cycle.items()}
-        for t, (folded, loop) in self.self_folded.items():
-            q = self.enclosed[loop]
-            if len(self.puncture_ends.get(q, ())) != 1:
-                self.problems.append(
-                    "puncture %r inside a self-folded triangle has extra incidences" % q)
-        for t, triple in enumerate(triangles):
-            if t in self.self_folded:
-                continue
-            loops = sum(1 for s in set(triple) if s in self.enclosed)
-            if loops > 2:
-                self.problems.append("triangle %d encloses three self-folded triangles" % t)
 
     # -- arrows ----------------------------------------------------------------
 
@@ -567,18 +551,14 @@ class Analysis:
         for p, ends in self.puncture_ends.items():
             if len(ends) != 2:
                 continue
-            if len(set(ends)) != 2:
-                self.problems.append("puncture %r has two ends of a single arc" % p)
-                continue
-            i1, i2 = sorted(set(ends))
+            # two arcs: were both ends one arc, it would fill the second corner's slot and
+            # the next one, so the walk would return to that corner at once
+            i1, i2 = sorted(ends)
             for (u, v) in ((i1, i2), (i2, i1)):
                 name = "%s>%s~p%s" % (u, v, p)
                 self.def8[(u, v)] = name
                 self.provenance[name] = ("puncture", p)
                 arrows.append(Arrow(name, u, v))
-        if self.problems:
-            return
-
         self.unreduced = Quiver(tri.arcs, arrows)
 
     def resolve(self, t, m, i, j):
@@ -588,16 +568,14 @@ class Analysis:
         the valence-2 puncture responsible for the cancellation.
         """
         con = (i, j, t, m)
-        name = self.arrow_of.get(con)
-        if name is not None:
-            return name
-        if con in self.cancelled:
-            name = self.def8.get((i, j))
-            if name is None:
-                raise SurfaceError(
-                    "cancelled adjacency %r -> %r has no replacing arrow" % (i, j))
-            return name
-        raise SurfaceError("no adjacency (%r, %r) at triangle %d slot %d" % (i, j, t, m))
+        if con not in self.cancelled:
+            # every caller names a corner of a triangle that is not self-folded, at the
+            # sides' own preimages, so the contribution was made
+            return self.arrow_of[con]
+        name = self.def8.get((i, j))
+        if name is None:
+            raise SurfaceError("cancelled adjacency %r -> %r has no replacing arrow" % (i, j))
+        return name
 
 
 def validate_triangulation(tri):
@@ -644,9 +622,8 @@ def flip(tri, arc):
         raise SurfaceError("unknown arc %r" % arc)
     if a.fold[arc] != arc:
         raise SurfaceError("arc %r is a folded side; flip undefined" % arc)
+    # two triangles: only a folded side fills two slots of one triangle
     (t1, m1), (t2, m2) = sorted(a.slots_of[arc])
-    if t1 == t2:
-        raise SurfaceError("arc %r is a folded side; flip undefined" % arc)
     tri1 = tri.triangles[t1]
     tri2 = tri.triangles[t2]
     x, y = tri1[(m1 + 1) % 3], tri1[(m1 + 2) % 3]

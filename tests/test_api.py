@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "cyclic_derivative", "cyclic_normal_form", "cyclically_equivalent",
     "explore_mutation_class", "finite_dim_evidence", "flip", "fold_map", "is_rigid_up_to",
     "is_two_acyclic", "jacobian", "jacobian_generators", "linalg", "matrix_from_quiver",
-    "multiply", "mutate_matrix", "mutate_qp", "mutate_quiver", "potential",
+    "mutate_matrix", "mutate_qp", "mutate_quiver", "potential",
     "potential_assembly", "premutate_qp", "premutate_quiver", "qp", "qp_of_triangulation",
     "quiver", "quiver_from_matrix", "restrict_qp", "signed_adjacency", "split_qp",
     "substitution_is_isomorphism", "surface", "truncated_quotient_dim", "unreduced_potential",

@@ -171,6 +171,15 @@ def test_check_restriction(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_check_restriction_reports_differing_premutations(tmp_path, monkeypatch):
+    path = write_example(tmp_path, "hexagon-central")
+    _, qp_text = run(["qp", path, "--order", "6"])
+    code, text = run(["check", "restriction", "-", "1", "--keep", "2,3"],
+                     stdin_text=qp_text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert text.splitlines()[-1] == "  premutations-coincide: FAIL (premutations differ)"
+
+
 def test_explore(tmp_path, monkeypatch):
     path = write_example(tmp_path, "torus")
     _, qp_text = run(["qp", path])
@@ -273,6 +282,15 @@ def test_malformed_triangulation_exits_two_without_traceback(tmp_path, capsys, t
 
 
 SELF_FOLDED = example_text("punctured-square-sf")  # tri L f f, with f from A to p
+PUNCTURED_SQUARE = example_text("punctured-square-2")  # arcs 1 and 2 from p to A and C
+TORUS_COPY = """\
+marked q puncture
+arc 4 q q
+arc 5 q q
+arc 6 q q
+tri 4 5 6
+tri 4 5 6
+"""
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -287,8 +305,32 @@ SELF_FOLDED = example_text("punctured-square-sf")  # tri L f f, with f from A to
      "boundary component 0 is not partitioned into a cycle"),
     (example_text("punctured-square-2").replace("bseg DA D A on=0\n", "bseg DA D p on=0\n"),
      "boundary segment 'DA' endpoint 'p' not on component 0"),
+    ("surface genus=1 boundary=0\nmarked p puncture\n",
+     "arc count 0 does not match the rank 3 of the surface; Euler characteristic mismatch (1); "
+     "triangulation has no triangles"),
+    (example_text("torus").replace("genus=1", "genus=2") + TORUS_COPY,
+     "arc count 6 does not match the rank 12 of the surface; Euler characteristic mismatch (0); "
+     "triangulation is not connected"),
+    ("surface genus=0 boundary=1\nmarked A boundary=0\nmarked B boundary=0\n"
+     "marked p puncture\nbseg b A A on=0\narc f A p\ntri f f b\n",
+     "self-folded triangle 0 with non-arc sides"),
+    (SELF_FOLDED.replace("arc L A A\n", "arc L A B\n"),
+     "enclosing side 'L' of triangle 0 is not a loop"),
+    (SELF_FOLDED.replace("arc f A p\n", "arc f B p\n"),
+     "folded side 'f' does not join the loop base of triangle 0"),
+    (PUNCTURED_SQUARE.replace("arc 1 p A\n", "arc 1 B A\n").replace("arc 2 p C\n", "arc 2 B C\n"),
+     "puncture 'p' is not an endpoint of any side"),
+    (PUNCTURED_SQUARE.replace("genus=0", "genus=-1"), "negative genus or boundary count"),
+    (PUNCTURED_SQUARE.replace("marked p puncture\n", "marked p puncture scalar=0\n"),
+     "puncture 'p' has zero scalar"),
+    ("surface genus=0 boundary=1\nmarked A boundary=0\nmarked p puncture\n"
+     "bseg b A A on=0\narc f A p\ntri b f f\n",
+     "excluded surface: once-punctured monogon"),
 ], ids=["unknown-end-point", "folded-side-is-a-loop", "folded-side-ends-on-the-boundary",
-        "euler-characteristic", "boundary-not-a-cycle", "puncture-on-the-boundary"])
+        "euler-characteristic", "boundary-not-a-cycle", "puncture-on-the-boundary",
+        "no-triangles", "not-connected", "self-folded-with-a-boundary-segment",
+        "enclosing-side-not-a-loop", "folded-side-off-the-loop-base", "puncture-without-sides",
+        "negative-genus", "zero-scalar", "once-punctured-monogon"])
 def test_invalid_triangulation_exits_two_without_traceback(tmp_path, capsys, text, problem):
     # each text parses; validation names the problem
     path = tmp_path / "bad.tri"
@@ -296,6 +338,40 @@ def test_invalid_triangulation_exits_two_without_traceback(tmp_path, capsys, tex
     capsys.readouterr()
     assert cli.main(["validate", str(path)], out=io.StringIO()) == 2
     assert capsys.readouterr().err == "error: %s\n" % problem
+
+
+# A twice-punctured triangle whose punctures, each of valence 2, were moved onto the
+# boundary points C and A: the counts still fit a torus with one boundary component,
+# and each moved point keeps its 2-cycle, with no puncture arrow to replace it
+PINCHED = """\
+surface genus=1 boundary=1
+marked A boundary=0
+marked B boundary=0
+marked C boundary=0
+bseg AB A B on=0
+bseg BC B C on=0
+bseg CA C A on=0
+arc x A B
+arc a1 C A
+arc b1 C B
+arc y B C
+arc a2 A B
+arc b2 A C
+tri AB b1 a1
+tri x a1 b1
+tri BC b2 a2
+tri y a2 b2
+tri x y CA
+"""
+
+
+def test_a_two_cycle_at_a_boundary_point_is_refused_by_the_potential(tmp_path, capsys):
+    path = tmp_path / "pinched.tri"
+    path.write_text(PINCHED, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["qp", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == (
+        "error: cancelled adjacency 'a1' -> 'b1' has no replacing arrow\n")
 
 
 def test_malformed_triangulation_exits_two_in_a_fresh_process(tmp_path):
@@ -491,6 +567,16 @@ def test_stdout_closed_at_start_exits_two_without_traceback():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: standard output is closed\n"
+
+
+@pytest.mark.parametrize("argv", [["dim", "-"], ["validate"]], ids=["dim", "validate"])
+def test_stdin_closed_at_start_exits_two_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "qpsurf.cli"] + argv, capture_output=True,
+                          text=True, preexec_fn=lambda: os.close(0),
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr == "error: standard input is closed\n"
 
 
 def test_unknown_subcommand_exits_two():

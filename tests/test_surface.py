@@ -65,6 +65,17 @@ def test_constructor_takes_sides_from_a_generator():
         Triangulation(tri.surface, (s for s in [side, side]), [])
 
 
+def test_constructor_refuses_a_short_triangle_and_an_unknown_side():
+    tri = load("torus")
+    sides = list(tri.sides.values())
+    with pytest.raises(SurfaceError) as short:
+        Triangulation(tri.surface, sides, [("1", "2")])
+    assert str(short.value) == "triangle ('1', '2') does not have three sides"
+    with pytest.raises(SurfaceError) as unknown:
+        Triangulation(tri.surface, sides, [("1", "2", "9")])
+    assert str(unknown.value) == "triangle references unknown side '9'"
+
+
 def test_fold_map_identity_without_self_folded():
     for name in ("torus", "pentagon", "hexagon-central"):
         tri = load(name)
