@@ -355,16 +355,19 @@ def substitute_words(images, terms, order):
     read once and sorted shortest first; an arrow without an image is
     appended as it is, with no coefficient product, and a word that moves
     no arrow is taken whole.  Returns {word: coefficient}, zero sums
-    included, in order of first appearance.  A partial word stops taking
-    image terms at the first one that cannot stay within `order`, and a
-    word longer than `order` is dropped.  The words must have positive
-    length; nothing is checked.
+    included, in order of first appearance, and whether a product was
+    skipped.  A partial word stops taking image terms at the first one that
+    cannot stay within `order`, and a word longer than `order` is dropped;
+    either skips a product.  The words must have positive length; nothing
+    is checked.
     """
     images = {name: sorted(img, key=_word_length) for name, img in images.items()}
     out = {}
+    skipped = False
     for w, c in terms:
         room = order - len(w)
         if room < 0:
+            skipped = True
             continue
         if images.keys().isdisjoint(w):
             out[w] = out[w] + c if w in out else c
@@ -382,6 +385,7 @@ def substitute_words(images, terms, order):
                 fit = room - len(v)
                 for u, b in img:
                     if len(u) > fit:
+                        skipped = True
                         break
                     grown.append((v + u, a * b))
             acc = grown
@@ -389,7 +393,7 @@ def substitute_words(images, terms, order):
                 break
         for v, a in acc:
             out[v] = out[v] + a if v in out else a
-    return out
+    return out, skipped
 
 
 def apply_substitution(f, x):
@@ -406,8 +410,8 @@ def apply_substitution(f, x):
     images = {name: [(p.arrows, c) for p, c in img.terms.items()]
               for name, img in f.images.items()}
     terms = {p: c for p, c in x.terms.items() if not p.arrows}
-    out = substitute_words(images, ((p.arrows, c) for p, c in x.terms.items() if p.arrows),
-                           f.order)
+    out, _ = substitute_words(images, ((p.arrows, c) for p, c in x.terms.items() if p.arrows),
+                              f.order)
     for w, a in out.items():
         if a:
             terms[Path(w)] = a

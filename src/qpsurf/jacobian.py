@@ -17,12 +17,25 @@ class JacobianError(QpsurfError):
 
 
 def _require_order(qp, order):
-    """Refuse an order outside 1..the QP's truncation."""
+    """Refuse an order outside 1..the QP's truncation, or past what its
+    potential gets right.
+
+    The dims at an order d read the potential's terms of degree <= d + 1,
+    all of them at the truncation D, so a QP exact through a lower degree
+    serves only the orders that read no further.  A refusal names the order
+    that makes up the shortfall, D plus the degrees missing.
+    """
     if order < 1:
         raise JacobianError("order must be >= 1")
     if order > qp.order:
         raise JacobianError(
             "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
+    exact = qp.exact
+    need = min(order + 1, qp.order)
+    if exact is not None and need > exact:
+        raise JacobianError(
+            "order %d reads the potential through degree %d, which is exact only through "
+            "degree %d; rebuild at order >= %d" % (order, need, exact, qp.order + need - exact))
 
 
 def jacobian_generators(qp):
@@ -49,31 +62,28 @@ def _integer_generators(qp):
 
 
 class DimensionReport(Record):
-    __slots__ = _fields = ("order", "dims", "path_counts", "ranks", "certified",
-                           "certified_order", "absorbed")
+    """Dims and path counts per degree, and the certificate order or None;
+    each verdict is read off them."""
 
-    def __init__(self, order, dims, path_counts, ranks, certified, certified_order,
-                 absorbed=None):
-        self.order = order
+    __slots__ = _fields = ("dims", "path_counts", "certified_order")
+
+    def __init__(self, dims, path_counts, certified_order):
         self.dims = dims
         self.path_counts = path_counts
-        self.ranks = ranks
-        self.certified = certified
         self.certified_order = certified_order
-        self.absorbed = [] if absorbed is None else absorbed
 
-    @property
-    def dimension(self):
-        return self.dims[-1]
+    order = property(lambda self: len(self.dims) - 1)
+    dimension = property(lambda self: self.dims[-1])
+    ranks = property(lambda self: [n - m for n, m in zip(self.path_counts, self.dims)])
+    certified = property(lambda self: self.certified_order is not None)
+    # degree d is absorbed when it adds nothing to the quotient; degree 0 never is
+    absorbed = property(lambda self: [False] + [a == b for a, b in zip(self.dims, self.dims[1:])])
 
     def to_text(self):
-        lines = ["order #paths ideal-rank dim certified"]
-        for d in range(self.order + 1):
-            cert = "yes" if self.certified and self.certified_order is not None \
-                and d >= self.certified_order else "no"
-            lines.append("%d %d %d %d %s"
-                         % (d, self.path_counts[d], self.ranks[d], self.dims[d], cert))
-        return "\n".join(lines) + "\n"
+        c = self.certified_order
+        return "order #paths ideal-rank dim certified\n" + "".join(
+            "%d %d %d %d %s\n" % (d, n, r, m, "yes" if c is not None and d >= c else "no")
+            for d, (n, r, m) in enumerate(zip(self.path_counts, self.ranks, self.dims)))
 
 
 def _reduce(terms, lead, lens, order):
@@ -218,10 +228,7 @@ def truncated_quotient_dim(qp, order):
         counts.append(sum(per.values()))
 
     normal = [len(level) for level in levels] + [0] * (order + 1 - len(levels))
-    dims, path_counts = list(accumulate(normal)), list(accumulate(counts))
-    return DimensionReport(order, dims, path_counts, [n - m for n, m in zip(path_counts, dims)],
-                           certified_order is not None, certified_order,
-                           [False] + [not n for n in normal[1:]])
+    return DimensionReport(list(accumulate(normal)), list(accumulate(counts)), certified_order)
 
 
 def cartan_matrix(qp, order):
@@ -246,14 +253,15 @@ def cartan_matrix(qp, order):
 
 
 class RigidityReport(Record):
-    __slots__ = _fields = ("max_order", "rigid", "witness", "certified_order", "dim_def")
+    __slots__ = _fields = ("max_order", "witness", "certified_order", "dim_def")
 
-    def __init__(self, max_order, rigid, witness, certified_order=None, dim_def=None):
+    def __init__(self, max_order, witness, certified_order=None, dim_def=None):
         self.max_order = max_order
-        self.rigid = rigid
         self.witness = witness
         self.certified_order = certified_order
         self.dim_def = dim_def
+
+    rigid = property(lambda self: self.witness is None)
 
     def to_text(self):
         if self.rigid:
@@ -309,13 +317,13 @@ def is_rigid_up_to(qp, order):
             elim.add_row(_reduce([((a.name,) + b, 1), (b + (a.name,), -1)], lead, lens, order))
     dim_def = None if certified is None else cycles - elim.rank
     if elim.rank == cycles:
-        return RigidityReport(order, True, None, certified, dim_def)
+        return RigidityReport(order, None, certified, dim_def)
 
     paths = [((a.name,), a.tail, a.head) for a in qp.quiver.arrows]
     for _ in range(order):  # a least rotation starts with its least arrow
         for c, t, h in paths:
             if t == h and c == least_rotation(c) and not elim.contains(nf(c)):
-                return RigidityReport(order, False, Path(c), certified, dim_def)
+                return RigidityReport(order, Path(c), certified, dim_def)
         paths = [(w + (x.name,), x.tail, h) for w, t, h in paths for x in into[t]
                  if x.name >= w[0]]
 
@@ -330,8 +338,7 @@ def finite_dim_evidence(qp, dmax):
     c + 1 is the first c + 2 degrees of the report at `dmax`.
     """
     report = truncated_quotient_dim(qp, dmax)
-    if not report.certified:
-        return report
     c = report.certified_order
-    return DimensionReport(c + 1, report.dims[:c + 2], report.path_counts[:c + 2],
-                           report.ranks[:c + 2], True, c, report.absorbed[:c + 2])
+    if c is None:
+        return report
+    return DimensionReport(report.dims[:c + 2], report.path_counts[:c + 2], c)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import check_word, merge_rotations
 from .qp import QP, _split_words
-from .quiver import Record, quiver_from_matrix
+from .quiver import Record, is_two_acyclic, net_matrix
 from .surface import SurfaceError, signed_adjacency
 
 
@@ -135,7 +135,9 @@ def qp_of_triangulation(tri, order=6):
     """Reduced QP of a triangulation; its quiver matches the adjacency matrix."""
     asm = potential_assembly(tri, order)
     reduced = _split_words(asm.quiver, asm.words(), order)[0]
-    expected = quiver_from_matrix(signed_adjacency(tri))
-    if reduced.quiver.multiplicities() != expected.multiplicities():
+    # the matrix's quiver has these arrow counts exactly when this one is 2-acyclic
+    # with the matrix as its net counts
+    quiver = reduced.quiver
+    if not (is_two_acyclic(quiver) and net_matrix(quiver) == signed_adjacency(tri)):
         raise SurfaceError("reduced quiver does not match the adjacency matrix")
     return reduced

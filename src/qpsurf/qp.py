@@ -66,7 +66,15 @@ class QP:
     cycle, so every word is a composable cycle and no consumer checks again;
     a QP built from a valid QP's words comes from `_of_words` unchecked.
     The QPs of `premutate_qp`, `split_qp` and `mutate_qp` hold least rotations.
+
+    `exact` says how far the words are those of the untruncated computation:
+    None when nothing was dropped, as for a parsed QP, else the degree e such
+    that no term of degree <= e was lost.  A split that skips a product marks
+    its result exact to its order, and a premutation lowers a bound it is
+    given by `_premutation_exact`, computed on the first read.
     """
+
+    _exact = None  # None, a degree, or a function that computes one
 
     def __init__(self, quiver, potential, order=None):
         if order is None:
@@ -79,11 +87,17 @@ class QP:
         self.order = int(order)
 
     @classmethod
-    def _of_words(cls, quiver, words, order):
+    def _of_words(cls, quiver, words, order, exact=None):
         """The QP of words built from a valid QP's, with no check."""
         qp = cls.__new__(cls)
-        qp.quiver, qp.words, qp.order = quiver, words, order
+        qp.quiver, qp.words, qp.order, qp._exact = quiver, words, order, exact
         return qp
+
+    @property
+    def exact(self):
+        if callable(self._exact):
+            self._exact = self._exact()
+        return self._exact
 
     @property
     def potential(self):
@@ -189,15 +203,43 @@ def _premutation(qp, k):
     return quiver, words
 
 
+def _premutation_exact(q, k, exact):
+    """The degree through which the premutation at k of a QP on q is exact,
+    when the QP is exact through degree `exact`.
+
+    A lost term is a cycle c of q longer than `exact`, and premutation reads
+    it as a word of length len(c) - v, v its visits to k: the new bound is
+    the least len(c) - v - 1, and at most `exact`.  For each length L a walk
+    over `q.between` finds the most visits of a closed walk from k; with no
+    2-cycle at k, which premutation refuses, each return to k takes at least
+    three arrows, so v <= L/3 and the walk stops once 2L/3 - 1 reaches the
+    bound.
+    """
+    most, best, length = {k: 0}, exact, 0  # most: vertex -> most visits to k on the way
+    while 2 * (length + 1) < 3 * (best + 1):
+        length += 1
+        step = {}
+        for t, h in q.between:
+            if t in most and step.get(h, -1) < most[t] + (h == k):
+                step[h] = most[t] + (h == k)
+        most = step
+        if length > exact and k in most:
+            best = min(best, length - most[k] - 1)
+    return best
+
+
 def premutate_qp(qp, k):
     """Premutation at vertex k.
 
     Every k-hook ab inside a potential term is replaced by the composite
     arrow [a.b], as `_premutation` reads it, and the sum of b* a* [a.b] over
     all k-hooks of the quiver is added.  Every term is written at its least
-    rotation: the result is in cyclic normal form as built.
+    rotation: the result is in cyclic normal form as built.  Of an exact QP
+    nothing is lost; otherwise `exact` is lowered, when first read.
     """
-    return QP._of_words(*_premutation(qp, k), qp.order)
+    exact = None if qp._exact is None else (
+        lambda: _premutation_exact(qp.quiver, k, qp.exact))
+    return QP._of_words(*_premutation(qp, k), qp.order, exact)
 
 
 class SplitResult(Record):
@@ -259,7 +301,7 @@ def _diagonal_pairing(quiver, terms):
     return diagonal, pairs
 
 
-def _split_words(quiver, terms, order):
+def _split_words(quiver, terms, order, exact=None):
     """The split of valid words, {word: coefficient} at their least rotations.
 
     First an arrow basis change makes the degree-2 part a sum of distinct
@@ -279,9 +321,13 @@ def _split_words(quiver, terms, order):
     Returns the reduced QP, the only QP built here, then the trivial terms
     (the pairs' 2-cycles), the pairs and each step's images as
     {arrow: [(word, coefficient), ...]}: the pairing's first, empty when no
-    arrow moves, then one per substitution a sweep applied.
+    arrow moves, then one per substitution a sweep applied.  The reduced QP
+    keeps the words' `exact`, or is exact to `order` if a product was
+    skipped: a substitution moves an arrow by terms of its own degree and
+    higher, so a lost term of degree > e changes only degrees > e.
     """
     blocks, pairs = _diagonal_pairing(quiver, terms.items())
+    skipped = False
     images = {}
     for xs, ys, p_ops, q_ops in blocks:
         if p_ops is None:
@@ -295,7 +341,8 @@ def _split_words(quiver, terms, order):
             if img != [((name,), 1)]:
                 images[name] = img
     if images:
-        terms = merge_rotations(substitute_words(images, terms.items(), order).items())
+        terms, skipped = substitute_words(images, terms.items(), order)
+        terms = merge_rotations(terms.items())
     reps = {pair: least_rotation(pair) for pair in pairs}
     if {w: c for w, c in terms.items() if len(w) == 2} != dict.fromkeys(reps.values(), 1):
         raise QPError("pairing normalisation failed")
@@ -322,7 +369,8 @@ def _split_words(quiver, terms, order):
             if len(images[a]) == len(images[b]) == 1:
                 continue
             changed = True
-            terms = merge_rotations(substitute_words(images, terms.items(), order).items())
+            terms, skip = substitute_words(images, terms.items(), order)
+            terms, skipped = merge_rotations(terms.items()), skipped or skip
             steps.append(images)
         if not changed:
             break
@@ -341,7 +389,10 @@ def _split_words(quiver, terms, order):
             trivial[w] = c
     if any(len(w) == 2 for w in reduced):
         raise QPError("reduced part kept a degree-2 term")
-    return QP._of_words(_reduced_quiver(quiver, pairs), reduced, order), trivial, pairs, steps
+    if skipped and exact is None:
+        exact = order
+    return (QP._of_words(_reduced_quiver(quiver, pairs), reduced, order, exact),
+            trivial, pairs, steps)
 
 
 def _reduced_quiver(quiver, pairs):
@@ -361,7 +412,8 @@ def split_qp(qp):
     access.
     """
     quiver, order = qp.quiver, qp.order
-    reduced, trivial, pairs, steps = _split_words(quiver, merge_rotations(qp.words.items()), order)
+    reduced, trivial, pairs, steps = _split_words(quiver, merge_rotations(qp.words.items()), order,
+                                                  qp._exact)
     steps = [Substitution(quiver, quiver, order, {
         name: AlgebraElement(quiver, order, {Path(w): c for w, c in img})
         for name, img in images.items()}) for images in steps]
@@ -375,11 +427,16 @@ def mutate_qp(qp, k):
     """QP-mutation: the reduced part of the premutation at k.
 
     The premutation's words, at their least rotations as `_premutation`
-    reads them, go straight to the split core: no premutated QP is built.
-    The sweep images are rests of the premutation's own cycles, so their
+    reads them, go straight to the split core, with no witness built.  The
+    sweep images are rests of the premutation's own cycles, so their
     endpoints hold by construction.
     """
-    return _split_words(*_premutation(qp, k), qp.order)[0]
+    return _reduced_part(premutate_qp(qp, k))
+
+
+def _reduced_part(pre):
+    """The reduced QP of the split of a premutation, as `mutate_qp` makes it."""
+    return _split_words(pre.quiver, pre.words, pre.order, pre._exact)[0]
 
 
 def mutated_quiver(qp, k):
@@ -407,4 +464,5 @@ def restrict_qp(qp, keep):
     kept_arrows = [a for a in qp.quiver.arrows if a.tail in keep and a.head in keep]
     names = {a.name for a in kept_arrows}
     return QP._of_words(Quiver(qp.quiver.vertices, kept_arrows),
-                        {w: c for w, c in qp.words.items() if names.issuperset(w)}, qp.order)
+                        {w: c for w, c in qp.words.items() if names.issuperset(w)}, qp.order,
+                        qp._exact)

@@ -480,6 +480,11 @@ class Analysis:
 
         For a puncture the counter-clockwise corner walk must form a single
         cycle; the side crossed after each corner is one arc end at the point.
+        At a boundary point it must form one chain, from the corner after the
+        segment that ends there, across arcs, to the corner before the
+        segment that starts there.  The step is one-to-one, and no step
+        enters that first corner, so the chain ends, having met each corner
+        once.
         """
         tri = self.tri
         partner = self.partner
@@ -511,6 +516,19 @@ class Analysis:
         triangles = tri.triangles
         self.puncture_ends = {p: [triangles[t][(m + 1) % 3] for t, m in cycle]
                               for p, cycle in self.puncture_cycle.items()}
+        if self.problems:  # a puncture with no good walk is the fault to name
+            return
+        for segments in self.segments_on.values():
+            for s in segments:
+                t, m = self.slots_of[s][0]
+                chain = [(t, m)]
+                while (nxt := partner[(t, (m + 1) % 3)]) is not None:
+                    chain.append(nxt)
+                    t, m = nxt
+                point = self.corner_point[chain[0]]
+                if sorted(chain) != corners_at[point]:
+                    self.problems.append(
+                        "rotation around boundary point %r misses corners" % point)
 
     # -- arrows ----------------------------------------------------------------
 
@@ -572,10 +590,10 @@ class Analysis:
             # every caller names a corner of a triangle that is not self-folded, at the
             # sides' own preimages, so the contribution was made
             return self.arrow_of[con]
-        name = self.def8.get((i, j))
-        if name is None:
-            raise SurfaceError("cancelled adjacency %r -> %r has no replacing arrow" % (i, j))
-        return name
+        # a cancelled i -> j and j -> i sit at two corners of one point that the
+        # walk steps between; `_walks` refuses that at a boundary point, so the
+        # point is a puncture of valence 2 with the ends i and j
+        return self.def8[(i, j)]
 
 
 def validate_triangulation(tri):

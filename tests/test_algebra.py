@@ -137,13 +137,16 @@ def test_substitute_words_multiplies_only_at_moved_arrows():
     Tally.products = 0
     images = {"a": [(("y", "z"), 3), (("x",), 2)]}
     terms = [(("c", "b", "a"), Tally(1)), (("c", "b"), Tally(5)), (("a", "a", "c", "b"), Tally(1))]
-    out = substitute_words(images, terms, 4)
+    out, skipped = substitute_words(images, terms, 4)
     assert Tally.products == 4  # two for c b a, two for a a c b, none for c b
     assert {w: t.value for w, t in out.items()} == {
         ("c", "b", "x"): 2, ("c", "b", "y", "z"): 3, ("c", "b"): 5,
         ("x", "x", "c", "b"): 4}
+    assert skipped  # a a c b takes y z at most once within order 4
+    out, skipped = substitute_words(images, terms[:2], 4)
+    assert not skipped and len(out) == 3
     # a word longer than the order is dropped, even when it moves no arrow
-    assert substitute_words(images, [(("c", "b", "c"), 1)], 2) == {}
+    assert substitute_words(images, [(("c", "b", "c"), 1)], 2) == ({}, True)
 
 
 def test_apply_substitution_refuses_an_element_off_its_base():

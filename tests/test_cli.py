@@ -364,14 +364,51 @@ tri y a2 b2
 tri x y CA
 """
 
+# A twice-punctured square whose punctures, each of valence 3, were moved onto the
+# boundary points D and B, again under a torus with one boundary component
+MOVED_SQUARE = """\
+surface genus=1 boundary=1
+marked A boundary=0
+marked B boundary=0
+marked C boundary=0
+marked D boundary=0
+bseg AB A B on=0
+bseg BC B C on=0
+bseg CD C D on=0
+bseg DA D A on=0
+arc 1 D A
+arc 2 D B
+arc 3 D C
+arc 4 A C
+arc 5 B C
+arc 6 B D
+arc 7 B A
+tri 1 AB 2
+tri 2 BC 3
+tri 3 4 1
+tri 5 CD 6
+tri 6 DA 7
+tri 7 4 5
+"""
 
-def test_a_two_cycle_at_a_boundary_point_is_refused_by_the_potential(tmp_path, capsys):
+
+@pytest.mark.parametrize("text, problems", [
+    (PINCHED, "rotation around boundary point 'C' misses corners; "
+              "rotation around boundary point 'A' misses corners"),
+    (MOVED_SQUARE, "rotation around boundary point 'B' misses corners; "
+                   "rotation around boundary point 'D' misses corners"),
+], ids=["pinched", "moved-square"])
+def test_a_boundary_point_whose_corners_do_not_chain_is_refused(tmp_path, capsys, text,
+                                                                problems):
+    # the corners at each moved point split into a chain between its two boundary
+    # segments and a cycle the chain never reaches
     path = tmp_path / "pinched.tri"
-    path.write_text(PINCHED, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     capsys.readouterr()
+    assert cli.main(["validate", str(path)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err == "error: %s\n" % problems
     assert cli.main(["qp", str(path)], out=io.StringIO()) == 2
-    assert capsys.readouterr().err == (
-        "error: cancelled adjacency 'a1' -> 'b1' has no replacing arrow\n")
+    assert capsys.readouterr().err == "error: invalid triangulation: %s\n" % problems
 
 
 def test_malformed_triangulation_exits_two_in_a_fresh_process(tmp_path):

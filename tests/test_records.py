@@ -91,35 +91,41 @@ def test_frozen_values_copy_and_pickle(obj):
 
 
 def test_dimension_and_rigidity_reports():
-    kw = dict(order=1, dims=[1, 2], path_counts=[1, 2], ranks=[0, 0], certified=False,
-              certified_order=None)
+    # a report stores facts only; each verdict is read off them, so none can disagree
+    kw = dict(dims=[1, 2, 2], path_counts=[1, 3, 4], certified_order=None)
     a, b = DimensionReport(**kw), DimensionReport(**kw)
-    assert a.absorbed == [] and a.absorbed is not b.absorbed
-    assert a == b and a.dimension == 2
-    assert a != DimensionReport(**dict(kw, certified=True))
-    assert a != DimensionReport(**kw, absorbed=[False, True])
-    assert repr(a) == ("DimensionReport(order=1, dims=[1, 2], path_counts=[1, 2], "
-                       "ranks=[0, 0], certified=False, certified_order=None, absorbed=[])")
-    a.certified = True
-    assert a == DimensionReport(1, [1, 2], [1, 2], [0, 0], True, None, [])
+    assert a == b and a.order == 2 and a.dimension == 2
+    assert a.ranks == [0, 1, 2] and a.absorbed == [False, False, True] and not a.certified
+    assert a != DimensionReport(**dict(kw, certified_order=1))
+    assert repr(a) == "DimensionReport(dims=[1, 2, 2], path_counts=[1, 3, 4], certified_order=None)"
+    with pytest.raises(TypeError):
+        DimensionReport(**kw, certified=True)
+    with pytest.raises(AttributeError):
+        a.certified = True
+    a.certified_order = 1
+    assert a.certified and a == DimensionReport([1, 2, 2], [1, 3, 4], 1)
+    assert a.to_text().splitlines()[1:] == ["0 1 0 1 no", "1 3 1 2 yes", "2 4 2 2 yes"]
     with pytest.raises(TypeError):
         hash(a)
-    r = RigidityReport(max_order=4, rigid=False, witness=Path(("a", "b")))
-    assert r == RigidityReport(4, False, Path(("a", "b"))) != RigidityReport(4, True, None)
-    assert repr(r) == ("RigidityReport(max_order=4, rigid=False, "
+    r = RigidityReport(max_order=4, witness=Path(("a", "b")))
+    assert not r.rigid and RigidityReport(4, None).rigid
+    assert r == RigidityReport(4, Path(("a", "b"))) != RigidityReport(4, None)
+    assert repr(r) == ("RigidityReport(max_order=4, "
                        "witness=Path(arrows=('a', 'b'), vertex=''), certified_order=None, "
                        "dim_def=None)")
-    assert r != RigidityReport(4, False, Path(("a", "b")), 3, 1)
+    assert r != RigidityReport(4, Path(("a", "b")), 3, 1)
     assert r.to_text() == "non-rigid witness: a b\n"
+    assert RigidityReport(4, None).to_text() == "rigid-up-to-4\n"
 
 
 def test_check_report_and_potential_assembly_defaults():
-    a, b = CheckReport("c", "d", True), CheckReport(name="c", inputs_digest="d", passed=True)
+    a, b = CheckReport("c", "d"), CheckReport(name="c", inputs_digest="d")
     assert a.subresults == [] and a.subresults is not b.subresults and a == b
+    assert a.passed and a.first_failure is None
     a.subresults.append(("x", False, "why"))
-    assert a != b and a.first_failure == "x: why"
-    assert repr(a) == ("CheckReport(name='c', inputs_digest='d', passed=True, "
-                       "subresults=[('x', False, 'why')])")
+    assert a != b and not a.passed and a.first_failure == "x: why"
+    assert a.to_text() == "check c (d): FAIL\n  x: FAIL (why)\n"
+    assert repr(a) == "CheckReport(name='c', inputs_digest='d', subresults=[('x', False, 'why')])"
     p, q = PotentialAssembly(quiver=None, order=3), PotentialAssembly(None, 3)
     assert p == q
     for field in ("triangle_terms", "correction_terms", "puncture_terms", "warnings"):

@@ -9,9 +9,14 @@ import pytest
 from oracles import oracle_canonical_form
 
 from qpsurf import verify
-from qpsurf.algebra import AlgebraElement, AlgebraError, Path, least_rotation
+from qpsurf.algebra import AlgebraElement, AlgebraError, Path, least_rotation, truncate
 from qpsurf.examples_data import CORPUS, example_text
-from qpsurf.jacobian import cartan_matrix, is_rigid_up_to, truncated_quotient_dim
+from qpsurf.jacobian import (
+    JacobianError,
+    cartan_matrix,
+    is_rigid_up_to,
+    truncated_quotient_dim,
+)
 from qpsurf.potential import qp_of_triangulation
 from qpsurf.qp import QP, mutate_qp, mutated_quiver, premutate_qp, restrict_qp
 from qpsurf.quiver import (
@@ -24,7 +29,7 @@ from qpsurf.quiver import (
     mutate_matrix,
     net_matrix,
 )
-from qpsurf.surface import Triangulation
+from qpsurf.surface import SurfaceError, Triangulation
 from qpsurf.verify import (
     canonical_matrix_form,
     check_flip_compatibility,
@@ -61,13 +66,12 @@ tri 5 2 6
 """
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_double_mutation_below_the_truncation_is_exact_or_refused():
     # built at order 7, mutating twice at vertex 2 keeps only one of the
     # potential's two degree-6 terms: the dims of the result end 66, 73, 79
-    # where the QP's own end 66, 72, 72, and the involution check FAILs at
-    # vertices 2 and 3.  A truncated QP that says how far it is exact either
-    # gets these right or refuses with "rebuild".
+    # where the QP's own end 66, 72, 72, and the involution check would FAIL
+    # at vertices 2 and 3.  A truncated QP that says how far it is exact
+    # either gets these right or refuses with "rebuild".
     qp = qp_of_triangulation(Triangulation.from_text(TORUS_TWO_PUNCTURES), 7)
     for k in ("2", "3"):
         try:
@@ -80,6 +84,83 @@ def test_double_mutation_below_the_truncation_is_exact_or_refused():
         assert "rebuild" in str(exc)
     else:
         assert back.dims == truncated_quotient_dim(qp, 7).dims
+
+
+def test_exact_is_lowered_only_when_read(monkeypatch):
+    qp = qp_of_triangulation(Triangulation.from_text(TORUS_TWO_PUNCTURES), 7)
+    once = mutate_qp(qp, "2")
+    assert (qp.exact, once.exact) == (None, 7)
+
+    def walked(*args):
+        raise AssertionError("bound computed")
+
+    # explore mutates a QP whose exact is known without reading its children's
+    with monkeypatch.context() as m:
+        m.setattr("qpsurf.qp._premutation_exact", walked)
+        assert explore_mutation_class(once, 2, 7)[0].passed
+        twice = mutate_qp(once, "2")
+    assert twice.exact == 5
+    assert truncated_quotient_dim(twice, 4).dims == truncated_quotient_dim(qp, 4).dims
+    with pytest.raises(JacobianError, match=r"^order 5 reads the potential through degree 6, "
+                       r"which is exact only through degree 5; rebuild at order >= 8$"):
+        truncated_quotient_dim(twice, 5)
+    # at order 8 no product is skipped, and the involution checks all pass
+    qp = qp_of_triangulation(Triangulation.from_text(TORUS_TWO_PUNCTURES), 8)
+    assert mutate_qp(mutate_qp(qp, "2"), "2").exact is None
+    assert all(check_involution(qp, k, 8).passed for k in qp.quiver.vertices)
+
+
+# `bench/gen.py` shapes whose double and triple mutations at orders 4-6 lose terms
+EXACT_SHAPES = [("polygon", 5, 1), ("polygon", 6, 2), ("polygon", 4, 2), ("torus", 0, 1),
+                ("torus", 0, 2)]
+
+
+def test_exact_agrees_with_a_deeper_build_after_two_or_three_mutations(gen):
+    # the oracle takes the same steps on the QP built at D + 6 and cuts the
+    # result to D with `algebra.truncate`; it never reads `exact`.  The dims
+    # agree up to the order that `exact` allows, which is all a call gets,
+    # and every mismatch lies past it.  A dims table at order d reads the
+    # terms of degree d + 1, so a QP exact through degree e < D serves only
+    # the orders below e: some chains differ at degree e itself.
+    lowered = mismatched = at_exact = 0
+    for kind, size, punctures in EXACT_SHAPES:
+        for seed in range(10):
+            try:
+                tri = gen.surface(kind, size, punctures, seed, 6)
+            except SurfaceError:  # the flip walk found no triangulation
+                continue
+            for order in (4, 5, 6):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # PotentialBuildWarning
+                        start, deep_start = (qp_of_triangulation(tri, order),
+                                             qp_of_triangulation(tri, order + 6))
+                except SurfaceError:  # a puncture cycle longer than the order
+                    continue
+                rng = random.Random("%s %d %d %d %d" % (kind, size, punctures, seed, order))
+                for _ in range(4):
+                    qp, deep = start, deep_start
+                    for _ in range(rng.choice((2, 3))):
+                        k = rng.choice(qp.quiver.vertices)
+                        qp, deep = mutate_qp(qp, k), mutate_qp(deep, k)
+                    want = truncated_quotient_dim(
+                        QP(deep.quiver, truncate(deep.potential, order), order), order).dims
+                    # the same words, read as exact
+                    got = truncated_quotient_dim(QP(qp.quiver, qp.potential, order), order).dims
+                    e = qp.exact
+                    limit = order if e is None or e >= order else e - 1
+                    if limit >= 1:
+                        assert truncated_quotient_dim(qp, limit).dims == want[:limit + 1]
+                    if limit < order:
+                        lowered += 1
+                        with pytest.raises(JacobianError, match="; rebuild at order >= "):
+                            truncated_quotient_dim(qp, limit + 1)
+                    first = next((d for d, (x, y) in enumerate(zip(got, want)) if x != y), None)
+                    if first is not None:
+                        mismatched += 1
+                        assert first > limit, (kind, size, punctures, seed, order, e, got, want)
+                        at_exact += first == e
+    assert (lowered, mismatched, at_exact) == (42, 17, 5)
 
 
 def test_flip_compat_torus():
