@@ -71,10 +71,10 @@ class QP:
     None when nothing was dropped, as for a parsed QP, else the degree e such
     that no term of degree <= e was lost.  A split that skips a product marks
     its result exact to its order, and a premutation lowers a bound it is
-    given by `_premutation_exact`, computed on the first read.
+    given by `_premutation_exact`.
     """
 
-    _exact = None  # None, a degree, or a function that computes one
+    exact = None
 
     def __init__(self, quiver, potential, order=None):
         if order is None:
@@ -90,14 +90,8 @@ class QP:
     def _of_words(cls, quiver, words, order, exact=None):
         """The QP of words built from a valid QP's, with no check."""
         qp = cls.__new__(cls)
-        qp.quiver, qp.words, qp.order, qp._exact = quiver, words, order, exact
+        qp.quiver, qp.words, qp.order, qp.exact = quiver, words, order, exact
         return qp
-
-    @property
-    def exact(self):
-        if callable(self._exact):
-            self._exact = self._exact()
-        return self._exact
 
     @property
     def potential(self):
@@ -235,11 +229,11 @@ def premutate_qp(qp, k):
     arrow [a.b], as `_premutation` reads it, and the sum of b* a* [a.b] over
     all k-hooks of the quiver is added.  Every term is written at its least
     rotation: the result is in cyclic normal form as built.  Of an exact QP
-    nothing is lost; otherwise `exact` is lowered, when first read.
+    nothing is lost; otherwise `exact` is lowered by `_premutation_exact`.
     """
-    exact = None if qp._exact is None else (
-        lambda: _premutation_exact(qp.quiver, k, qp.exact))
-    return QP._of_words(*_premutation(qp, k), qp.order, exact)
+    quiver, words = _premutation(qp, k)
+    exact = None if qp.exact is None else _premutation_exact(qp.quiver, k, qp.exact)
+    return QP._of_words(quiver, words, qp.order, exact)
 
 
 class SplitResult(Record):
@@ -345,7 +339,7 @@ def _split_words(quiver, terms, order, exact=None):
         terms = merge_rotations(terms.items())
     reps = {pair: least_rotation(pair) for pair in pairs}
     if {w: c for w, c in terms.items() if len(w) == 2} != dict.fromkeys(reps.values(), 1):
-        raise QPError("pairing normalisation failed")
+        raise AssertionError("pairing normalisation failed")
     steps = [images]
 
     for _ in range(order + 3):
@@ -375,7 +369,7 @@ def _split_words(quiver, terms, order, exact=None):
         if not changed:
             break
     else:
-        raise QPError("splitting did not converge within the truncation order")
+        raise AssertionError("splitting did not converge within the truncation order")
 
     trivial_arrows = {name for pair in pairs for name in pair}
     trivial = {}
@@ -384,11 +378,11 @@ def _split_words(quiver, terms, order, exact=None):
         if trivial_arrows.isdisjoint(w):
             reduced[w] = c
         elif len(w) != 2:
-            raise QPError("trivial arrow leaked into a higher-degree term")
+            raise AssertionError("trivial arrow leaked into a higher-degree term")
         else:
             trivial[w] = c
     if any(len(w) == 2 for w in reduced):
-        raise QPError("reduced part kept a degree-2 term")
+        raise AssertionError("reduced part kept a degree-2 term")
     if skipped and exact is None:
         exact = order
     return (QP._of_words(_reduced_quiver(quiver, pairs), reduced, order, exact),
@@ -413,7 +407,7 @@ def split_qp(qp):
     """
     quiver, order = qp.quiver, qp.order
     reduced, trivial, pairs, steps = _split_words(quiver, merge_rotations(qp.words.items()), order,
-                                                  qp._exact)
+                                                  qp.exact)
     steps = [Substitution(quiver, quiver, order, {
         name: AlgebraElement(quiver, order, {Path(w): c for w, c in img})
         for name, img in images.items()}) for images in steps]
@@ -436,7 +430,7 @@ def mutate_qp(qp, k):
 
 def _reduced_part(pre):
     """The reduced QP of the split of a premutation, as `mutate_qp` makes it."""
-    return _split_words(pre.quiver, pre.words, pre.order, pre._exact)[0]
+    return _split_words(pre.quiver, pre.words, pre.order, pre.exact)[0]
 
 
 def mutated_quiver(qp, k):
@@ -465,4 +459,4 @@ def restrict_qp(qp, keep):
     names = {a.name for a in kept_arrows}
     return QP._of_words(Quiver(qp.quiver.vertices, kept_arrows),
                         {w: c for w, c in qp.words.items() if names.issuperset(w)}, qp.order,
-                        qp._exact)
+                        qp.exact)

@@ -2,7 +2,7 @@
 
 Also the rules other modules share: value semantics for record classes, the
 content lines of quiver and QP text, the grouping of arrows by endpoints and
-the net arrow count read from it, the k-hooks, and opposite-arrow pairing.
+the net arrow count read from it, and the k-hooks.
 """
 
 from operator import attrgetter, neg
@@ -339,26 +339,16 @@ def premutate_quiver(q, k):
     return out
 
 
-def opposite_pairs(groups):
-    """The items cancelled in pairs between opposite directions.
-
-    `groups` maps (i, j) to the items running i -> j, in the order they pair
-    off: for each i < j, the n-th item of (i, j) pairs with the n-th item of
-    (j, i) while both lists last.  Returns the set of paired items.
-    """
-    paired = set()
-    for (i, j), fwd in groups.items():
-        if i < j and (j, i) in groups:
-            for pair in zip(fwd, groups[(j, i)]):
-                paired.update(pair)
-    return paired
-
-
 def mutate_quiver(q, k):
     """Quiver mutation: premutation, then the removal of a maximal disjoint
-    collection of 2-cycles, pairing smallest names first."""
+    collection of 2-cycles, pairing smallest names first: for each i < j,
+    the n-th arrow i -> j cancels the n-th arrow j -> i while both last."""
     pre = premutate_quiver(q, k)
-    removed = opposite_pairs(pre.between)
+    removed = set()
+    for (i, j), fwd in pre.between.items():
+        if i < j and (j, i) in pre.between:
+            for pair in zip(fwd, pre.between[(j, i)]):
+                removed.update(pair)
     return Quiver(q.vertices, [a for a in pre.arrows if a not in removed])
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import QpsurfError
 from .quiver import (
-    Arrow, FrozenRecord, IntegerMatrix, Quiver, mutate_matrix, net_matrix, opposite_pairs,
+    Arrow, FrozenRecord, IntegerMatrix, Quiver, mutate_matrix, net_matrix,
 )
 
 _setattr = object.__setattr__
@@ -286,10 +286,12 @@ class Analysis:
       side; `enclosed`: loop -> the puncture inside it;
     - `puncture_cycle`: puncture -> its corners, counter-clockwise;
       `puncture_ends`: puncture -> the side crossed after each of them;
-    - `cancelled`: the contributions (i, j, t, m) lost to 2-cycles;
-      `arrow_of`: kept contribution -> arrow; `def8`: (i, j) -> the arrow
-      added at a valence-2 puncture; `provenance`: arrow -> ("triangle", t,
-      m) or ("puncture", p); `unreduced`: the quiver of all these arrows.
+    - `arrow_of`: contribution (i, j, t, m), i -> j at corner (t, m) of a
+      triangle that is not self-folded -> its arrow, `i>j~pP` when i and j
+      are the two ends of a valence-2 puncture P, else `i>j~tN` with N = t;
+      `provenance`: arrow -> ("triangle", t, m) or ("puncture", p);
+      `unreduced`: the quiver of all these arrows, whose only 2-cycles are
+      the valence-2 puncture pairs.
     """
 
     def __init__(self, tri):
@@ -478,16 +480,26 @@ class Analysis:
     def _walks(self):
         """Rotation structure around each marked point.
 
-        For a puncture the counter-clockwise corner walk must form a single
-        cycle; the side crossed after each corner is one arc end at the point.
-        At a boundary point it must form one chain, from the corner after the
-        segment that ends there, across arcs, to the corner before the
-        segment that starts there.  The step is one-to-one, and no step
-        enters that first corner, so the chain ends, having met each corner
-        once.
+        One counter-clockwise step, across the side after a corner into its
+        other slot, walks every point.  It is one-to-one, so a walk closes at
+        its start or stops at a boundary segment.  For a puncture the walk
+        must form a single cycle; the side crossed after each corner is one
+        arc end at the point.  At a boundary point it must form one chain,
+        from the corner after the segment that ends there, which no step
+        enters, across arcs, to the corner before the segment that starts
+        there.
         """
         tri = self.tri
         partner = self.partner
+
+        def rotation(start):
+            walk = [start]
+            t, m = start
+            while (nxt := partner[(t, (m + 1) % 3)]) not in (None, start):
+                walk.append(nxt)
+                t, m = nxt
+            return walk
+
         corners_at = {}  # each list in (t, m) order, the order of corner_point
         for corner, pt in self.corner_point.items():
             corners_at.setdefault(pt, []).append(corner)
@@ -497,17 +509,8 @@ class Analysis:
             if not corners:
                 self.problems.append("puncture %r is not an endpoint of any side" % p)
                 continue
-            start = corners[0]
-            cycle = [start]
-            t, m = start
-            # arcs glue reversing, so the step permutes p's corners and closes within their number
-            for _ in range(len(corners)):
-                # an arc's slot: _shape_checks refuses a boundary segment ending at a puncture
-                nxt = partner[(t, (m + 1) % 3)]
-                if nxt == start:
-                    break
-                cycle.append(nxt)
-                t, m = nxt
+            # no stop: _shape_checks refuses a boundary segment ending at a puncture
+            cycle = rotation(corners[0])
             if sorted(cycle) != corners:
                 self.problems.append("rotation around puncture %r misses corners" % p)
                 continue
@@ -520,11 +523,7 @@ class Analysis:
             return
         for segments in self.segments_on.values():
             for s in segments:
-                t, m = self.slots_of[s][0]
-                chain = [(t, m)]
-                while (nxt := partner[(t, (m + 1) % 3)]) is not None:
-                    chain.append(nxt)
-                    t, m = nxt
+                chain = rotation(self.slots_of[s][0])
                 point = self.corner_point[chain[0]]
                 if sorted(chain) != corners_at[point]:
                     self.problems.append(
@@ -533,39 +532,13 @@ class Analysis:
     # -- arrows ----------------------------------------------------------------
 
     def _arrows(self):
+        # i -> j and j -> i at the two corners of a valence-2 puncture with ends i
+        # and j are its arrow pair; no other corner has i and j in turn, as both
+        # arcs fill their slots in the puncture's two triangles
         tri = self.tri
-        # each arc and the folded side it encloses, if any, in sorted order
-        preimages = {s: (s,) for s in tri.arcs}
-        for loop, folded in self.fold_back.items():
-            preimages[loop] = tuple(sorted((loop, folded)))
-        # made in (triangle, slot) order, the order in which they pair off
-        contributions = []
-        by_pair = {}
-        for t, triple in enumerate(tri.triangles):
-            if t in self.self_folded:
-                continue
-            for m, (a_side, b_side) in enumerate(zip(triple, triple[1:] + triple[:1])):
-                if a_side in preimages and b_side in preimages:
-                    for i in preimages[a_side]:
-                        for j in preimages[b_side]:
-                            con = (i, j, t, m)
-                            contributions.append(con)
-                            by_pair.setdefault((i, j), []).append(con)
-        self.cancelled = opposite_pairs(by_pair)
-
-        self.arrow_of = {}
         self.provenance = {}
         arrows = []
-        for con in contributions:
-            if con in self.cancelled:
-                continue
-            i, j, t, m = con
-            name = "%s>%s~t%d" % (i, j, t)
-            self.arrow_of[con] = name
-            self.provenance[name] = ("triangle", t, m)
-            arrows.append(Arrow(name, i, j))
-
-        self.def8 = {}
+        at_puncture = {}  # (i, j) -> the arrow i -> j of a valence-2 puncture with ends i, j
         for p, ends in self.puncture_ends.items():
             if len(ends) != 2:
                 continue
@@ -574,26 +547,28 @@ class Analysis:
             i1, i2 = sorted(ends)
             for (u, v) in ((i1, i2), (i2, i1)):
                 name = "%s>%s~p%s" % (u, v, p)
-                self.def8[(u, v)] = name
+                at_puncture[(u, v)] = name
                 self.provenance[name] = ("puncture", p)
                 arrows.append(Arrow(name, u, v))
+        # each arc and the folded side it encloses, if any, in sorted order
+        preimages = {s: (s,) for s in tri.arcs}
+        for loop, folded in self.fold_back.items():
+            preimages[loop] = tuple(sorted((loop, folded)))
+        self.arrow_of = {}
+        for t, triple in enumerate(tri.triangles):
+            if t in self.self_folded:
+                continue
+            for m, (a_side, b_side) in enumerate(zip(triple, triple[1:] + triple[:1])):
+                if a_side in preimages and b_side in preimages:
+                    for i in preimages[a_side]:
+                        for j in preimages[b_side]:
+                            name = at_puncture.get((i, j))
+                            if name is None:
+                                name = "%s>%s~t%d" % (i, j, t)
+                                self.provenance[name] = ("triangle", t, m)
+                                arrows.append(Arrow(name, i, j))
+                            self.arrow_of[i, j, t, m] = name
         self.unreduced = Quiver(tri.arcs, arrows)
-
-    def resolve(self, t, m, i, j):
-        """Arrow name realising the contribution (i -> j) at corner (t, m).
-
-        A contribution lost to cancellation is replaced by the arrow added at
-        the valence-2 puncture responsible for the cancellation.
-        """
-        con = (i, j, t, m)
-        if con not in self.cancelled:
-            # every caller names a corner of a triangle that is not self-folded, at the
-            # sides' own preimages, so the contribution was made
-            return self.arrow_of[con]
-        # a cancelled i -> j and j -> i sit at two corners of one point that the
-        # walk steps between; `_walks` refuses that at a boundary point, so the
-        # point is a puncture of valence 2 with the ends i and j
-        return self.def8[(i, j)]
 
 
 def validate_triangulation(tri):
@@ -614,8 +589,8 @@ def fold_map(tri):
 def signed_adjacency(tri):
     """Skew-symmetric arc adjacency matrix summed over non-self-folded triangles.
 
-    The net arrow count of the unreduced quiver: cancelled contributions and
-    the arrows added at valence-2 punctures both come in opposite pairs.
+    The net arrow count of the unreduced quiver: the arrow pair of a
+    valence-2 puncture stands for two opposite contributions, which cancel.
     """
     return net_matrix(tri.analysis().unreduced)
 
@@ -658,12 +633,12 @@ def flip(tri, arc):
     out = Triangulation(tri.surface, sides, triangles)
     problems = validate_triangulation(out)
     if problems:
-        raise SurfaceError("flip produced an invalid triangulation: " + "; ".join(problems))
+        raise AssertionError("flip produced an invalid triangulation: " + "; ".join(problems))
 
     expected = mutate_matrix(signed_adjacency(tri), arc)
     got = signed_adjacency(out)
     relabeled = IntegerMatrix._from_rows(
         [arc if vtx == new_arc else vtx for vtx in got.vertices], got.rows)
     if relabeled != expected:
-        raise SurfaceError("flip of %r violates the matrix mutation rule" % arc)
+        raise AssertionError("flip of %r violates the matrix mutation rule" % arc)
     return out

@@ -8,7 +8,9 @@ from . import QpsurfError
 from .algebra import apply_substitution, cyclically_equivalent
 from .jacobian import _require_order, truncated_quotient_dim
 from .potential import qp_of_triangulation
-from .qp import QP, _reduced_part, mutate_qp, mutated_quiver, premutate_qp, restrict_qp
+from .qp import (
+    QP, _premutation_exact, _reduced_part, mutate_qp, mutated_quiver, premutate_qp, restrict_qp,
+)
 from .quiver import Arrow, Quiver, Record, is_two_acyclic, mutate_matrix, net_matrix
 from .surface import flip
 
@@ -70,7 +72,7 @@ def relabel_vertices(qp, relabel):
         [relabel.get(v, v) for v in qp.quiver.vertices],
         [Arrow(a.name, relabel.get(a.tail, a.tail), relabel.get(a.head, a.head))
          for a in qp.quiver.arrows])
-    return QP._of_words(quiver, qp.words, qp.order, qp._exact)
+    return QP._of_words(quiver, qp.words, qp.order, qp.exact)
 
 
 def check_flip_compatibility(tri, arc, order, witness=None):
@@ -286,7 +288,10 @@ def explore_mutation_class(qp, depth, order):
 
     Asserts that every node's quiver is 2-acyclic; a child's quiver is that
     of its first parent's QP mutated at k.  A failure is reported, not
-    raised, since it would disprove the non-degeneracy being probed.
+    raised, since it would disprove the non-degeneracy being probed; but a
+    node whose degree-2 terms are exact only below degree 2 (the child's
+    `exact`, or the premutation's bound at the depth limit) may owe its
+    2-cycle to the truncation, and is refused with "rebuild".
     Mutation keeps the vertex set, and each node is expanded once, at every
     vertex in order.  Mutations run at the QP's truncation; `order` must not
     exceed it.
@@ -347,12 +352,17 @@ def explore_mutation_class(qp, depth, order):
         node_of_rows[matrix.rows] = node, order
         return node, order, new
 
-    # (quiver, QP or None at the depth limit, net matrix, node number, distance)
+    # (quiver, QP or None at the depth limit, net matrix, node number, distance,
+    # the degree through which the node's degree-2 terms are exact)
     matrix = net_matrix(qp.quiver)
-    frontier = deque([(qp.quiver, qp, matrix, visit(matrix)[0], 0)])
+    frontier = deque([(qp.quiver, qp, matrix, visit(matrix)[0], 0, qp.exact)])
     while frontier:
-        quiver, current, matrix, cur, dist = frontier.popleft()
+        quiver, current, matrix, cur, dist, exact = frontier.popleft()
         if not is_two_acyclic(quiver):
+            if exact is not None and exact < 2:
+                raise QpsurfError(
+                    "node %s has a 2-cycle, but its degree-2 terms are exact only through "
+                    "degree %d; rebuild the QP deeper" % (digests[cur], exact))
             failures.append(digests[cur])
             continue
         if dist >= depth:
@@ -366,9 +376,13 @@ def explore_mutation_class(qp, depth, order):
                 reverse[dst, orders[dst][order.index(ki)]] = cur
                 if new and dist + 1 < depth:
                     child = mutate_qp(current, k)
-                    frontier.append((child.quiver, child, child_matrix, dst, dist + 1))
+                    frontier.append((child.quiver, child, child_matrix, dst, dist + 1,
+                                     child.exact))
                 elif new:
-                    frontier.append((mutated_quiver(current, k), None, None, dst, dist + 1))
+                    exact = (None if current.exact is None
+                             else _premutation_exact(current.quiver, k, current.exact))
+                    frontier.append((mutated_quiver(current, k), None, None, dst, dist + 1,
+                                     exact))
             targets.append(dst)
 
     subs = [("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures),

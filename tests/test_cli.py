@@ -56,6 +56,16 @@ def test_a_library_value_error_is_a_bug_not_an_input_error(monkeypatch):
         cli.main(["dim", "-"], out=io.StringIO())
 
 
+def test_a_broken_invariant_is_a_bug_not_an_input_error(monkeypatch):
+    """A self-check that no input reaches raises AssertionError, which leaves `main`."""
+    import qpsurf.potential
+
+    monkeypatch.setattr(qpsurf.potential, "is_two_acyclic", lambda quiver: False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(example_text("torus")))
+    with pytest.raises(AssertionError, match="reduced quiver of a triangulation has a 2-cycle"):
+        cli.main(["qp", "-"], out=io.StringIO())
+
+
 def test_validate_ok(tmp_path):
     code, text = run(["validate", write_example(tmp_path, "torus")])
     assert code == 0 and text == "ok\n"
@@ -225,6 +235,20 @@ def test_explore_reports_fail_on_a_non_two_acyclic_node(monkeypatch):
         "77ede555251c --1--> 4e09e5c1fc44\n"
         "77ede555251c --2--> 4e09e5c1fc44\n"
         "77ede555251c --3--> 4e09e5c1fc44\n")
+
+
+def test_explore_asks_for_a_rebuild_where_truncation_made_the_two_cycle(gen, monkeypatch,
+                                                                        capsys):
+    # at order 6 the thrice-punctured torus's QP is cut below its puncture
+    # cycles, and a node's 2-cycle rests on degree-2 terms that are not exact
+    tri_text = gen.surface("torus", 0, 2, 0, 6).to_text()
+    _, qp_text = run(["qp", "-", "--order", "6"], stdin_text=tri_text, monkeypatch=monkeypatch)
+    code, text = run(["explore", "-", "--depth", "99", "--order", "6"],
+                     stdin_text=qp_text, monkeypatch=monkeypatch)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: node db83ba742baa has a 2-cycle, but its degree-2 terms are exact only "
+        "through degree 1; rebuild the QP deeper\n")
 
 
 PENTAGON = example_text("pentagon")  # 16 lines

@@ -86,19 +86,11 @@ def test_double_mutation_below_the_truncation_is_exact_or_refused():
         assert back.dims == truncated_quotient_dim(qp, 7).dims
 
 
-def test_exact_is_lowered_only_when_read(monkeypatch):
+def test_exact_is_lowered_by_a_second_mutation():
     qp = qp_of_triangulation(Triangulation.from_text(TORUS_TWO_PUNCTURES), 7)
     once = mutate_qp(qp, "2")
     assert (qp.exact, once.exact) == (None, 7)
-
-    def walked(*args):
-        raise AssertionError("bound computed")
-
-    # explore mutates a QP whose exact is known without reading its children's
-    with monkeypatch.context() as m:
-        m.setattr("qpsurf.qp._premutation_exact", walked)
-        assert explore_mutation_class(once, 2, 7)[0].passed
-        twice = mutate_qp(once, "2")
+    twice = mutate_qp(once, "2")
     assert twice.exact == 5
     assert truncated_quotient_dim(twice, 4).dims == truncated_quotient_dim(qp, 4).dims
     with pytest.raises(JacobianError, match=r"^order 5 reads the potential through degree 6, "
