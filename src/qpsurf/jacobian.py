@@ -17,25 +17,12 @@ class JacobianError(QpsurfError):
 
 
 def _require_order(qp, order):
-    """Refuse an order outside 1..the QP's truncation, or past what its
-    potential gets right.
-
-    The dims at an order d read the potential's terms of degree <= d + 1,
-    all of them at the truncation D, so a QP exact through a lower degree
-    serves only the orders that read no further.  A refusal names the order
-    that makes up the shortfall, D plus the degrees missing.
-    """
+    """Refuse an order outside 1..the QP's truncation."""
     if order < 1:
         raise JacobianError("order must be >= 1")
     if order > qp.order:
         raise JacobianError(
             "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
-    exact = qp.exact
-    need = min(order + 1, qp.order)
-    if exact is not None and need > exact:
-        raise JacobianError(
-            "order %d reads the potential through degree %d, which is exact only through "
-            "degree %d; rebuild at order >= %d" % (order, need, exact, qp.order + need - exact))
 
 
 def jacobian_generators(qp):
@@ -160,8 +147,18 @@ def _groebner(qp, order):
     word is, as it contains one of length d, and every word of length >= d
     reduces to zero.  The certificate is the first absorbed d < order, where
     the pass stops; the top degree alone certifies nothing.
+
+    The pass at order d reads the potential's terms of degree <= d + 1, all
+    of them at the truncation, so an order that reads past the degree
+    through which the QP is exact is refused.  The refusal names no order to
+    rebuild at: adding the missing degrees to the truncation over-asks.
     """
     _require_order(qp, order)
+    need = min(order + 1, qp.order)
+    if qp.exact is not None and need > qp.exact:
+        raise JacobianError(
+            "order %d reads the potential through degree %d, which is exact only through "
+            "degree %d; rebuild the QP deeper" % (order, need, qp.exact))
     into = {v: [] for v in qp.quiver.vertices}
     for x in qp.quiver.arrows:
         into[x.head].append(x)

@@ -161,8 +161,8 @@ class QP:
         return QP._of_words(quiver, {p.arrows: c for p, c in terms.items()}, order)
 
 
-def _premutation(qp, k):
-    """The premutated quiver at k and the premutated potential as {word: coefficient}.
+def premutate_qp(qp, k):
+    """Premutation at vertex k, the one reader of a potential at k.
 
     A term is read from its first arrow that does not point into k, so no
     hook is cut: an arrow out of k takes the next arrow, into k, as its hook
@@ -171,14 +171,16 @@ def _premutation(qp, k):
     their least rotations; then the word b* a* [a.b] of each k-hook ab is
     added at its least rotation.  No read word holds the starred name of an
     arrow at k, since `premutate_quiver` refuses an old arrow of that name,
-    so no hook word meets a read one.
+    so no hook word meets a read one, and the result is in cyclic normal
+    form as built.
 
     The read words need no check.  A QP's term is a composable cycle of a
     loop-free quiver, so some arrow does not point into k, and every visit
     to k is a hook: the arrow before one into k leaves k, and the one after
     it does not enter k.  So each read word keeps no arrow at k, names only
     arrows of the premutated quiver, composes and closes up as its term
-    did, and is no longer than it.
+    did, and is no longer than it.  Of an exact QP nothing is lost;
+    otherwise `exact` is lowered by `_premutation_exact`.
     """
     q, order = qp.quiver, qp.order
     quiver = premutate_quiver(q, k)  # rejects an unknown vertex, 2-cycles at k, name collisions
@@ -194,7 +196,8 @@ def _premutation(qp, k):
         raise AlgebraError("term of length 3 exceeds order %d" % order)
     for a, b in k_hooks:
         words[least_rotation((b.name + "*", a.name + "*", hook_name(a.name, b.name)))] = _ONE
-    return quiver, words
+    exact = None if qp.exact is None else _premutation_exact(q, k, qp.exact)
+    return QP._of_words(quiver, words, order, exact)
 
 
 def _premutation_exact(q, k, exact):
@@ -222,20 +225,6 @@ def _premutation_exact(q, k, exact):
     return best
 
 
-def premutate_qp(qp, k):
-    """Premutation at vertex k.
-
-    Every k-hook ab inside a potential term is replaced by the composite
-    arrow [a.b], as `_premutation` reads it, and the sum of b* a* [a.b] over
-    all k-hooks of the quiver is added.  Every term is written at its least
-    rotation: the result is in cyclic normal form as built.  Of an exact QP
-    nothing is lost; otherwise `exact` is lowered by `_premutation_exact`.
-    """
-    quiver, words = _premutation(qp, k)
-    exact = None if qp.exact is None else _premutation_exact(qp.quiver, k, qp.exact)
-    return QP._of_words(quiver, words, qp.order, exact)
-
-
 class SplitResult(Record):
     """The trivial and reduced parts of a split, and the steps that made them.
 
@@ -261,16 +250,18 @@ class SplitResult(Record):
 
 
 def _diagonal_pairing(quiver, terms):
-    """The blocks of a potential's degree-2 part, diagonalised, and its trivial pairs.
+    """The pairing step of a split: the images that diagonalise a potential's
+    degree-2 part, and its trivial pairs.
 
     `terms` are the potential's (word, coefficient) pairs in cyclic normal
     form, of which only the words of length 2 are read.  For each unordered
     vertex pair, exact operations bring the bilinear matrix m between the
     opposite arrows xs and ys that those words name to
-    p_ops @ m @ q_ops = E_r.  A block is (xs, ys, p_ops, q_ops); its
-    trivial pairs are (xs[t], ys[t]) for t < r.  A block whose m is already
-    the identity is kept as it is, as (xs, ys, None, None) with r = len(xs):
-    Gauss-Jordan would return P = Q = I there.
+    p_ops @ m @ q_ops = E_r, and the block's trivial pairs are
+    (xs[t], ys[t]) for t < r.  The images, {arrow: [(word, coefficient), ...]},
+    hold only the arrows that move.  A block whose m is already the identity
+    moves none and pairs xs with ys: Gauss-Jordan would return P = Q = I and
+    r = len(xs) there.
     """
     blocks = {}
     for w, c in terms:
@@ -278,7 +269,7 @@ def _diagonal_pairing(quiver, terms):
             x = quiver.arrow(w[0])
             blocks.setdefault(tuple(sorted((x.tail, x.head))), {})[w] = c
 
-    diagonal = []
+    images = {}
     pairs = []
     for (u, v) in sorted(blocks):
         coeffs = blocks[(u, v)]
@@ -286,26 +277,32 @@ def _diagonal_pairing(quiver, terms):
         ys = sorted({name for w in coeffs for name in w if quiver.arrow(name).tail == v})
         m = [[coeffs.get(least_rotation((x, y)), Fraction(0)) for y in ys] for x in xs]
         if m == linalg.identity(len(ys)):
-            p_ops, q_ops, r = None, None, len(xs)
-        else:
-            p_ops, q_ops, r = linalg.diagonalize_pairing(m)
+            pairs.extend(zip(xs, ys))
+            continue
         # each word of the block is nonzero at its least rotation, so m != 0 and r >= 1
-        diagonal.append((xs, ys, p_ops, q_ops))
+        p_ops, q_ops, r = linalg.diagonalize_pairing(m)
+        # p_ops @ m @ q_ops = E_r, so send x_i to sum_i' p_ops[i'][i] x_i'
+        # and y_j to sum_j' q_ops[j][j'] y_j'.
+        columns = [(x, xs, [row[i] for row in p_ops]) for i, x in enumerate(xs)]
+        columns += [(y, ys, q_ops[j]) for j, y in enumerate(ys)]
+        for name, names, column in columns:
+            img = [((n,), c) for n, c in zip(names, column) if c]
+            if img != [((name,), 1)]:
+                images[name] = img
         pairs.extend((xs[t], ys[t]) for t in range(r))
-    return diagonal, pairs
+    return images, pairs
 
 
 def _split_words(quiver, terms, order, exact=None):
     """The split of valid words, {word: coefficient} at their least rotations.
 
-    First an arrow basis change makes the degree-2 part a sum of distinct
-    2-cycles a b, one per trivial pair: each block of `_diagonal_pairing`
-    changes only its own arrows, an arrow gets an image only where that
-    image is not the arrow itself, and a block kept as the identity gets
-    none.  Then the pairs are handled one at a time.  For the pair (a, b),
-    the terms other than a b that contain a, rotated to start with a, give
-    their rests to u; those that contain b but not a, rotated to end with b,
-    give their prefixes to v.  The unitriangular substitution a -> a - v,
+    First the images of `_diagonal_pairing` make the degree-2 part a sum of
+    distinct 2-cycles a b, one per trivial pair: each block changes only its
+    own arrows, and a block kept as the identity moves none.  Then the pairs
+    are handled one at a time.  For the pair (a, b), the terms other than
+    a b that contain a, rotated to start with a, give their rests to u;
+    those that contain b but not a, rotated to end with b, give their
+    prefixes to v.  The unitriangular substitution a -> a - v,
     b -> b - u removes the cross terms a u and v b and pushes any new ones
     into strictly higher degree, since u and v hold words of length >= 2.
     Sweeping over the pairs until no pair moves terminates at the
@@ -320,20 +317,8 @@ def _split_words(quiver, terms, order, exact=None):
     skipped: a substitution moves an arrow by terms of its own degree and
     higher, so a lost term of degree > e changes only degrees > e.
     """
-    blocks, pairs = _diagonal_pairing(quiver, terms.items())
+    images, pairs = _diagonal_pairing(quiver, terms.items())
     skipped = False
-    images = {}
-    for xs, ys, p_ops, q_ops in blocks:
-        if p_ops is None:
-            continue
-        # p_ops @ m @ q_ops = E_r, so send x_i to sum_i' p_ops[i'][i] x_i'
-        # and y_j to sum_j' q_ops[j][j'] y_j'.
-        columns = [(x, xs, [row[i] for row in p_ops]) for i, x in enumerate(xs)]
-        columns += [(y, ys, q_ops[j]) for j, y in enumerate(ys)]
-        for name, names, coeffs in columns:
-            img = [((n,), c) for n, c in zip(names, coeffs) if c]
-            if img != [((name,), 1)]:
-                images[name] = img
     if images:
         terms, skipped = substitute_words(images, terms.items(), order)
         terms = merge_rotations(terms.items())
@@ -385,14 +370,9 @@ def _split_words(quiver, terms, order, exact=None):
         raise AssertionError("reduced part kept a degree-2 term")
     if skipped and exact is None:
         exact = order
-    return (QP._of_words(_reduced_quiver(quiver, pairs), reduced, order, exact),
-            trivial, pairs, steps)
-
-
-def _reduced_quiver(quiver, pairs):
-    """The quiver less the arrows of the trivial pairs."""
-    trivial = {name for pair in pairs for name in pair}
-    return quiver._with_arrows(tuple(a for a in quiver.arrows if a.name not in trivial))
+    reduced_quiver = quiver._with_arrows(
+        tuple(a for a in quiver.arrows if a.name not in trivial_arrows))
+    return QP._of_words(reduced_quiver, reduced, order, exact), trivial, pairs, steps
 
 
 def split_qp(qp):
@@ -420,7 +400,7 @@ def split_qp(qp):
 def mutate_qp(qp, k):
     """QP-mutation: the reduced part of the premutation at k.
 
-    The premutation's words, at their least rotations as `_premutation`
+    The premutation's words, at their least rotations as `premutate_qp`
     reads them, go straight to the split core, with no witness built.  The
     sweep images are rests of the premutation's own cycles, so their
     endpoints hold by construction.
@@ -433,17 +413,21 @@ def _reduced_part(pre):
     return _split_words(pre.quiver, pre.words, pre.order, pre.exact)[0]
 
 
-def mutated_quiver(qp, k):
-    """`mutate_qp(qp, k).quiver`, arrow names included, from the premutation's degree-2 part.
+def _reduced_quiver(pre):
+    """The quiver of `_reduced_part(pre)`, arrow names included, from the degree-2 part.
 
-    The split drops the arrows of the trivial pairs, which the premutation's
-    degree-2 part decides alone: the sweeps change the potential, never
-    which arrows are trivial.  That part is the premutation's words of
-    length 2, which `_premutation` reads as for `mutate_qp`, so the two
-    refuse alike; its hook words have length 3 and are not read.
+    The split drops the arrows of the trivial pairs, which the pairing step
+    decides from the degree-2 part alone: the sweeps change the potential,
+    never which arrows are trivial.
     """
-    quiver, words = _premutation(qp, k)
-    return _reduced_quiver(quiver, _diagonal_pairing(quiver, words.items())[1])
+    trivial = {name for pair in _diagonal_pairing(pre.quiver, pre.words.items())[1]
+               for name in pair}
+    return pre.quiver._with_arrows(tuple(a for a in pre.quiver.arrows if a.name not in trivial))
+
+
+def mutated_quiver(qp, k):
+    """`mutate_qp(qp, k).quiver`, from the same premutation, with no sweep run."""
+    return _reduced_quiver(premutate_qp(qp, k))
 
 
 def restrict_qp(qp, keep):

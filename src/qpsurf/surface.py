@@ -139,7 +139,7 @@ def _parse_scalars(text):
             name, value = item.split("=", 1)
             out[name.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise SurfaceError("bad scalar %r (%s)" % (item, exc)) from exc
+            raise SurfaceError("bad scalar %r (%s: %s)" % (item, type(exc).__name__, exc)) from exc
     return out
 
 

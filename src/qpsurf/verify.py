@@ -8,9 +8,7 @@ from . import QpsurfError
 from .algebra import apply_substitution, cyclically_equivalent
 from .jacobian import _require_order, truncated_quotient_dim
 from .potential import qp_of_triangulation
-from .qp import (
-    QP, _premutation_exact, _reduced_part, mutate_qp, mutated_quiver, premutate_qp, restrict_qp,
-)
+from .qp import QP, _reduced_part, _reduced_quiver, mutate_qp, premutate_qp, restrict_qp
 from .quiver import Arrow, Quiver, Record, is_two_acyclic, mutate_matrix, net_matrix
 from .surface import flip
 
@@ -289,12 +287,12 @@ def explore_mutation_class(qp, depth, order):
     Asserts that every node's quiver is 2-acyclic; a child's quiver is that
     of its first parent's QP mutated at k.  A failure is reported, not
     raised, since it would disprove the non-degeneracy being probed; but a
-    node whose degree-2 terms are exact only below degree 2 (the child's
-    `exact`, or the premutation's bound at the depth limit) may owe its
-    2-cycle to the truncation, and is refused with "rebuild".
+    node whose degree-2 terms are exact only below degree 2 (the `exact` of
+    the premutation it starts from, or of its split) may owe its 2-cycle to
+    the truncation, and is refused with "rebuild".
     Mutation keeps the vertex set, and each node is expanded once, at every
-    vertex in order.  Mutations run at the QP's truncation; `order` must not
-    exceed it.
+    vertex in order.  Mutations run at the QP's truncation; `order` must lie
+    in 1..that truncation, and enters only the digest.
 
     A child's node is found from the parent's net matrix B as
     `mutate_matrix(B, k)`, and the child is built only if the node is new.
@@ -303,9 +301,11 @@ def explore_mutation_class(qp, depth, order):
     i -> j, one per hook through k, and the split removes trivial arrows,
     which come in opposite pairs.  So an expanded node's B is the
     `mutate_matrix` result that found it; only the start's is computed from
-    its quiver.  At the depth limit, where no node is expanded, only the
-    child's quiver is built, by `mutated_quiver`, from the premutation's
-    degree-2 terms.  A node with a 2-cycle is never expanded.
+    its quiver.  A new child starts from its premutation at k: below the
+    depth limit it is that premutation's reduced part, and at the limit,
+    where no node is expanded, only its quiver is built, by `_reduced_quiver`,
+    from the premutation's degree-2 terms.  A node with a 2-cycle is never
+    expanded.
 
     An edge's reverse is read, not computed.  Say C = `mutate_matrix(B_X, k)`
     lands on node Y, whose own B_Y was searched with vertex order p_Y, and C's
@@ -374,15 +374,15 @@ def explore_mutation_class(qp, depth, order):
                 child_matrix = mutate_matrix(matrix, k)
                 dst, order, new = visit(child_matrix)
                 reverse[dst, orders[dst][order.index(ki)]] = cur
-                if new and dist + 1 < depth:
-                    child = mutate_qp(current, k)
-                    frontier.append((child.quiver, child, child_matrix, dst, dist + 1,
-                                     child.exact))
-                elif new:
-                    exact = (None if current.exact is None
-                             else _premutation_exact(current.quiver, k, current.exact))
-                    frontier.append((mutated_quiver(current, k), None, None, dst, dist + 1,
-                                     exact))
+                if new:
+                    pre = premutate_qp(current, k)
+                    if dist + 1 < depth:
+                        child = _reduced_part(pre)
+                        frontier.append((child.quiver, child, child_matrix, dst, dist + 1,
+                                         child.exact))
+                    else:
+                        frontier.append((_reduced_quiver(pre), None, None, dst, dist + 1,
+                                         pre.exact))
             targets.append(dst)
 
     subs = [("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures),

@@ -174,6 +174,7 @@ def test_fuzzed_generated_triangulations_exit_cleanly(generated, monkeypatch, ca
 
 def test_fuzzed_generated_qp_texts_exit_cleanly(generated, monkeypatch, capsys):
     digest = fuzz_qp_texts(generated[1], 2027, GENERATED_QP_CASES, monkeypatch, capsys)
-    # recorded when a double mutation that may have lost a term of degree 5
-    # began to refuse `check involution --order 4` (cases 50, 183 and 185)
-    assert digest == "265e1dbdd7b0d513c58d6f157c49f6f8eb25a9a54a2e457172ad98c021e1ffce"
+    # recorded when the refusal of `check involution --order 4` after a double
+    # mutation that may have lost a term of degree 5 (cases 50, 183 and 185)
+    # began to end "; rebuild the QP deeper"
+    assert digest == "69ebb60f8c0c6f740e0069455e513b6536227ad22b89ede2ce35cdeefd1cc950"

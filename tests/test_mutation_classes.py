@@ -14,6 +14,7 @@ them all, for the default scalars.
 """
 
 import hashlib
+import re
 import warnings
 
 import pytest
@@ -140,6 +141,20 @@ def test_explore_refuses_the_thrice_punctured_torus_below_order_8(gen):
     assert rep.passed and len(graph.nodes) == 46
 
 
+def test_explore_refuses_a_two_cycle_at_the_depth_limit(gen):
+    """The order-6 refusal's node lies at distance 6 from the start, so at
+    depth 6 it is a depth-limit node, whose exactness is read off the
+    premutation that its quiver comes from; at depth 5 it is not reached."""
+    qp = qp_of_triangulation(gen.surface("torus", 0, 2, 0, 6), 6)
+    with pytest.raises(QpsurfError) as info:
+        explore_mutation_class(qp, 6, 6)
+    assert str(info.value) == (
+        "node db83ba742baa has a 2-cycle, but its degree-2 terms are exact only through "
+        "degree 1; rebuild the QP deeper")
+    rep, graph = explore_mutation_class(qp, 5, 6)
+    assert rep.passed and len(graph.nodes) == 24
+
+
 # sha256 over every triangulation of every class of CLASSES, in that order and
 # in `flip_class` order: its unreduced quiver's text, its sorted provenance
 # and the text of its QP at the class's order, or the refusal.  Recorded
@@ -212,7 +227,8 @@ def test_the_papers_theorems_hold_on_every_triangulation_of_a_small_surface(gen)
                         assert check_involution(qp, k, order).passed, (where, k)
                         counts[2] += 1
                     except QpsurfError as exc:
-                        assert "; rebuild at order >= " in str(exc), (where, k)
+                        assert re.search(r", which is exact only through degree \d+; "
+                                         r"rebuild the QP deeper$", str(exc)), (where, k)
                         counts[3] += 1
                 closed = tri.surface.boundary == 0
                 rep = is_rigid_up_to(qp, order)

@@ -494,9 +494,9 @@ def test_identity_blocks_split_as_before_on_corpus_premutations():
             res = split_qp(pre)
             h.update(res.reduced.to_text().encode())
             h.update(b"%d\n" % len(res.steps))
-            blocks, pairs = _diagonal_pairing(
+            images, pairs = _diagonal_pairing(
                 pre.quiver, [(p.arrows, c) for p, c in pre.potential.terms.items()])
-            if blocks and all(p_ops is None for _, _, p_ops, _ in blocks):
+            if pairs and not images:
                 identity_only += 1
                 assert not res.steps[0].images
     assert identity_only == 8

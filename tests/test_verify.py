@@ -94,12 +94,27 @@ def test_exact_is_lowered_by_a_second_mutation():
     assert twice.exact == 5
     assert truncated_quotient_dim(twice, 4).dims == truncated_quotient_dim(qp, 4).dims
     with pytest.raises(JacobianError, match=r"^order 5 reads the potential through degree 6, "
-                       r"which is exact only through degree 5; rebuild at order >= 8$"):
+                       r"which is exact only through degree 5; rebuild the QP deeper$"):
         truncated_quotient_dim(twice, 5)
     # at order 8 no product is skipped, and the involution checks all pass
     qp = qp_of_triangulation(Triangulation.from_text(TORUS_TWO_PUNCTURES), 8)
     assert mutate_qp(mutate_qp(qp, "2"), "2").exact is None
     assert all(check_involution(qp, k, 8).passed for k in qp.quiver.vertices)
+
+
+def test_explore_reads_no_exactness_past_its_nodes_quivers():
+    # explore reads only degree-2 terms, so a QP exact through degree 5 gives
+    # one graph at every order it accepts, 1 to its truncation 7, though the
+    # dims refuse the orders 5 to 7 that read past degree 5
+    qp = qp_of_triangulation(Triangulation.from_text(TORUS_TWO_PUNCTURES), 7)
+    twice = mutate_qp(mutate_qp(qp, "2"), "2")
+    assert twice.exact == 5
+    graphs = set()
+    for order in range(1, 8):
+        rep, graph = explore_mutation_class(twice, 2, order)
+        assert rep.passed, order
+        graphs.add(graph.to_text())
+    assert len(graphs) == 1 and len(graph.nodes) == 3 and len(graph.edges) == 12
 
 
 # `bench/gen.py` shapes whose double and triple mutations at orders 4-6 lose terms
@@ -145,7 +160,8 @@ def test_exact_agrees_with_a_deeper_build_after_two_or_three_mutations(gen):
                         assert truncated_quotient_dim(qp, limit).dims == want[:limit + 1]
                     if limit < order:
                         lowered += 1
-                        with pytest.raises(JacobianError, match="; rebuild at order >= "):
+                        with pytest.raises(JacobianError, match=r", which is exact only "
+                                           r"through degree \d+; rebuild the QP deeper$"):
                             truncated_quotient_dim(qp, limit + 1)
                     first = next((d for d, (x, y) in enumerate(zip(got, want)) if x != y), None)
                     if first is not None:
