@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "jacobian": (
         "DimensionReport", "RigidityReport", "cartan_matrix", "finite_dim_evidence",
-        "is_rigid_up_to", "jacobian_generators", "truncated_quotient_dim",
+        "is_rigid_up_to", "truncated_quotient_dim",
     ),
     "linalg": (),
     "potential": (

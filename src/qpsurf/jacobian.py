@@ -7,7 +7,7 @@ from itertools import accumulate, count
 from math import lcm
 
 from . import QpsurfError
-from .algebra import AlgebraElement, Path, least_rotation, word_derivatives
+from .algebra import Path, least_rotation, word_derivatives
 from .linalg import SparseEliminator
 from .quiver import IntegerMatrix, Record
 
@@ -25,16 +25,8 @@ def _require_order(qp, order):
             "order %d exceeds the QP truncation %d; rebuild the QP deeper" % (order, qp.order))
 
 
-def jacobian_generators(qp):
-    """One cyclic derivative per arrow, in arrow order."""
-    ders = word_derivatives(qp.words.items())
-    return [AlgebraElement(qp.quiver, qp.order,
-                           {Path(r): c for r, c in ders.get(a.name, {}).items()})
-            for a in qp.quiver.arrows]
-
-
 def _integer_generators(qp):
-    """(arrow, terms, gmin) for each arrow with a nonzero d_a W, in arrow order.
+    """(terms, gmin) for each arrow with a nonzero d_a W, in arrow order.
 
     W is scaled once by the common denominator of its coefficients, so the
     terms are (arrow tuple, int) pairs, shortest first, and gmin is the
@@ -44,7 +36,7 @@ def _integer_generators(qp):
     den = lcm(*(c.denominator for c in qp.words.values()))
     ders = word_derivatives((w, c.numerator * (den // c.denominator))
                             for w, c in qp.words.items())
-    return [(a, terms, len(terms[0][0])) for a in qp.quiver.arrows if a.name in ders
+    return [(terms, len(terms[0][0])) for a in qp.quiver.arrows if a.name in ders
             for terms in [sorted(ders[a.name].items(), key=lambda tc: len(tc[0]))]]
 
 
@@ -135,7 +127,10 @@ def _groebner(qp, order):
     tail coefficients e // c, an int, where the leading coefficient c
     divides e, else the reduced Fraction e/c.  An element whose leading word
     contains the new one is reduced again; the scan is skipped when no
-    leading word is longer.  The leading words are kept by first and by last
+    leading word is longer.  An overlap is queued as its two basis elements
+    and its S-polynomial built when popped, unless either element has been
+    reduced again since: the reduced one queues its own overlaps when it
+    comes back.  The leading words are kept by first and by last
     arrow: l = a'x with |x| = k overlaps only words b = xb', which start
     with l[-k], and l = xb' only words b = a'x, which end with l[k-1].  An
     S-polynomial has no term shorter than its overlap, so once degree d is
@@ -164,15 +159,20 @@ def _groebner(qp, order):
         into[x.head].append(x)
 
     seq = count()
-    queue = [(gmin, next(seq), terms, ()) for _, terms, gmin in _integer_generators(qp)]
+    queue = [(gmin, next(seq), terms, None) for terms, gmin in _integer_generators(qp)]
     heapify(queue)
     lead, lens = {}, []
     starts, ends = defaultdict(dict), defaultdict(dict)  # leading words by first, last arrow
     levels = [[((), v, v) for v in into]]
     for d in range(1, order + 1):
         while queue and queue[0][0] <= d:
-            _, _, terms, guard = heappop(queue)  # guard: the basis elements it came from
-            f = all(lead.get(l) is t for l, t in guard) and _reduce(terms, lead, lens, order)
+            _, _, terms, overlap = heappop(queue)
+            if overlap is not None:
+                x, tx, y, ty, k = overlap
+                if lead.get(x) is not tx or lead.get(y) is not ty:
+                    continue
+                terms = [(t + y[k:], e) for t, e in tx] + [(x[:-k] + t, -e) for t, e in ty]
+            f = _reduce(terms, lead, lens, order)
             if not f:
                 continue
             l = next(iter(f))  # `_reduce` keeps its words in increasing order
@@ -181,7 +181,7 @@ def _groebner(qp, order):
             for b in [b for b in lead if len(b) > len(l) and any(
                     b[i:i + len(l)] == l for i in range(len(b) - len(l) + 1))
                       ] if lens and lens[-1] > len(l) else ():
-                heappush(queue, (len(b), next(seq), [(b, 1)] + lead.pop(b), ()))
+                heappush(queue, (len(b), next(seq), [(b, 1)] + lead.pop(b), None))
                 del starts[b[0]][b], ends[b[-1]][b]
             lead[l] = starts[l[0]][l] = ends[l[-1]][l] = tail
             lens = sorted({len(b) for b in lead})
@@ -191,8 +191,7 @@ def _groebner(qp, order):
                                       if k < len(b) <= top and l[-k:] == b[:k]]
                                      + [(b, tb, l, tail) for b, tb in ends[l[k - 1]].items()
                                         if k < len(b) <= top and b != l and b[-k:] == l[:k]]):
-                    terms = [(t + y[k:], e) for t, e in tx] + [(x[:-k] + t, -e) for t, e in ty]
-                    heappush(queue, (len(x) + len(y) - k, next(seq), terms, ((x, tx), (y, ty))))
+                    heappush(queue, (len(x) + len(y) - k, next(seq), None, (x, tx, y, ty, k)))
         ks, level = [k for k in lens if k <= d], []
         for u, v, h in levels[-1]:
             for x in into[v]:

@@ -425,11 +425,6 @@ def _reduced_quiver(pre):
     return pre.quiver._with_arrows(tuple(a for a in pre.quiver.arrows if a.name not in trivial))
 
 
-def mutated_quiver(qp, k):
-    """`mutate_qp(qp, k).quiver`, from the same premutation, with no sweep run."""
-    return _reduced_quiver(premutate_qp(qp, k))
-
-
 def restrict_qp(qp, keep):
     """Restriction to a vertex subset: arrows and potential terms outside die.
 

@@ -287,9 +287,8 @@ def explore_mutation_class(qp, depth, order):
     Asserts that every node's quiver is 2-acyclic; a child's quiver is that
     of its first parent's QP mutated at k.  A failure is reported, not
     raised, since it would disprove the non-degeneracy being probed; but a
-    node whose degree-2 terms are exact only below degree 2 (the `exact` of
-    the premutation it starts from, or of its split) may owe its 2-cycle to
-    the truncation, and is refused with "rebuild".
+    node whose QP is exact only below degree 2 may owe its 2-cycle to the
+    truncation, and is refused with "rebuild".
     Mutation keeps the vertex set, and each node is expanded once, at every
     vertex in order.  Mutations run at the QP's truncation; `order` must lie
     in 1..that truncation, and enters only the digest.
@@ -302,10 +301,10 @@ def explore_mutation_class(qp, depth, order):
     which come in opposite pairs.  So an expanded node's B is the
     `mutate_matrix` result that found it; only the start's is computed from
     its quiver.  A new child starts from its premutation at k: below the
-    depth limit it is that premutation's reduced part, and at the limit,
-    where no node is expanded, only its quiver is built, by `_reduced_quiver`,
-    from the premutation's degree-2 terms.  A node with a 2-cycle is never
-    expanded.
+    depth limit its QP is that premutation's reduced part, and at the limit,
+    where no node is expanded, its QP is the premutation itself, and its
+    quiver is read off the premutation's degree-2 terms by `_reduced_quiver`.
+    A node with a 2-cycle is never expanded.
 
     An edge's reverse is read, not computed.  Say C = `mutate_matrix(B_X, k)`
     lands on node Y, whose own B_Y was searched with vertex order p_Y, and C's
@@ -352,17 +351,16 @@ def explore_mutation_class(qp, depth, order):
         node_of_rows[matrix.rows] = node, order
         return node, order, new
 
-    # (quiver, QP or None at the depth limit, net matrix, node number, distance,
-    # the degree through which the node's degree-2 terms are exact)
+    # (quiver, QP, net matrix, node number, distance)
     matrix = net_matrix(qp.quiver)
-    frontier = deque([(qp.quiver, qp, matrix, visit(matrix)[0], 0, qp.exact)])
+    frontier = deque([(qp.quiver, qp, matrix, visit(matrix)[0], 0)])
     while frontier:
-        quiver, current, matrix, cur, dist, exact = frontier.popleft()
+        quiver, current, matrix, cur, dist = frontier.popleft()
         if not is_two_acyclic(quiver):
-            if exact is not None and exact < 2:
+            if current.exact is not None and current.exact < 2:
                 raise QpsurfError(
                     "node %s has a 2-cycle, but its degree-2 terms are exact only through "
-                    "degree %d; rebuild the QP deeper" % (digests[cur], exact))
+                    "degree %d; rebuild the QP deeper" % (digests[cur], current.exact))
             failures.append(digests[cur])
             continue
         if dist >= depth:
@@ -378,11 +376,9 @@ def explore_mutation_class(qp, depth, order):
                     pre = premutate_qp(current, k)
                     if dist + 1 < depth:
                         child = _reduced_part(pre)
-                        frontier.append((child.quiver, child, child_matrix, dst, dist + 1,
-                                         child.exact))
+                        frontier.append((child.quiver, child, child_matrix, dst, dist + 1))
                     else:
-                        frontier.append((_reduced_quiver(pre), None, None, dst, dist + 1,
-                                         pre.exact))
+                        frontier.append((_reduced_quiver(pre), pre, child_matrix, dst, dist + 1))
             targets.append(dst)
 
     subs = [("all-2-acyclic", not failures, "non-2-acyclic nodes: %r" % failures),

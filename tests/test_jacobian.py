@@ -19,6 +19,7 @@ from qpsurf.algebra import (
     Path,
     Substitution,
     apply_substitution,
+    cyclic_derivative,
     cyclic_normal_form,
     least_rotation,
 )
@@ -31,7 +32,6 @@ from qpsurf.jacobian import (
     cartan_matrix,
     finite_dim_evidence,
     is_rigid_up_to,
-    jacobian_generators,
     truncated_quotient_dim,
 )
 from qpsurf.potential import PotentialBuildWarning, qp_of_triangulation
@@ -54,27 +54,24 @@ def word(q, order, *names):
 def test_generators_of_oriented_triangle():
     q = Quiver(["1", "2", "3"],
                [Arrow("al", "1", "2"), Arrow("be", "2", "3"), Arrow("ga", "3", "1")])
-    s = word(q, 6, "be", "al", "ga")
-    gens = jacobian_generators(QP(q, s))
-    by_arrow = dict(zip([a.name for a in q.arrows], gens))
-    assert by_arrow["al"] == word(q, 6, "ga", "be")
-    assert by_arrow["be"] == word(q, 6, "al", "ga")
-    assert by_arrow["ga"] == word(q, 6, "be", "al")
+    potential = QP(q, word(q, 6, "be", "al", "ga")).potential
+    assert cyclic_derivative(potential, "al") == word(q, 6, "ga", "be")
+    assert cyclic_derivative(potential, "be") == word(q, 6, "al", "ga")
+    assert cyclic_derivative(potential, "ga") == word(q, 6, "be", "al")
 
 
 def test_generators_of_zero_potential():
     q = Quiver(["1", "2"], [Arrow("a", "1", "2")])
-    gens = jacobian_generators(QP(q, AlgebraElement.zero(q, 6)))
-    assert all(g.is_zero() for g in gens)
+    potential = QP(q, AlgebraElement.zero(q, 6)).potential
+    assert cyclic_derivative(potential, "a").is_zero()
 
 
 def test_torus_generator_literal():
     qp = load_qp("torus")
     x = Fraction(2)
-    gens = dict(zip([a.name for a in qp.quiver.arrows], jacobian_generators(qp)))
     expect = (word(qp.quiver, 6, "2>3~t0", "1>2~t0")
               + x * word(qp.quiver, 6, "2>3~t1", "1>2~t0", "3>1~t1", "2>3~t0", "1>2~t1"))
-    assert gens["3>1~t0"] == expect
+    assert cyclic_derivative(qp.potential, "3>1~t0") == expect
 
 
 def assert_integer_generators_match_oracle(qp, label):
@@ -85,8 +82,8 @@ def assert_integer_generators_match_oracle(qp, label):
     expect = [(a, oracle_derivative(qp.quiver, terms, a.name)) for a in qp.quiver.arrows]
     expect = [(a, d) for a, d in expect if d]
     gens = _integer_generators(qp)
-    assert [a for a, _, _ in gens] == [a for a, _ in expect], label
-    for (a, got, gmin), (_, d) in zip(gens, expect):
+    assert len(gens) == len(expect), label
+    for (got, gmin), (a, d) in zip(gens, expect):
         lengths = [len(w) for w, _ in got]
         assert lengths == sorted(lengths) and gmin == lengths[0], (label, a.name)
         assert all(type(c) is int for _, c in got), (label, a.name)

@@ -13,12 +13,15 @@ homeomorphism (and on the scalars), so one triangulation per class covers
 them all, for the default scalars.
 """
 
+import functools
 import hashlib
 import re
 import warnings
 
 import pytest
 from oracles import oracle_canonical_form
+from test_qp import depth_limit_quiver
+from test_verify import _outcome
 
 from qpsurf import QpsurfError
 from qpsurf.algebra import (
@@ -26,7 +29,7 @@ from qpsurf.algebra import (
 )
 from qpsurf.jacobian import cartan_matrix, is_rigid_up_to
 from qpsurf.potential import PotentialBuildWarning, qp_of_triangulation
-from qpsurf.qp import premutate_qp, split_qp
+from qpsurf.qp import _diagonal_pairing, mutate_qp, premutate_qp, split_qp
 from qpsurf.surface import (
     Side, SurfaceError, Triangulation, flip, signed_adjacency, unreduced_quiver,
 )
@@ -88,6 +91,16 @@ def flip_class(tri):
     return found
 
 
+@pytest.fixture(scope="module")
+def surface_class(gen):
+    """`flip_class` of `gen.surface(kind, size, punctures, 0, 6)` by (kind,
+    size, punctures), searched once for this module's tests, which only read it."""
+    @functools.cache
+    def search(kind, size, punctures):
+        return tuple(flip_class(gen.surface(kind, size, punctures, 0, 6)))
+    return search
+
+
 # (label, kind, size, punctures, triangulations up to relabelling, class size,
 # explore's order): A_n is the (n + 3)-gon and D_n the n-gon with one
 # puncture.  The sizes are as measured; the A_n sizes agree with Torkildsen's
@@ -110,12 +123,12 @@ CLASSES = [
 ]
 
 
-def test_flip_graph_gives_the_explored_mutation_class(gen):
+def test_flip_graph_gives_the_explored_mutation_class(gen, surface_class):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PotentialBuildWarning)
         for label, kind, size, punctures, count, classes, order in CLASSES:
             tri = gen.surface(kind, size, punctures, 0, 6)
-            found = flip_class(tri)
+            found = surface_class(kind, size, punctures)
             forms = {canonical_matrix_form(signed_adjacency(t))[0] for t in found}
             assert (len(found), len(forms)) == (count, classes), label
             rep, graph = explore_mutation_class(qp_of_triangulation(tri, order), 99, order)
@@ -155,6 +168,34 @@ def test_explore_refuses_a_two_cycle_at_the_depth_limit(gen):
     assert rep.passed and len(graph.nodes) == 24
 
 
+def test_the_depth_limit_quiver_is_that_of_mutate_qp_on_whole_flip_classes(surface_class):
+    """Explore reads a depth-limit node's quiver off the degree-2 part of its
+    premutation alone.  On every triangulation of CLASSES at the class's
+    order, at every vertex, that quiver is the quiver of `mutate_qp`, or
+    both refuse with the same text; the pairing moves arrows in some of
+    these premutations, so not every block is the identity."""
+    checked, moved, refused = 0, 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PotentialBuildWarning)
+        for label, kind, size, punctures, _, _, order in CLASSES:
+            for tri in surface_class(kind, size, punctures):
+                try:
+                    qp = qp_of_triangulation(tri, order)
+                except SurfaceError:
+                    continue  # a puncture cycle longer than the order
+                for k in qp.quiver.vertices:
+                    got = _outcome(depth_limit_quiver, qp, k)
+                    assert got == _outcome(lambda q, k: mutate_qp(q, k).quiver, qp, k), (
+                        label, tri.to_text(), k)
+                    checked += 1
+                    if isinstance(got, tuple):
+                        refused += 1
+                        continue
+                    pre = premutate_qp(qp, k)
+                    moved += bool(_diagonal_pairing(pre.quiver, pre.words.items())[0])
+    assert (checked, moved, refused) == (2224, 108, 0)
+
+
 # sha256 over every triangulation of every class of CLASSES, in that order and
 # in `flip_class` order: its unreduced quiver's text, its sorted provenance
 # and the text of its QP at the class's order, or the refusal.  Recorded
@@ -163,12 +204,12 @@ def test_explore_refuses_a_two_cycle_at_the_depth_limit(gen):
 CLASSES_BUILD_SHA256 = "7bd221424514b9f30be104d487dcf16aa8e2505ddaa453b5dca3c486034df061"
 
 
-def test_the_build_over_whole_flip_classes_is_pinned(gen):
+def test_the_build_over_whole_flip_classes_is_pinned(surface_class):
     h = hashlib.sha256()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PotentialBuildWarning)
         for label, kind, size, punctures, _, _, order in CLASSES:
-            for tri in flip_class(gen.surface(kind, size, punctures, 0, 6)):
+            for tri in surface_class(kind, size, punctures):
                 quiver, provenance = unreduced_quiver(tri)
                 try:
                     qp = qp_of_triangulation(tri, order).to_text()
@@ -186,11 +227,12 @@ THEOREM_CLASSES = [
     ("A5", "polygon", 8, 0, 95, 0, 95, 0),
     ("A6", "polygon", 9, 0, 294, 0, 294, 0),
     ("D5", "polygon", 5, 1, 116, 14, 130, 0),
+    ("D6", "polygon", 6, 1, 438, 42, 480, 0),
     ("torus2", "torus", 0, 1, 29, 1, 29, 1),
 ]
 
 
-def test_the_papers_theorems_hold_on_every_triangulation_of_a_small_surface(gen):
+def test_the_papers_theorems_hold_on_every_triangulation_of_a_small_surface(gen, surface_class):
     """On each triangulation, built at D = max(largest puncture valence + 4, 10):
     - a flip is a QP-mutation (flip-compat passes), and a folded side is refused;
     - each one-step mutation's split witness is a right-equivalence from the
@@ -204,7 +246,7 @@ def test_the_papers_theorems_hold_on_every_triangulation_of_a_small_surface(gen)
         warnings.simplefilter("ignore", PotentialBuildWarning)
         for label, kind, size, punctures, *expected in THEOREM_CLASSES:
             counts = [0, 0, 0, 0]
-            for tri in flip_class(gen.surface(kind, size, punctures, 0, 6)):
+            for tri in surface_class(kind, size, punctures):
                 order = max(gen.max_valence(tri) + 4, 10)
                 where = (label, tri.to_text())
                 for arc in tri.arcs:

@@ -28,8 +28,8 @@ from qpsurf.qp import (
     QP,
     QPError,
     _diagonal_pairing,
+    _reduced_quiver,
     mutate_qp,
-    mutated_quiver,
     premutate_qp,
     restrict_qp,
     split_qp,
@@ -53,6 +53,11 @@ def is_trivial_qp(qp):
     return oracle_rank(rows, names) == len(names)
 
 
+def depth_limit_quiver(qp, k):
+    """The quiver explore gives a node at its depth limit, from the premutation."""
+    return _reduced_quiver(premutate_qp(qp, k))
+
+
 def quiver_mutation_matches(qp, k):
     """Whether QP-mutation at k lands on the plainly mutated quiver.
 
@@ -60,7 +65,8 @@ def quiver_mutation_matches(qp, k):
     the premutation get removed, so a degenerate pairing leaves 2-cycles that
     plain quiver mutation would cancel.
     """
-    return mutated_quiver(qp, k).multiplicities() == mutate_quiver(qp.quiver, k).multiplicities()
+    mult = mutate_quiver(qp.quiver, k).multiplicities()
+    return depth_limit_quiver(qp, k).multiplicities() == mult
 
 
 def cycle_quiver():
@@ -140,7 +146,7 @@ def test_element_refuses_a_non_composable_word_through_k(names):
         AlgebraElement(q, 6, {arrow_path(*names): 1})
 
 
-# the refusals of premutate_qp, mutate_qp and mutated_quiver at vertex 2 of
+# the refusals of premutate_qp, mutate_qp and depth_limit_quiver at vertex 2 of
 # cycle_quiver() that a QP can meet: every word of a QP reads as a word of
 # the premutated quiver, so only the hook terms can exceed the order
 PREMUTATION_REFUSALS = [
@@ -153,7 +159,7 @@ PREMUTATION_REFUSALS = [
 def test_premutation_refusals_are_those_of_the_checked_premutation(order, error, message):
     q = cycle_quiver()
     qp = QP(q, AlgebraElement.zero(q, order))
-    for call in (premutate_qp, mutate_qp, mutated_quiver):
+    for call in (premutate_qp, mutate_qp, depth_limit_quiver):
         with pytest.raises(ValueError) as info:
             call(qp, "2")
         assert (type(info.value), str(info.value)) == (error, message), call.__name__
@@ -165,7 +171,7 @@ def test_premutation_refuses_a_new_name_an_old_arrow_holds(arrow):
     q = Quiver(["1", "2", "3"], cycle_quiver().arrows + (arrow,))
     qp = QP(q, word(q, 6, "a", "b", "c"))
     calls = [lambda qp, k: premutate_quiver(qp.quiver, k), premutate_qp, mutate_qp,
-             mutated_quiver]
+             depth_limit_quiver]
     message = "^duplicate arrow id %s$" % re.escape(repr(arrow.name))
     for call in calls:
         with pytest.raises(QuiverError, match=message):

